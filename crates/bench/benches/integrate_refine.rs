@@ -21,9 +21,7 @@
 //!   staged refinement.
 //! * `refine_parallel/*` — the staged 8 × 64 workload with the
 //!   intra-component worker pool at 1/2/4 threads (bit-identical
-//!   output, so the spread is pure wall-clock), and a variant that
-//!   demotes live enumerators to stored frontiers between installments
-//!   to price the resident fast path against the old restore loop.
+//!   output, so the spread is pure wall-clock).
 //!
 //! Under `--bench` the harness ends with a regression gate: staged
 //! 8 × 64 must stay within `STAGED_GATE_CEILING`× of one-shot 512 (set
@@ -209,12 +207,9 @@ fn bench_incremental_emission(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel-search and live-enumerator benches (PR 9): the same
-/// staged 8 × 64 confusable8 workload with the intra-component worker
-/// pool at 1/2/4 threads — bit-identical results, so any spread is pure
-/// wall-clock — plus a round-trip variant that demotes every live
-/// enumerator to its stored form between installments, pricing the
-/// resident fast path against the persist/restore loop it replaced.
+/// The parallel-search benches: the staged 8 × 64 confusable8 workload
+/// with the intra-component worker pool at 1/2/4 threads —
+/// bit-identical results, so any spread is pure wall-clock.
 fn bench_refine_parallel(c: &mut Criterion) {
     let oracle = confusion_oracle();
     let mut group = c.benchmark_group("refine_parallel");
@@ -223,7 +218,7 @@ fn bench_refine_parallel(c: &mut Criterion) {
     let c8 = scenarios::confusable(8);
     // confusable8 is one 64-live-pair component: past the parallel
     // engagement threshold, so granted threads actually work.
-    let staged = |threads: Option<Parallelism>, round_trip: bool| {
+    let staged = |threads: Option<Parallelism>| {
         let mut outcome =
             integrate_xml(&c8.mpeg7, &c8.imdb, &oracle, Some(&c8.schema), &options(64))
                 .expect("integrates");
@@ -237,9 +232,6 @@ fn bench_refine_parallel(c: &mut Criterion) {
             if !outcome.is_refinable() {
                 break;
             }
-            if round_trip {
-                outcome.materialise_frontiers();
-            }
             outcome
                 .refine(&oracle, Some(&c8.schema), &refine)
                 .expect("refines");
@@ -248,12 +240,9 @@ fn bench_refine_parallel(c: &mut Criterion) {
     };
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("confusable8/staged-8x64-threads-{threads}"), |b| {
-            b.iter(|| black_box(staged(Some(Parallelism::new(black_box(threads))), false)))
+            b.iter(|| black_box(staged(Some(Parallelism::new(black_box(threads))))))
         });
     }
-    group.bench_function("confusable8/staged-8x64-round-trip-each-step", |b| {
-        b.iter(|| black_box(staged(Some(Parallelism::SERIAL), black_box(true))))
-    });
 
     group.finish();
 }

@@ -4,8 +4,9 @@
 //! larger confusing-conditions movie integration, and an integrated
 //! address-book database:
 //!
-//! * `eval_px-unplanned` — the one-shot API: re-derives answer events
-//!   and recomputes every probability on every call;
+//! * `eval_px-unplanned` — the one-shot API: compiles a throwaway plan,
+//!   re-derives answer events and recomputes every probability on every
+//!   call;
 //! * `plan-t0` / `plan-t0.5` — cold planned execution: compiled once,
 //!   events rebuilt per call, probabilities via the flat choice-weight
 //!   table, with threshold pushdown (structural bound pruning +

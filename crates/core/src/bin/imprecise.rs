@@ -225,8 +225,8 @@ fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                     .trim()
                     .parse()
                     .map_err(|_| UsageError(format!("bad weight {b:?}")))?;
-                if pa <= 0.0 || pb <= 0.0 {
-                    return Err(UsageError("weights must be positive".into()));
+                if !(pa > 0.0 && pb > 0.0 && (pa + pb).is_finite()) {
+                    return Err(UsageError("weights must be finite and positive".into()));
                 }
                 Ok((pa, pb))
             }
@@ -1133,6 +1133,12 @@ mod tests {
     fn weights_validation() {
         assert!(parse(&["integrate", "--out", "o", "--weights", "nope", "a", "b"]).is_err());
         assert!(parse(&["integrate", "--out", "o", "--weights", "0,-1", "a", "b"]).is_err());
+        for bad in ["nan,1", "inf,1", "1,-inf", "-1,3", "1e308,1e308"] {
+            let err = parse(&["integrate", "--out", "o", "--weights", bad, "a", "b"])
+                .expect_err("non-finite or non-positive weights are a usage error");
+            assert!(err.0.contains("finite and positive"), "{bad}: {}", err.0);
+        }
+        assert!(parse(&["integrate", "--out", "o", "--weights", "3,1", "a", "b"]).is_ok());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! content-addressed blobs and hands them back to
 //! [`decode_refine_state`], which re-attaches them and validates every
 //! frontier node id against the arenas it points into. Each decoded
-//! [`ComponentFrontier`](crate::matching::ComponentFrontier) is also
+//! [`FrontierEnumerator`](crate::matching::FrontierEnumerator) is also
 //! checked against its component's content digest, so state that was
 //! corrupted on disk (or mixed up across documents) surfaces as a
 //! [`CodecError`] instead of resuming a wrong enumeration.

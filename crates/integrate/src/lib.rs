@@ -55,9 +55,9 @@
 //! ## Resumable integration (pay-as-you-go refinement)
 //!
 //! A budgeted run does not discard its search state: every truncated
-//! component's best-first frontier — open prefix decisions, admissible
-//! bounds, retained/discarded mass — persists as a
-//! [`ComponentFrontier`] inside the returned [`IntegrationOutcome`].
+//! component's best-first search — open prefix decisions, admissible
+//! bounds, retained/discarded mass — stays resident as a
+//! [`FrontierEnumerator`] inside the returned [`IntegrationOutcome`].
 //! [`IntegrationOutcome::refine`] resumes those searches with more
 //! budget, largest discarded mass first, and re-emits only the refined
 //! components' subtrees into the existing document (grafting into the
@@ -102,8 +102,8 @@ pub mod pipeline;
 pub mod verify;
 
 pub use matching::{
-    Candidate, Component, ComponentFrontier, FrontierEnumerator, FrontierMismatch, MatchBudget,
-    Matching, Parallelism, SearchStats, TooManyMatchings,
+    Candidate, Component, FrontierEnumerator, MatchBudget, Matching, Parallelism, SearchStats,
+    TooManyMatchings,
 };
 pub use pipeline::{block_candidates, BlockedPairs, ComponentOutcome, DocFrontier};
 pub use verify::{verify_frontier, InvariantViolation};
@@ -226,11 +226,20 @@ impl IntegrationOptions {
     }
 
     /// Check the options for nonsensical values (every integration entry
-    /// point calls this): a `min_retained_mass` outside `(0, 1]` would
+    /// point calls this): source weights become possibility
+    /// probabilities, so they must be finite and positive (a NaN, an
+    /// infinity or a negative weight would emit NaN or negative
+    /// probabilities); a `min_retained_mass` outside `(0, 1]` would
     /// silently discard almost everything (≤ 0) or silently never stop
     /// (> 1), and a zero matching budget cannot keep the one matching
     /// every component has.
     pub fn validate(&self) -> Result<(), IntegrateError> {
+        let (wa, wb) = self.source_weights;
+        if !(wa > 0.0 && wb > 0.0 && (wa + wb).is_finite()) {
+            return Err(IntegrateError::InvalidOptions(format!(
+                "source weights must be finite and positive, got ({wa}, {wb})"
+            )));
+        }
         if let Some(t) = self.min_retained_mass {
             if !(t > 0.0 && t <= 1.0) {
                 return Err(IntegrateError::InvalidOptions(format!(
@@ -297,11 +306,6 @@ pub enum IntegrateError {
     },
     /// An input document violates the probabilistic XML invariants.
     InvalidInput(PxInvariantError),
-    /// A refine step was handed a persisted frontier that does not
-    /// belong to the component it was restored against (see
-    /// [`matching::FrontierMismatch`]) — refinement state and document
-    /// got out of sync.
-    FrontierMismatch(matching::FrontierMismatch),
 }
 
 impl fmt::Display for IntegrateError {
@@ -340,7 +344,6 @@ impl fmt::Display for IntegrateError {
                 write!(f, "integration result exceeds {cap} nodes")
             }
             IntegrateError::InvalidInput(e) => write!(f, "invalid input document: {e}"),
-            IntegrateError::FrontierMismatch(e) => write!(f, "cannot refine: {e}"),
         }
     }
 }
@@ -350,12 +353,6 @@ impl std::error::Error for IntegrateError {}
 impl From<PxInvariantError> for IntegrateError {
     fn from(e: PxInvariantError) -> Self {
         IntegrateError::InvalidInput(e)
-    }
-}
-
-impl From<matching::FrontierMismatch> for IntegrateError {
-    fn from(e: matching::FrontierMismatch) -> Self {
-        IntegrateError::FrontierMismatch(e)
     }
 }
 
@@ -611,18 +608,6 @@ impl IntegrationOutcome {
         !self.frontiers.is_empty()
     }
 
-    /// Demote every live resident enumerator back to its plain-data
-    /// stored form, as if the outcome had been round-tripped through
-    /// the codec. The next refine step pays the restore (re-heapify)
-    /// price a fresh process would. A no-op on already-stored
-    /// frontiers; used by the `refine_parallel` bench to price the
-    /// live-enumerator fast path against the persist/restore loop.
-    pub fn materialise_frontiers(&mut self) {
-        for f in &mut self.frontiers {
-            f.materialise();
-        }
-    }
-
     /// Largest per-component discarded mass over the open frontiers
     /// (0 when the result is exact).
     pub fn max_discarded_mass(&self) -> f64 {
@@ -834,9 +819,8 @@ impl IntegrationOutcome {
                 nested_all.push(f);
             }
         }
-        // Components still open keep their *advanced enumerator* resident:
-        // the next step resumes it with a cheap clone instead of a
-        // persist/restore round-trip. Drained components drop out.
+        // Components still open keep their *advanced enumerator*
+        // resident for the next step. Drained components drop out.
         let mut drained: Vec<usize> = Vec::new();
         for (i, left) in updates {
             match left {
@@ -995,10 +979,10 @@ struct PreparedComponent {
 }
 
 /// Phase A of a refine step for one component: resume the enumeration
-/// (on a clone of the site's resident enumerator, or a restore of its
-/// stored frontier) with up to `threads` expansion workers, and emit
-/// the delta into a scratch arena. Touches nothing shared — the site
-/// itself is only updated when the step commits, so errors stay atomic.
+/// (on a clone of the site's resident enumerator) with up to `threads`
+/// expansion workers, and emit the delta into a scratch arena. Touches
+/// nothing shared — the site itself is only updated when the step
+/// commits, so errors stay atomic.
 #[allow(clippy::too_many_arguments)]
 fn prepare_one(
     frontiers: &[DocFrontier],
@@ -1013,7 +997,7 @@ fn prepare_one(
     threads: usize,
 ) -> Result<PreparedComponent, IntegrateError> {
     let df = &frontiers[slot];
-    let mut en = df.enumerator()?;
+    let mut en = df.enumerator();
     let max_matchings = if options.extra_matchings == usize::MAX {
         usize::MAX
     } else {

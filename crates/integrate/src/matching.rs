@@ -17,20 +17,21 @@
 //!
 //! * [`enumerate_matchings`] — the exhaustive recursion; errors with
 //!   [`TooManyMatchings`] past a cap (strict mode);
-//! * [`enumerate_budgeted`] — a best-first branch-and-bound search that
+//! * [`FrontierEnumerator`] — a best-first branch-and-bound search that
 //!   yields matchings in descending weight and stops at a
 //!   [`MatchBudget`], renormalising what was kept and accounting the
 //!   probability mass it dropped (the paper's "good is good enough"
 //!   trade, made explicit).
 //!
-//! The budgeted search is implemented by [`FrontierEnumerator`], whose
-//! heap state snapshots into a [`ComponentFrontier`]: a truncated run's
-//! frontier can be persisted and *resumed* later with more budget, and
-//! resuming to an unlimited budget reproduces the exhaustive enumeration
-//! bit for bit — the foundation of pay-as-you-go refinement.
+//! A truncated [`FrontierEnumerator`] stays resident and is *resumed*
+//! later with more budget; it also encodes to bytes and decodes against
+//! its component, so the search survives a process restart. Resuming to
+//! an unlimited budget reproduces the exhaustive enumeration bit for bit
+//! — the foundation of pay-as-you-go refinement.
 
+use imprecise_pxml::codec::{CodecError, Reader};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::{mpsc, Arc, OnceLock};
 
@@ -368,7 +369,7 @@ fn canonicalise_tagged(yielded: Vec<Matching>, watermark: usize) -> (Vec<Matchin
 
 /// Enumerate all injective matchings of a component, normalised, in
 /// canonical (descending weight) order. Errors past `cap` — this is the
-/// strict-mode enumerator; see [`enumerate_budgeted`] for the graceful
+/// strict-mode enumerator; see [`FrontierEnumerator`] for the graceful
 /// one.
 pub fn enumerate_matchings(
     component: &Component,
@@ -401,7 +402,7 @@ struct SearchState {
     idx: usize,
     weight: f64,
     /// Included pairs of the prefix. Shared (`Arc`) because every
-    /// exclude-branch child and every frontier snapshot carries its
+    /// exclude-branch child and every enumerator clone carries its
     /// parent's inclusions unchanged — with tens of thousands of open
     /// states, per-state vector clones dominate resume cost otherwise.
     taken: Arc<[(usize, usize)]>,
@@ -647,213 +648,8 @@ const EXACT_MASS_LOG_MAX_WORK: u64 = 1 << 26;
 /// pair at p ≥ t would collapse to its match case).
 const MASS_STOP_FLOOR: usize = 16;
 
-/// One open node of a persisted search frontier: the prefix decisions
-/// (`idx` candidates decided, `taken` included), the prefix weight, the
-/// admissible completion bound and the tie-break sequence number. All of
-/// it is plain data — a frontier can cross threads, be stored in a
-/// catalog and resumed sessions later.
-#[derive(Debug, Clone, PartialEq)]
-struct FrontierNode {
-    idx: usize,
-    weight: f64,
-    taken: Arc<[(usize, usize)]>,
-    bound: f64,
-    seq: u64,
-}
-
-/// The persisted state of one component's truncated enumeration: what a
-/// [`FrontierEnumerator`] needs to *continue* best-first search exactly
-/// where a budgeted run stopped.
-///
-/// The contract that makes resumption safe: restoring a frontier and
-/// running it to [`MatchBudget::UNLIMITED`] produces the same canonical
-/// matching list — bit for bit — as an unbudgeted run from scratch
-/// (prefix weights, pop order and normalisation order are all
-/// preserved), so pay-as-you-go refinement converges to the exhaustive
-/// result instead of merely near it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComponentFrontier {
-    /// Open search states, in descending pop order.
-    open: Vec<FrontierNode>,
-    /// Next tie-break sequence number (continues the original run's).
-    next_seq: u64,
-    /// Matchings already yielded, raw (unnormalised) weights, in yield
-    /// order. Kept so a resumed run re-emits the *full* matching set.
-    yielded: Vec<Matching>,
-    /// Running sum of the yielded raw weights, in yield order.
-    retained: f64,
-    /// True when `yielded` holds the synthesised all-excluded fallback
-    /// (the expansion valve fired before any real matching was reached);
-    /// a resumed run discards it — the open states still cover the whole
-    /// search space, including that matching.
-    synthetic: bool,
-    /// Digest of the component's forced pairs and live candidates
-    /// (endpoints + probability bits): a frontier only restores against
-    /// the component that produced it.
-    digest: u64,
-    /// Live undecided pairs of the component (consistency check on
-    /// restore).
-    pub live_pairs: usize,
-    /// Mass accounting of the run that produced this frontier
-    /// (`retained_mass + discarded_mass == 1`).
-    pub retained_mass: f64,
-    /// Conservative upper bound on the mass still unenumerated — the
-    /// refinement planner's priority key.
-    pub discarded_mass: f64,
-}
-
-impl ComponentFrontier {
-    /// Number of open search states.
-    pub fn open_nodes(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Number of matchings the producing run kept.
-    pub fn kept(&self) -> usize {
-        self.yielded.len()
-    }
-
-    /// True when the kept set is the synthesised all-excluded fallback:
-    /// a resumed run discards it and re-yields the whole set, so a
-    /// delta-aware emitter must replace — not extend — what it emitted
-    /// for this frontier.
-    pub fn is_synthetic(&self) -> bool {
-        self.synthetic
-    }
-
-    /// True when this frontier's recorded content digest matches
-    /// `component` — the same check [`FrontierEnumerator::restore`]
-    /// enforces, exposed so a decoded frontier can be validated against
-    /// its decoded component before any enumeration is attempted.
-    pub(crate) fn matches_component(&self, component: &Component) -> bool {
-        self.digest == component_digest(&component.forced, &live_candidates(component))
-    }
-
-    /// Serialise the frontier for the durable store (appends to `out`).
-    ///
-    /// Open states are already held in descending pop order (the
-    /// deterministic external form produced by `make_frontier`), so the
-    /// encoding is a pure function of the frontier's logical content.
-    /// `taken` prefix vectors are heavily shared between open states
-    /// (children extend their parent's `Arc`); they are written once
-    /// into a content-deduplicated pool, in first-reference order, and
-    /// each state stores a pool index — the decoder re-shares them.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        use imprecise_pxml::codec::{put_f64, put_len, put_u64, put_u8};
-        let mut pool: Vec<&Arc<[(usize, usize)]>> = Vec::new();
-        let mut by_content: std::collections::HashMap<&[(usize, usize)], usize> =
-            std::collections::HashMap::new();
-        let mut node_prefix: Vec<usize> = Vec::with_capacity(self.open.len());
-        for node in &self.open {
-            let idx = *by_content.entry(&node.taken[..]).or_insert_with(|| {
-                pool.push(&node.taken);
-                pool.len() - 1
-            });
-            node_prefix.push(idx);
-        }
-        put_len(out, pool.len());
-        for prefix in &pool {
-            put_len(out, prefix.len());
-            for &(a, b) in prefix.iter() {
-                put_len(out, a);
-                put_len(out, b);
-            }
-        }
-        put_len(out, self.open.len());
-        for (node, &prefix) in self.open.iter().zip(&node_prefix) {
-            put_len(out, node.idx);
-            put_f64(out, node.weight);
-            put_f64(out, node.bound);
-            put_u64(out, node.seq);
-            put_len(out, prefix);
-        }
-        put_u64(out, self.next_seq);
-        put_len(out, self.yielded.len());
-        for m in &self.yielded {
-            encode_matching(m, out);
-        }
-        put_f64(out, self.retained);
-        put_u8(out, u8::from(self.synthetic));
-        put_u64(out, self.digest);
-        put_len(out, self.live_pairs);
-        put_f64(out, self.retained_mass);
-        put_f64(out, self.discarded_mass);
-    }
-
-    /// Decode a frontier written by [`encode`](Self::encode).
-    ///
-    /// Restores the `Arc` sharing of `taken` prefixes through the pool.
-    /// The recorded component digest is carried through verbatim; the
-    /// caller must still check the frontier against its component (see
-    /// [`matches_component`](Self::matches_component) and
-    /// [`FrontierEnumerator::restore`]).
-    pub(crate) fn decode(
-        r: &mut imprecise_pxml::codec::Reader<'_>,
-    ) -> Result<Self, imprecise_pxml::codec::CodecError> {
-        let n_pool = r.take_len("taken-prefix pool size")?;
-        let mut pool: Vec<Arc<[(usize, usize)]>> = Vec::with_capacity(n_pool.min(1 << 20));
-        for _ in 0..n_pool {
-            let n = r.take_len("taken-prefix length")?;
-            let mut prefix = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let a = r.take_len("taken pair a")?;
-                let b = r.take_len("taken pair b")?;
-                prefix.push((a, b));
-            }
-            pool.push(prefix.into());
-        }
-        let n_open = r.take_len("open state count")?;
-        let mut open = Vec::with_capacity(n_open.min(1 << 20));
-        for _ in 0..n_open {
-            let idx = r.take_len("open state idx")?;
-            let weight = r.take_f64("open state weight")?;
-            let bound = r.take_f64("open state bound")?;
-            let seq = r.take_u64("open state seq")?;
-            let prefix = r.take_len("open state prefix index")?;
-            let taken = pool
-                .get(prefix)
-                .cloned()
-                .ok_or_else(|| r.err("prefix index within pool"))?;
-            open.push(FrontierNode {
-                idx,
-                weight,
-                taken,
-                bound,
-                seq,
-            });
-        }
-        let next_seq = r.take_u64("next_seq")?;
-        let n_yielded = r.take_len("yielded count")?;
-        let mut yielded = Vec::with_capacity(n_yielded.min(1 << 20));
-        for _ in 0..n_yielded {
-            yielded.push(decode_matching(r)?);
-        }
-        let retained = r.take_f64("retained")?;
-        let synthetic = match r.take_u8("synthetic flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(r.err("synthetic flag")),
-        };
-        let digest = r.take_u64("component digest")?;
-        let live_pairs = r.take_len("live pair count")?;
-        let retained_mass = r.take_f64("retained mass")?;
-        let discarded_mass = r.take_f64("discarded mass")?;
-        Ok(ComponentFrontier {
-            open,
-            next_seq,
-            yielded,
-            retained,
-            synthetic,
-            digest,
-            live_pairs,
-            retained_mass,
-            discarded_mass,
-        })
-    }
-}
-
 /// Serialise one matching (pairs + bit-exact weight). Appends to `out`.
-pub(crate) fn encode_matching(m: &Matching, out: &mut Vec<u8>) {
+fn encode_matching(m: &Matching, out: &mut Vec<u8>) {
     use imprecise_pxml::codec::{put_f64, put_len};
     put_len(out, m.pairs.len());
     for &(a, b) in &m.pairs {
@@ -864,9 +660,7 @@ pub(crate) fn encode_matching(m: &Matching, out: &mut Vec<u8>) {
 }
 
 /// Decode a matching written by [`encode_matching`].
-pub(crate) fn decode_matching(
-    r: &mut imprecise_pxml::codec::Reader<'_>,
-) -> Result<Matching, imprecise_pxml::codec::CodecError> {
+fn decode_matching(r: &mut Reader<'_>) -> Result<Matching, CodecError> {
     let n = r.take_len("matching pair count")?;
     let mut pairs = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -881,7 +675,7 @@ pub(crate) fn decode_matching(
 /// FNV-1a digest of a component's matching-relevant content: forced
 /// pairs plus every live candidate's endpoints and probability bits.
 /// Two components whose digests differ can never legally exchange
-/// frontiers; equal digests differ only with hash probability.
+/// search states; equal digests differ only with hash probability.
 fn component_digest(forced: &[(usize, usize)], live: &[Candidate]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
@@ -901,52 +695,28 @@ fn component_digest(forced: &[(usize, usize)], live: &[Candidate]) -> u64 {
     h
 }
 
-/// A persisted frontier was restored against a component it does not
-/// belong to: the component's content digest (forced pairs + live
-/// candidate endpoints and probability bits) differs from the one
-/// recorded at truncation time.
-///
-/// Refinement state is versioned alongside the document it belongs to,
-/// so this error indicates state corruption (or a caller mixing
-/// frontiers across documents) — surfaced as a typed error so an engine
-/// can reject the refine call instead of tearing down the process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontierMismatch {
-    /// The digest recorded in the persisted frontier.
-    pub expected: u64,
-    /// The digest of the component the restore was attempted against.
-    pub found: u64,
-}
-
-impl fmt::Display for FrontierMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "frontier does not belong to this component (digest {:#018x}, component {:#018x})",
-            self.expected, self.found
-        )
-    }
-}
-
-impl std::error::Error for FrontierMismatch {}
-
 /// A resumable best-first branch-and-bound enumerator over one
 /// component's live candidates.
 ///
 /// The enumerator owns its component (`Arc`-shared with the pipeline)
-/// and the heap of open search states, so it can stay *resident* across
-/// refine steps instead of round-tripping through the persisted form.
-/// [`run`] drives it until a [`MatchBudget`] is satisfied (budgets count
-/// *total* kept matchings, across runs); [`frontier`] snapshots the
-/// remaining state into a [`ComponentFrontier`]; [`restore`] rebuilds an
-/// enumerator from such a snapshot so a later run continues the search
-/// bit-identically. Cloning is cheap relative to a snapshot round-trip:
-/// the open states' `taken` prefixes are `Arc`-shared, and no
-/// sort-into-canonical-order or re-heapify is paid.
+/// and the heap of open search states, so it stays *resident* across
+/// refine steps. [`run`] drives it until a [`MatchBudget`] is satisfied
+/// (budgets count *total* kept matchings, across runs). Cloning is
+/// cheap: the open states' `taken` prefixes are `Arc`-shared. [`encode`]
+/// writes the search state for the durable store, and [`decode`]
+/// rebuilds it against its component in a later process.
+///
+/// The contract that makes resumption safe: running to
+/// [`MatchBudget::UNLIMITED`] — after any number of budgeted runs,
+/// clones and encode/decode round-trips — produces the same canonical
+/// matching list, bit for bit, as an unbudgeted run from scratch
+/// (prefix weights, pop order and normalisation order are all
+/// preserved), so pay-as-you-go refinement converges to the exhaustive
+/// result instead of merely near it.
 ///
 /// [`run`]: FrontierEnumerator::run
-/// [`frontier`]: FrontierEnumerator::frontier
-/// [`restore`]: FrontierEnumerator::restore
+/// [`encode`]: FrontierEnumerator::encode
+/// [`decode`]: FrontierEnumerator::decode
 #[derive(Debug, Clone)]
 pub struct FrontierEnumerator {
     component: Arc<Component>,
@@ -1003,45 +773,6 @@ impl FrontierEnumerator {
         }
     }
 
-    /// Rebuild an enumerator from a persisted frontier of the *same*
-    /// component, positioned exactly where the producing run stopped.
-    ///
-    /// Fails with [`FrontierMismatch`] if the frontier was produced by a
-    /// different component — different forced pairs, candidate endpoints
-    /// or probabilities (a content digest is checked, not just the
-    /// live-pair count).
-    pub fn restore(
-        component: Arc<Component>,
-        frontier: &ComponentFrontier,
-    ) -> Result<Self, FrontierMismatch> {
-        let mut this = Self::new(component);
-        let found = component_digest(&this.component.forced, &this.live);
-        if found != frontier.digest {
-            return Err(FrontierMismatch {
-                expected: frontier.digest,
-                found,
-            });
-        }
-        this.heap = frontier
-            .open
-            .iter()
-            .map(|n| SearchState {
-                bound: n.bound,
-                seq: n.seq,
-                idx: n.idx,
-                weight: n.weight,
-                taken: n.taken.clone(),
-            })
-            .collect();
-        this.seq = frontier.next_seq;
-        this.yielded = frontier.yielded.clone();
-        this.retained = frontier.retained;
-        this.synthetic = frontier.synthetic;
-        this.retained_mass = frontier.retained_mass;
-        this.discarded_mass = frontier.discarded_mass;
-        Ok(this)
-    }
-
     /// True when the search space is exhausted: the yielded matchings
     /// are the complete canonical enumeration.
     pub fn is_drained(&self) -> bool {
@@ -1053,7 +784,7 @@ impl FrontierEnumerator {
         &self.component
     }
 
-    /// Matchings yielded so far — what a snapshot's kept set would hold.
+    /// Matchings yielded so far.
     pub fn kept(&self) -> usize {
         self.yielded.len()
     }
@@ -1084,69 +815,138 @@ impl FrontierEnumerator {
         self.synthetic
     }
 
-    /// Snapshot the search state unconditionally — unlike
-    /// [`frontier`](Self::frontier) this works on a drained enumerator
-    /// too (yielding a frontier with no open states). This is where a
-    /// *live* enumerator materialises into the plain-data form for the
-    /// durable store codec and invariant verification.
-    pub fn snapshot_frontier(&self) -> ComponentFrontier {
-        self.make_frontier(self.heap.iter().cloned().collect(), self.yielded.clone())
-    }
-
-    /// Snapshot the remaining search state, or `None` when the
-    /// enumeration completed (nothing left to resume).
-    pub fn frontier(&self) -> Option<ComponentFrontier> {
-        if self.is_drained() {
-            return None;
-        }
-        Some(self.make_frontier(self.heap.iter().cloned().collect(), self.yielded.clone()))
-    }
-
-    /// [`frontier`](Self::frontier) without the copies: consume the
-    /// enumerator and *move* its open states and yielded matchings into
-    /// the persisted form. A truncated frontier can hold tens of
-    /// thousands of open states, each with a prefix-decision vector —
-    /// on the integrate hot path this is the difference between
-    /// persisting a pointer move and deep-copying the whole search
-    /// frontier.
-    pub fn into_frontier(mut self) -> Option<ComponentFrontier> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let open = std::mem::take(&mut self.heap).into_vec();
-        let yielded = std::mem::take(&mut self.yielded);
-        Some(self.make_frontier(open, yielded))
-    }
-
-    /// The one serialisation point both snapshot flavours share: open
-    /// states in descending pop order (a deterministic external form
-    /// regardless of heap layout) plus the yield/mass bookkeeping.
-    fn make_frontier(
-        &self,
-        mut open: Vec<SearchState>,
-        yielded: Vec<Matching>,
-    ) -> ComponentFrontier {
+    /// Serialise the search state for the durable store (appends to
+    /// `out`). The component itself is not written: the caller persists
+    /// it alongside and hands it back to [`decode`](Self::decode).
+    ///
+    /// Open states are written in descending pop order, a form
+    /// independent of the heap's physical layout, so the encoding is a
+    /// pure function of the search state. `taken` prefix vectors are
+    /// heavily shared between open states (children extend their
+    /// parent's `Arc`); they are written once into a
+    /// content-deduplicated pool, in first-reference order, and each
+    /// state stores a pool index — the decoder re-shares them.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        use imprecise_pxml::codec::{put_f64, put_len, put_u64, put_u8};
+        let mut open: Vec<&SearchState> = self.heap.iter().collect();
         open.sort_by(|x, y| y.cmp(x));
-        ComponentFrontier {
-            open: open
-                .into_iter()
-                .map(|s| FrontierNode {
-                    idx: s.idx,
-                    weight: s.weight,
-                    taken: s.taken,
-                    bound: s.bound,
-                    seq: s.seq,
-                })
-                .collect(),
-            next_seq: self.seq,
-            yielded,
-            retained: self.retained,
-            synthetic: self.synthetic,
-            digest: component_digest(&self.component.forced, &self.live),
-            live_pairs: self.live.len(),
-            retained_mass: self.retained_mass,
-            discarded_mass: self.discarded_mass,
+        let mut pool: Vec<&[(usize, usize)]> = Vec::new();
+        let mut by_content: HashMap<&[(usize, usize)], usize> = HashMap::new();
+        let mut state_prefix: Vec<usize> = Vec::with_capacity(open.len());
+        for state in &open {
+            let idx = *by_content.entry(&state.taken[..]).or_insert_with(|| {
+                pool.push(&state.taken);
+                pool.len() - 1
+            });
+            state_prefix.push(idx);
         }
+        put_len(out, pool.len());
+        for prefix in &pool {
+            put_len(out, prefix.len());
+            for &(a, b) in prefix.iter() {
+                put_len(out, a);
+                put_len(out, b);
+            }
+        }
+        put_len(out, open.len());
+        for (state, &prefix) in open.iter().zip(&state_prefix) {
+            put_len(out, state.idx);
+            put_f64(out, state.weight);
+            put_f64(out, state.bound);
+            put_u64(out, state.seq);
+            put_len(out, prefix);
+        }
+        put_u64(out, self.seq);
+        put_len(out, self.yielded.len());
+        for m in &self.yielded {
+            encode_matching(m, out);
+        }
+        put_f64(out, self.retained);
+        put_u8(out, u8::from(self.synthetic));
+        put_u64(out, component_digest(&self.component.forced, &self.live));
+        put_len(out, self.live.len());
+        put_f64(out, self.retained_mass);
+        put_f64(out, self.discarded_mass);
+    }
+
+    /// Decode a search state written by [`encode`](Self::encode) into an
+    /// enumerator over `component`, positioned exactly where the
+    /// encoding run stopped.
+    ///
+    /// The bytes record a content digest of the component that produced
+    /// them (forced pairs plus every live candidate's endpoints and
+    /// probability bits). Decoding against a different component, or
+    /// bytes whose open states reach past it, is a typed [`CodecError`]
+    /// — never a wrong enumeration or a later out-of-bounds panic.
+    pub fn decode(r: &mut Reader<'_>, component: Arc<Component>) -> Result<Self, CodecError> {
+        let n_pool = r.take_len("taken-prefix pool size")?;
+        let mut pool: Vec<Arc<[(usize, usize)]>> = Vec::with_capacity(n_pool.min(1 << 20));
+        for _ in 0..n_pool {
+            let n = r.take_len("taken-prefix length")?;
+            let mut prefix = Vec::with_capacity(n.min(1 << 20));
+            for _ in 0..n {
+                let a = r.take_len("taken pair a")?;
+                let b = r.take_len("taken pair b")?;
+                prefix.push((a, b));
+            }
+            pool.push(prefix.into());
+        }
+        let n_open = r.take_len("open state count")?;
+        let mut open = Vec::with_capacity(n_open.min(1 << 20));
+        for _ in 0..n_open {
+            let idx = r.take_len("open state idx")?;
+            let weight = r.take_f64("open state weight")?;
+            let bound = r.take_f64("open state bound")?;
+            let seq = r.take_u64("open state seq")?;
+            let prefix = r.take_len("open state prefix index")?;
+            let taken = pool
+                .get(prefix)
+                .cloned()
+                .ok_or_else(|| r.err("prefix index within pool"))?;
+            open.push(SearchState {
+                bound,
+                seq,
+                idx,
+                weight,
+                taken,
+            });
+        }
+        let next_seq = r.take_u64("next_seq")?;
+        let n_yielded = r.take_len("yielded count")?;
+        let mut yielded = Vec::with_capacity(n_yielded.min(1 << 20));
+        for _ in 0..n_yielded {
+            yielded.push(decode_matching(r)?);
+        }
+        let retained = r.take_f64("retained")?;
+        let synthetic = match r.take_u8("synthetic flag")? {
+            0 => false,
+            1 => true,
+            _ => return Err(r.err("synthetic flag")),
+        };
+        let digest = r.take_u64("component digest")?;
+        let live_pairs = r.take_len("live pair count")?;
+        let retained_mass = r.take_f64("retained mass")?;
+        let discarded_mass = r.take_f64("discarded mass")?;
+        let mut this = Self::new(component);
+        if digest != component_digest(&this.component.forced, &this.live)
+            || live_pairs != this.live.len()
+        {
+            return Err(r.err("frontier digest matching its component"));
+        }
+        if open
+            .iter()
+            .any(|s| s.idx > live_pairs || s.taken.len() > this.max_take)
+        {
+            return Err(r.err("open states within their component"));
+        }
+        this.heap = BinaryHeap::from(open);
+        this.seq = next_seq;
+        this.yielded = yielded;
+        this.retained = retained;
+        this.synthetic = synthetic;
+        this.retained_mass = retained_mass;
+        this.discarded_mass = discarded_mass;
+        Ok(this)
     }
 
     /// Continue best-first enumeration until `budget` is satisfied and
@@ -1162,13 +962,6 @@ impl FrontierEnumerator {
     /// many budgeted runs came before.
     pub fn run(&mut self, budget: &MatchBudget) -> BudgetedMatchings {
         self.run_delta(budget, 1).0
-    }
-
-    /// [`run`](Self::run) with an expansion worker pool of up to
-    /// `threads` threads. Bitwise-identical results at every thread
-    /// count — see [`run_delta`](Self::run_delta).
-    pub fn run_with(&mut self, budget: &MatchBudget, threads: usize) -> BudgetedMatchings {
-        self.run_delta(budget, threads).0
     }
 
     /// [`run`](Self::run) for incremental emitters: the same canonical
@@ -1198,7 +991,7 @@ impl FrontierEnumerator {
     /// assigned tie-break numbers. Batch composition, `seq` numbering
     /// and every stop decision are pure functions of the heap's pop
     /// order, never of worker timing, so the yielded matchings, the
-    /// mass sums and the frontier snapshot are **bitwise identical** at
+    /// mass sums and the encoded search state are **bitwise identical** at
     /// every `threads` value (`run_delta(b, 1)` and `run_delta(b, 7)`
     /// agree bit for bit). Stops (budget, retained-mass, expansion
     /// valve) only ever fire between rounds with the heap intact, which
@@ -1355,7 +1148,7 @@ impl FrontierEnumerator {
 /// pops for simultaneous expansion. The batch is what parallel workers
 /// split; it is a fixed constant — NOT derived from the thread count —
 /// so the pop/expansion schedule (and with it every yielded matching,
-/// mass sum and frontier snapshot) is bitwise-identical at every
+/// mass sum and encoded search state) is bitwise-identical at every
 /// `threads` value.
 const EXPAND_BATCH: usize = 256;
 
@@ -1379,8 +1172,8 @@ const MIN_PARALLEL_LIVE: usize = 16;
 /// injectivity only removes terms). The weights are summed in ascending
 /// `total_cmp` order — a canonical order independent of the heap's
 /// physical layout, which differs between a live resident enumerator
-/// and one restored from a persisted frontier (heapify) even when the
-/// open set is identical; sorting first keeps the mass figures bitwise
+/// and one decoded from bytes (heapify) even when the open set is
+/// identical; sorting first keeps the mass figures bitwise
 /// equal across that boundary. Recomputed from the heap on demand — an
 /// incrementally maintained running sum would be destroyed by
 /// floating-point absorption once weights shrink tens of orders of
@@ -1704,25 +1497,6 @@ fn expand_pooled(
     });
 }
 
-/// Enumerate the heaviest matchings of a component under a budget.
-///
-/// A best-first branch-and-bound search over the live candidates yields
-/// complete matchings in descending weight order and stops once the
-/// budget is satisfied. The retained matchings are renormalised among
-/// themselves; the mass of the unenumerated tail is reported as
-/// [`BudgetedMatchings::discarded_mass`] — computed *exactly* against
-/// the component's total matching mass (a bitmask dynamic program over
-/// the smaller side) whenever that side has at most 16 nodes, and as a
-/// conservative frontier upper bound beyond that.
-///
-/// With [`MatchBudget::UNLIMITED`] the search drains completely and the
-/// result is bit-identical to [`enumerate_matchings`]. This is the
-/// one-shot convenience over [`FrontierEnumerator`], which additionally
-/// persists and resumes the search state.
-pub fn enumerate_budgeted(component: &Component, budget: &MatchBudget) -> BudgetedMatchings {
-    FrontierEnumerator::new(Arc::new(component.clone())).run(budget)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     live: &[Candidate],
@@ -1822,6 +1596,24 @@ mod tests {
             forced: Vec::new(),
             possible,
         }
+    }
+
+    /// One budgeted run of a fresh enumerator over `c`.
+    fn budgeted(c: &Component, budget: &MatchBudget) -> BudgetedMatchings {
+        FrontierEnumerator::new(Arc::new(c.clone())).run(budget)
+    }
+
+    /// Encode `en` and decode the bytes against `component`.
+    fn decode_against(
+        en: &FrontierEnumerator,
+        component: Component,
+    ) -> Result<FrontierEnumerator, CodecError> {
+        let mut bytes = Vec::new();
+        en.encode(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let decoded = FrontierEnumerator::decode(&mut r, Arc::new(component))?;
+        r.finish()?;
+        Ok(decoded)
     }
 
     #[test]
@@ -1991,7 +1783,7 @@ mod tests {
         for (n, m, p) in [(2, 2, 0.3), (3, 3, 0.7), (2, 5, 0.5), (4, 3, 0.9)] {
             let c = full_graph(n, m, p);
             let exhaustive = enumerate_matchings(&c, usize::MAX).unwrap();
-            let budgeted = enumerate_budgeted(&c, &MatchBudget::UNLIMITED);
+            let budgeted = budgeted(&c, &MatchBudget::UNLIMITED);
             assert!(!budgeted.truncated);
             assert_eq!(budgeted.retained_mass, 1.0);
             assert_eq!(budgeted.discarded_mass, 0.0);
@@ -2028,7 +1820,7 @@ mod tests {
     fn budget_keeps_the_heaviest_matchings() {
         let c = graded_graph(3, 3);
         let all = enumerate_matchings(&c, usize::MAX).unwrap();
-        let kept = enumerate_budgeted(
+        let kept = budgeted(
             &c,
             &MatchBudget {
                 max_matchings: 5,
@@ -2056,7 +1848,7 @@ mod tests {
     #[test]
     fn min_retained_mass_stops_early() {
         let c = full_graph(3, 3, 0.2);
-        let result = enumerate_budgeted(
+        let result = budgeted(
             &c,
             &MatchBudget {
                 max_matchings: usize::MAX,
@@ -2076,7 +1868,7 @@ mod tests {
             forced: vec![],
             possible: vec![],
         };
-        let result = enumerate_budgeted(
+        let result = budgeted(
             &c,
             &MatchBudget {
                 max_matchings: 1,
@@ -2097,7 +1889,7 @@ mod tests {
             forced: vec![(0, 0)],
             possible: vec![Candidate { a: 1, b: 1, p: 0.5 }],
         };
-        let result = enumerate_budgeted(
+        let result = budgeted(
             &c,
             &MatchBudget {
                 max_matchings: 1,
@@ -2117,7 +1909,7 @@ mod tests {
         // breadth-first. A 10×10 component has ~2.3e10 matchings; a
         // budget of 16 must return promptly with sane accounting.
         let c = full_graph(10, 10, 0.5);
-        let result = enumerate_budgeted(
+        let result = budgeted(
             &c,
             &MatchBudget {
                 max_matchings: 16,
@@ -2142,21 +1934,15 @@ mod tests {
         for (n, m, p) in [(3, 3, 0.7), (4, 3, 0.35), (4, 4, 0.5)] {
             let c = full_graph(n, m, p);
             let exhaustive = enumerate_matchings(&c, usize::MAX).unwrap();
-            // Truncate, persist, restore, run to completion.
+            // Truncate, encode, decode, run to completion.
             let mut first = FrontierEnumerator::new(Arc::new(c.clone()));
             let partial = first.run(&budget(5));
             assert!(partial.truncated);
-            assert_eq!(
-                partial.frontier_nodes,
-                first.frontier().unwrap().open_nodes()
-            );
-            let frontier = first.frontier().unwrap();
-            assert_eq!(frontier.kept(), 5);
-            let mut resumed = FrontierEnumerator::restore(Arc::new(c.clone()), &frontier)
-                .expect("same component");
+            assert_eq!(partial.frontier_nodes, first.open_nodes());
+            assert_eq!(first.kept(), 5);
+            let mut resumed = decode_against(&first, c.clone()).expect("same component");
             let full = resumed.run(&MatchBudget::UNLIMITED);
             assert!(resumed.is_drained());
-            assert!(resumed.frontier().is_none());
             assert!(!full.truncated);
             assert_eq!(full.frontier_nodes, 0);
             assert_eq!(full.matchings.len(), exhaustive.len(), "{n}x{m} p={p}");
@@ -2190,11 +1976,10 @@ mod tests {
         let mut last = en.run(&budget(3));
         assert!(last.truncated);
         let mut steps = 0;
-        // Round-trip through the persisted form every step.
-        while let Some(frontier) = en.frontier() {
-            en = FrontierEnumerator::restore(Arc::new(c.clone()), &frontier)
-                .expect("same component");
-            let next = en.run(&budget(frontier.kept() + 7));
+        // Round-trip through the encoded bytes every step.
+        while !en.is_drained() {
+            en = decode_against(&en, c.clone()).expect("same component");
+            let next = en.run(&budget(en.kept() + 7));
             assert!(
                 next.discarded_mass <= last.discarded_mass + 1e-12,
                 "discarded mass grew: {} -> {}",
@@ -2217,23 +2002,33 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_foreign_component() {
+    fn decode_rejects_foreign_component() {
         let c = graded_graph(3, 3);
         let mut en = FrontierEnumerator::new(Arc::new(c.clone()));
         en.run(&budget(2));
-        let frontier = en.frontier().unwrap();
-        let other = full_graph(2, 2, 0.5);
-        let err = FrontierEnumerator::restore(Arc::new(other.clone()), &frontier)
+        let err = decode_against(&en, full_graph(2, 2, 0.5))
             .expect_err("mismatched component must be rejected");
-        assert_eq!(err.expected, frontier.digest);
-        assert_ne!(err.expected, err.found);
+        assert_eq!(err.expected, "frontier digest matching its component");
         // Same shape and live-pair count, different probabilities: the
         // content digest still rejects it.
-        let lookalike = full_graph(3, 3, 0.4);
-        assert!(
-            FrontierEnumerator::restore(Arc::new(lookalike.clone()), &frontier).is_err(),
-            "lookalike component must be rejected"
-        );
+        let err = decode_against(&en, full_graph(3, 3, 0.4))
+            .expect_err("lookalike component must be rejected");
+        assert_eq!(err.expected, "frontier digest matching its component");
+        decode_against(&en, c).expect("own component decodes");
+    }
+
+    #[test]
+    fn decode_rejects_open_states_past_the_component() {
+        // A fresh enumerator encodes a one-entry pool holding the empty
+        // prefix, then one open root state whose idx sits at byte 24.
+        let c = graded_graph(3, 3);
+        let mut bytes = Vec::new();
+        FrontierEnumerator::new(Arc::new(c.clone())).encode(&mut bytes);
+        assert_eq!(bytes[24..32], 0u64.to_le_bytes());
+        bytes[24..32].copy_from_slice(&100u64.to_le_bytes());
+        let err = FrontierEnumerator::decode(&mut Reader::new(&bytes), Arc::new(c))
+            .expect_err("an open state past the last candidate must be rejected");
+        assert_eq!(err.expected, "open states within their component");
     }
 
     #[test]
@@ -2323,9 +2118,7 @@ mod tests {
         let c = proper_graph44();
         let mut en = FrontierEnumerator::new(Arc::new(c.clone()));
         en.run(&budget(3));
-        let frontier = en.frontier().unwrap();
-        let mut resumed =
-            FrontierEnumerator::restore(Arc::new(c.clone()), &frontier).expect("same component");
+        let mut resumed = decode_against(&en, c.clone()).expect("same component");
         let (full, is_new) = resumed.run_delta(&MatchBudget::UNLIMITED, 1);
         assert!(!full.truncated);
         assert_eq!(is_new.iter().filter(|&&n| !n).count(), 3);
@@ -2398,7 +2191,6 @@ mod tests {
     fn enumerator_is_plain_shared_data() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FrontierEnumerator>();
-        assert_send_sync::<ComponentFrontier>();
         assert_send_sync::<SearchStats>();
         assert_send_sync::<Parallelism>();
     }
@@ -2427,13 +2219,15 @@ mod tests {
     #[test]
     fn parallel_search_is_bitwise_identical_at_every_thread_count() {
         let c = Arc::new(parallel_graph55());
-        // Two staged installments plus a snapshot, at each thread count.
+        // Two staged installments plus the encoded state, at each thread
+        // count.
         let staged = |threads: usize| {
             let mut en = FrontierEnumerator::new(Arc::clone(&c));
             let (first, first_new) = en.run_delta(&budget(40), threads);
             let (second, second_new) = en.run_delta(&budget(40 + 33), threads);
+            assert!(!en.is_drained(), "still truncated");
             let mut bytes = Vec::new();
-            en.frontier().expect("still truncated").encode(&mut bytes);
+            en.encode(&mut bytes);
             (first, first_new, second, second_new, bytes)
         };
         let (s1, sn1, s2, sn2, sbytes) = staged(1);
@@ -2466,7 +2260,7 @@ mod tests {
             }
             assert_eq!(sn1, pn1, "threads={threads}");
             assert_eq!(sn2, pn2, "threads={threads}");
-            assert_eq!(sbytes, pbytes, "snapshot bytes, threads={threads}");
+            assert_eq!(sbytes, pbytes, "encoded bytes, threads={threads}");
         }
     }
 
@@ -2475,13 +2269,11 @@ mod tests {
         let c = Arc::new(parallel_graph55());
         let mut en = FrontierEnumerator::new(Arc::clone(&c));
         en.run(&budget(25));
-        let snapshot = en.frontier().expect("truncated");
+        let mut decoded = decode_against(&en, (*c).clone()).expect("same component");
         // Continue the live enumerator serially…
-        let live = en.run_with(&MatchBudget::UNLIMITED, 1);
-        // …and a restored one with a worker pool.
-        let mut restored =
-            FrontierEnumerator::restore(Arc::clone(&c), &snapshot).expect("same component");
-        let resumed = restored.run_with(&MatchBudget::UNLIMITED, 4);
+        let live = en.run(&MatchBudget::UNLIMITED);
+        // …and a decoded one with a worker pool.
+        let resumed = decoded.run_delta(&MatchBudget::UNLIMITED, 4).0;
         assert!(!live.truncated && !resumed.truncated);
         assert_eq!(live.matchings.len(), resumed.matchings.len());
         for (a, b) in live.matchings.iter().zip(&resumed.matchings) {
@@ -2495,7 +2287,7 @@ mod tests {
         // 21 disjoint edges: past every exact-mass cap, so truncated
         // accounting takes the conservative frontier bound — the one
         // path whose float sum ranges over the whole open heap. A live
-        // enumerator's heap layout differs from a restored (re-heapified)
+        // enumerator's heap layout differs from a decoded (re-heapified)
         // one even with an identical open set; the canonical-order sum
         // must make the mass figures agree bit for bit anyway.
         let possible: Vec<Candidate> = (0..21)
@@ -2505,19 +2297,18 @@ mod tests {
                 p: 0.30 + 0.02 * (i % 10) as f64,
             })
             .collect();
-        let c = Arc::new(Component {
+        let c = Component {
             a_nodes: (0..21).collect(),
             b_nodes: (0..21).collect(),
             forced: Vec::new(),
             possible,
-        });
-        let mut live_en = FrontierEnumerator::new(Arc::clone(&c));
+        };
+        let mut live_en = FrontierEnumerator::new(Arc::new(c.clone()));
         live_en.run(&budget(32));
-        let snapshot = live_en.frontier().expect("2^21 matchings stay truncated");
+        assert!(!live_en.is_drained(), "2^21 matchings stay truncated");
+        let mut decoded = decode_against(&live_en, c).expect("same component");
         let live = live_en.run(&budget(64));
-        let mut restored =
-            FrontierEnumerator::restore(Arc::clone(&c), &snapshot).expect("same component");
-        let resumed = restored.run(&budget(64));
+        let resumed = decoded.run(&budget(64));
         assert!(live.truncated && resumed.truncated);
         assert_eq!(
             live.retained_mass.to_bits(),

@@ -587,7 +587,7 @@ impl<'a> Builder<'a> {
     /// Emit one component outcome: a single certain matching inline, or
     /// a probability node holding one possibility per kept matching.
     /// Truncated components *always* get a probability node — the stable
-    /// anchor refinement re-emits into — and their persisted frontier is
+    /// anchor refinement re-emits into — and their enumerator is
     /// recorded against it.
     fn emit_outcome(
         &mut self,
@@ -619,7 +619,6 @@ impl<'a> Builder<'a> {
                 prob,
                 ga.to_vec(),
                 gb.to_vec(),
-                component,
                 frontier,
             ));
         }

@@ -24,8 +24,7 @@
 
 use crate::matching::{
     enumerate_matchings, live_candidates, split_components, Candidate, Component,
-    ComponentFrontier, FrontierEnumerator, FrontierMismatch, MatchBudget, Matching,
-    TooManyMatchings,
+    FrontierEnumerator, MatchBudget, Matching, TooManyMatchings,
 };
 use crate::{BlockingMode, BudgetPlan, IntegrationOptions};
 use imprecise_oracle::value::PossibleValues;
@@ -317,10 +316,10 @@ fn window_key(plan: &BlockingPlan, e: &ElemRef<'_>) -> String {
 /// accounting the merge layer records into `IntegrationStats`. The
 /// merge layer is agnostic to how the outcome was produced — strict or
 /// budgeted, serial or parallel.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ComponentOutcome {
-    /// The component these matchings belong to (shared with the live
-    /// enumerator a truncated outcome's refinement keeps resident).
+    /// The component these matchings belong to (shared with the
+    /// enumerator a truncated outcome keeps resident).
     pub component: Arc<Component>,
     /// Matchings in canonical (descending weight) order, weights
     /// normalised to sum to 1 over the *kept* matchings.
@@ -335,41 +334,21 @@ pub struct ComponentOutcome {
     pub discarded_mass: f64,
     /// True when the budget cut this component's enumeration short.
     pub truncated: bool,
-    /// The persisted search frontier of a truncated enumeration: what a
-    /// later refinement pass resumes from. `None` when the enumeration
-    /// completed (or ran in strict mode, which never truncates).
-    pub frontier: Option<ComponentFrontier>,
-}
-
-/// The enumeration state a [`DocFrontier`] carries: either a resident
-/// [`FrontierEnumerator`] that the staged refinement path advances
-/// directly, or the plain persisted [`ComponentFrontier`] that the
-/// codec decodes and integration produces.
-///
-/// The two forms are interchangeable bit for bit: a live enumerator
-/// materialises into exactly the stored frontier a snapshot round-trip
-/// would have produced, and restoring that snapshot rebuilds the same
-/// enumerator. Keeping the live form resident just skips paying the
-/// snapshot (canonical sort) + restore (re-heapify) round-trip on every
-/// refine step.
-#[derive(Debug, Clone)]
-enum FrontierForm {
-    /// A resident enumerator, advanced in place by refinement.
-    Live(FrontierEnumerator),
-    /// Plain persisted data, upgraded to `Live` on first refinement.
-    Stored(ComponentFrontier),
+    /// The enumerator of a truncated enumeration, positioned where the
+    /// budget stopped it: what a later refinement pass resumes. `None`
+    /// when the enumeration completed (or ran in strict mode, which
+    /// never truncates).
+    pub frontier: Option<FrontierEnumerator>,
 }
 
 /// A resumable truncation site inside an integrated document: one
-/// truncated component, its enumeration state, and where its
+/// truncated component's resident enumerator and where its
 /// possibilities live — the output probability node plus the source
 /// element groups re-emission walks again.
 ///
 /// Everything inside is owned data (`Send + Sync`), so frontiers can be
 /// stored in a catalog next to the document version they belong to and
-/// refined from any thread. Serialisation always goes through the
-/// plain-data [`ComponentFrontier`] form regardless of which form is
-/// resident in memory.
+/// refined from any thread.
 #[derive(Debug, Clone)]
 pub struct DocFrontier {
     /// Element path of the component's tag group (e.g. `/catalog/movie`).
@@ -381,10 +360,8 @@ pub struct DocFrontier {
     ga: Vec<PxNodeId>,
     /// The tag group's element nodes in source b, in group order.
     gb: Vec<PxNodeId>,
-    /// The candidate-graph component, shared with the live enumerator.
-    component: Arc<Component>,
-    /// The enumeration state, live or stored.
-    form: FrontierForm,
+    /// The component's best-first search, where the last run stopped.
+    enumerator: FrontierEnumerator,
 }
 
 impl DocFrontier {
@@ -404,22 +381,16 @@ impl DocFrontier {
         for &id in &self.gb {
             put_node_id(out, id);
         }
-        crate::codec::encode_component(&self.component, out);
-        match &self.form {
-            FrontierForm::Stored(frontier) => frontier.encode(out),
-            // A live enumerator materialises through the same canonical
-            // snapshot a stored frontier was made from, so the bytes are
-            // identical whichever form happened to be resident.
-            FrontierForm::Live(en) => en.snapshot_frontier().encode(out),
-        }
+        crate::codec::encode_component(self.enumerator.component(), out);
+        self.enumerator.encode(out);
     }
 
     /// Decode a truncation site written by [`encode`](Self::encode),
     /// validating every node id against the arenas it points into
     /// (`doc_len` for the output document, `a_len`/`b_len` for the
-    /// sources) and the frontier's content digest against the decoded
-    /// component — corrupted or mismatched state is a typed error, never
-    /// a latent out-of-bounds id.
+    /// sources) and the search state's content digest against the
+    /// decoded component — corrupted or mismatched state is a typed
+    /// error, never a latent out-of-bounds id.
     pub(crate) fn decode(
         r: &mut imprecise_pxml::codec::Reader<'_>,
         doc_len: usize,
@@ -451,17 +422,13 @@ impl DocFrontier {
             gb.push(id);
         }
         let component = crate::codec::decode_component(r)?;
-        let frontier = ComponentFrontier::decode(r)?;
-        if !frontier.matches_component(&component) {
-            return Err(r.err("frontier digest matching its component"));
-        }
+        let enumerator = FrontierEnumerator::decode(r, Arc::new(component))?;
         Ok(DocFrontier {
             path,
             prob,
             ga,
             gb,
-            component: Arc::new(component),
-            form: FrontierForm::Stored(frontier),
+            enumerator,
         })
     }
 
@@ -470,16 +437,14 @@ impl DocFrontier {
         prob: PxNodeId,
         ga: Vec<PxNodeId>,
         gb: Vec<PxNodeId>,
-        component: Arc<Component>,
-        frontier: ComponentFrontier,
+        enumerator: FrontierEnumerator,
     ) -> Self {
         DocFrontier {
             path,
             prob,
             ga,
             gb,
-            component,
-            form: FrontierForm::Stored(frontier),
+            enumerator,
         }
     }
 
@@ -494,79 +459,50 @@ impl DocFrontier {
         self.prob
     }
 
+    /// Guaranteed lower bound on the probability mass the kept matchings
+    /// cover (`retained_mass() + discarded_mass() == 1`).
+    pub fn retained_mass(&self) -> f64 {
+        self.enumerator.retained_mass()
+    }
+
     /// Conservative upper bound on the probability mass still
     /// unenumerated — the refinement priority.
     pub fn discarded_mass(&self) -> f64 {
-        match &self.form {
-            FrontierForm::Live(en) => en.discarded_mass(),
-            FrontierForm::Stored(f) => f.discarded_mass,
-        }
+        self.enumerator.discarded_mass()
     }
 
     /// Matchings kept so far.
     pub fn kept(&self) -> usize {
-        match &self.form {
-            FrontierForm::Live(en) => en.kept(),
-            FrontierForm::Stored(f) => f.kept(),
-        }
+        self.enumerator.kept()
     }
 
     /// Open search states on the frontier.
     pub fn open_nodes(&self) -> usize {
-        match &self.form {
-            FrontierForm::Live(en) => en.open_nodes(),
-            FrontierForm::Stored(f) => f.open_nodes(),
-        }
+        self.enumerator.open_nodes()
     }
 
     /// Live undecided pairs of the component.
     pub fn live_pairs(&self) -> usize {
-        match &self.form {
-            FrontierForm::Live(en) => en.live_pairs(),
-            FrontierForm::Stored(f) => f.live_pairs,
-        }
+        self.enumerator.live_pairs()
     }
 
     /// True when the enumeration state is the synthesised all-excluded
     /// fallback (see [`FrontierEnumerator::run_delta`]).
     pub fn is_synthetic(&self) -> bool {
-        match &self.form {
-            FrontierForm::Live(en) => en.is_synthetic(),
-            FrontierForm::Stored(f) => f.is_synthetic(),
-        }
-    }
-
-    /// True when a live enumerator is resident (the staged path has
-    /// refined this site at least once since it was decoded/integrated).
-    pub fn is_live(&self) -> bool {
-        matches!(self.form, FrontierForm::Live(_))
+        self.enumerator.is_synthetic()
     }
 
     /// The candidate-graph component this frontier belongs to.
     pub fn component(&self) -> &Arc<Component> {
-        &self.component
+        self.enumerator.component()
     }
 
-    /// Materialise the enumeration state into its plain persisted form
-    /// (clones the stored form; snapshots the live one).
-    pub fn snapshot_frontier(&self) -> ComponentFrontier {
-        match &self.form {
-            FrontierForm::Live(en) => en.snapshot_frontier(),
-            FrontierForm::Stored(f) => f.clone(),
-        }
-    }
-
-    /// An enumerator positioned exactly where this site's enumeration
-    /// stopped: a cheap clone of the resident one (open states share
-    /// their `taken` prefixes), or a restore of the stored frontier.
-    /// Advancing the result does not touch this site — refinement
-    /// installs the advanced enumerator back via [`install`] only after
-    /// the step commits ([`Self::install`]).
-    pub(crate) fn enumerator(&self) -> Result<FrontierEnumerator, FrontierMismatch> {
-        match &self.form {
-            FrontierForm::Live(en) => Ok(en.clone()),
-            FrontierForm::Stored(f) => FrontierEnumerator::restore(Arc::clone(&self.component), f),
-        }
+    /// A clone of the resident enumerator (open states share their
+    /// `taken` prefixes, so this is cheap). Advancing the clone does not
+    /// touch this site — refinement installs the advanced enumerator
+    /// back via [`install`](Self::install) only after the step commits.
+    pub(crate) fn enumerator(&self) -> FrontierEnumerator {
+        self.enumerator.clone()
     }
 
     /// The source element groups (left, right) re-emission walks.
@@ -574,19 +510,10 @@ impl DocFrontier {
         (&self.ga, &self.gb)
     }
 
-    /// Keep the enumerator a resumed run advanced resident for the next
-    /// step — the staged path stops paying the snapshot/restore
-    /// round-trip from here on.
+    /// Keep the enumerator a committed refine step advanced resident for
+    /// the next step.
     pub(crate) fn install(&mut self, en: FrontierEnumerator) {
-        self.form = FrontierForm::Live(en);
-    }
-
-    /// Demote a resident enumerator back to the plain persisted form
-    /// (measurement hook: the round-trip cost the live form avoids).
-    pub fn materialise(&mut self) {
-        if let FrontierForm::Live(en) = &self.form {
-            self.form = FrontierForm::Stored(en.snapshot_frontier());
-        }
+        self.enumerator = en;
     }
 
     /// Re-anchor the output probability node after an arena compaction
@@ -670,7 +597,7 @@ const MIN_PARALLEL_PAIRS: usize = 8;
 /// With several busy components the fan-out is *across* components
 /// (each enumeration self-contained and serial); with one busy
 /// component the thread budget goes *into* its best-first search
-/// instead ([`FrontierEnumerator::run_with`]). Either way results are
+/// instead ([`FrontierEnumerator::run_delta`]). Either way results are
 /// bit-identical to the serial path.
 ///
 /// In budgeted mode (the default) this never fails: over-budget
@@ -692,60 +619,27 @@ pub fn enumerate_components(
         .filter(|c| c.possible.len() >= MIN_PARALLEL_PAIRS)
         .count();
     if threads > 1 && busy >= 2 {
-        let results = enumerate_parallel(
+        enumerate_parallel(
             &components,
             options,
             &budgets,
             threads.min(components.len()),
-        );
-        components
-            .into_iter()
-            .zip(results)
-            .map(|(component, result)| {
-                result
-                    .map(|e| e.into_outcome(component))
-                    .map_err(|e| e.at_path(path))
-            })
-            .collect()
+        )
+        .into_iter()
+        .map(|result| result.map_err(|e| e.at_path(path)))
+        .collect()
     } else {
         // Serial over components: a strict-mode failure short-circuits
         // before later components are enumerated. A single busy
         // component still gets the whole thread budget, inside its
         // search.
         components
-            .into_iter()
+            .iter()
             .zip(&budgets)
             .map(|(component, &budget)| {
-                enumerate_one(&component, options, budget, threads)
-                    .map(|e| e.into_outcome(component))
-                    .map_err(|e| e.at_path(path))
+                enumerate_one(component, options, budget, threads).map_err(|e| e.at_path(path))
             })
             .collect()
-    }
-}
-
-/// The component-independent part of a [`ComponentOutcome`]: what the
-/// enumerator produced, before the component is moved back in.
-struct Enumerated {
-    matchings: Vec<Matching>,
-    live_pairs: usize,
-    retained_mass: f64,
-    discarded_mass: f64,
-    truncated: bool,
-    frontier: Option<ComponentFrontier>,
-}
-
-impl Enumerated {
-    fn into_outcome(self, component: Arc<Component>) -> ComponentOutcome {
-        ComponentOutcome {
-            component,
-            matchings: self.matchings,
-            live_pairs: self.live_pairs,
-            retained_mass: self.retained_mass,
-            discarded_mass: self.discarded_mass,
-            truncated: self.truncated,
-            frontier: self.frontier,
-        }
     }
 }
 
@@ -757,11 +651,12 @@ fn enumerate_one(
     options: &IntegrationOptions,
     max_matchings: usize,
     threads: usize,
-) -> Result<Enumerated, TooManyMatchings> {
+) -> Result<ComponentOutcome, TooManyMatchings> {
     if options.strict_matchings {
         let live_pairs = live_candidates(component).len();
         let matchings = enumerate_matchings(component, max_matchings)?;
-        Ok(Enumerated {
+        Ok(ComponentOutcome {
+            component: Arc::clone(component),
             matchings,
             live_pairs,
             retained_mass: 1.0,
@@ -775,78 +670,17 @@ fn enumerate_one(
             min_retained_mass: options.min_retained_mass,
         };
         let mut enumerator = FrontierEnumerator::new(Arc::clone(component));
-        let result = enumerator.run_with(&budget, threads);
-        Ok(Enumerated {
-            frontier: enumerator.into_frontier(),
+        let (result, _) = enumerator.run_delta(&budget, threads);
+        Ok(ComponentOutcome {
+            component: Arc::clone(component),
             matchings: result.matchings,
             live_pairs: result.live_pairs,
             retained_mass: result.retained_mass,
             discarded_mass: result.discarded_mass,
             truncated: result.truncated,
+            frontier: result.truncated.then_some(enumerator),
         })
     }
-}
-
-/// Resume a persisted frontier with `extra` more matchings of budget
-/// (and/or a retained-mass target), returning the full canonical
-/// matching set enumerated so far and the frontier left open (`None`
-/// when the component drained). Fails with [`FrontierMismatch`] when
-/// the frontier does not belong to `component`.
-pub fn resume_component(
-    component: &Arc<Component>,
-    frontier: &ComponentFrontier,
-    extra: usize,
-    min_retained_mass: Option<f64>,
-) -> Result<
-    (
-        crate::matching::BudgetedMatchings,
-        Option<ComponentFrontier>,
-    ),
-    FrontierMismatch,
-> {
-    let delta = resume_component_delta(component, frontier, extra, min_retained_mass)?;
-    Ok((delta.all, delta.left))
-}
-
-/// A resumed run's result in the form the incremental emitter consumes:
-/// the full canonical kept set (weights carry the renormalisation
-/// factor), provenance flags marking which entries this resume step
-/// yielded, and the frontier left open.
-pub struct ResumedDelta {
-    /// Everything kept so far, canonical order, renormalised.
-    pub all: crate::matching::BudgetedMatchings,
-    /// Parallel to `all.matchings`: `true` for entries yielded by *this*
-    /// resume step (the only ones whose subtrees need emitting).
-    pub is_new: Vec<bool>,
-    /// The frontier left open, `None` when the component drained.
-    pub left: Option<ComponentFrontier>,
-}
-
-/// [`resume_component`] for incremental emitters: identical canonical
-/// result (bit for bit), plus which entries are new this step. A caller
-/// holding the previously emitted possibility subtrees appends only the
-/// flagged ones and rescales the survivors in place.
-pub fn resume_component_delta(
-    component: &Arc<Component>,
-    frontier: &ComponentFrontier,
-    extra: usize,
-    min_retained_mass: Option<f64>,
-) -> Result<ResumedDelta, FrontierMismatch> {
-    let mut enumerator = FrontierEnumerator::restore(Arc::clone(component), frontier)?;
-    let max_matchings = if extra == usize::MAX {
-        usize::MAX
-    } else {
-        frontier.kept().saturating_add(extra.max(1))
-    };
-    let (all, is_new) = enumerator.run_delta(
-        &MatchBudget {
-            max_matchings,
-            min_retained_mass,
-        },
-        1,
-    );
-    let left = enumerator.into_frontier();
-    Ok(ResumedDelta { all, is_new, left })
 }
 
 /// Fan the components out over scoped worker threads (no extra deps:
@@ -859,7 +693,7 @@ fn enumerate_parallel(
     options: &IntegrationOptions,
     budgets: &[usize],
     threads: usize,
-) -> Vec<Result<Enumerated, TooManyMatchings>> {
+) -> Vec<Result<ComponentOutcome, TooManyMatchings>> {
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -879,7 +713,7 @@ fn enumerate_parallel(
         }
     });
     drop(tx);
-    let mut slots: Vec<Option<Result<Enumerated, TooManyMatchings>>> =
+    let mut slots: Vec<Option<Result<ComponentOutcome, TooManyMatchings>>> =
         components.iter().map(|_| None).collect();
     for (i, outcome) in rx {
         slots[i] = Some(outcome);
@@ -1063,13 +897,12 @@ mod tests {
             ..IntegrationOptions::default()
         };
         let outcomes = enumerate_components(components, &opts, "/x").unwrap();
-        let frontier = outcomes[0].frontier.as_ref().expect("truncated");
+        let mut frontier = outcomes[0].frontier.clone().expect("truncated");
         assert_eq!(frontier.kept(), 10);
         assert!(frontier.open_nodes() > 0);
         // Resuming to completion reproduces the exhaustive enumeration.
-        let (full, left) = resume_component(&outcomes[0].component, frontier, usize::MAX, None)
-            .expect("frontier belongs to its component");
-        assert!(left.is_none());
+        let full = frontier.run(&MatchBudget::UNLIMITED);
+        assert!(frontier.is_drained());
         let exhaustive = enumerate_matchings(&outcomes[0].component, usize::MAX).unwrap();
         assert_eq!(full.matchings.len(), exhaustive.len());
         for (a, b) in full.matchings.iter().zip(&exhaustive) {

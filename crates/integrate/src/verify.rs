@@ -5,10 +5,10 @@
 //! module certifies the *integration bookkeeping* layered on top: every
 //! persisted [`DocFrontier`] must anchor at a live probability node of
 //! the document, the anchor's possibilities must be exactly the kept
-//! matchings in canonical (descending-probability) order, the
-//! per-component mass accounting must close (`retained + discarded == 1`),
-//! and the frontier must still restore against its component (content
-//! digest check).
+//! matchings in canonical (descending-probability) order, and the
+//! per-component mass accounting must close (`retained + discarded == 1`).
+//! (A frontier can only be paired with the wrong component when it is
+//! decoded, and decoding checks the component's content digest.)
 //!
 //! Two entry points:
 //! * [`RefineState::verify`] / [`IntegrationOutcome::verify_invariants`]
@@ -19,7 +19,6 @@
 //!   each mutation, turning a silent corruption into an immediate,
 //!   located panic.
 
-use crate::matching::FrontierEnumerator;
 use crate::pipeline::DocFrontier;
 use crate::{IntegrationOutcome, RefineState};
 use imprecise_pxml::{DeepCheckError, PxDoc, PxNodeKind};
@@ -87,14 +86,6 @@ pub enum InvariantViolation {
         /// Discarded mass recorded on the frontier.
         discarded: f64,
     },
-    /// The frontier no longer restores against its own component (see
-    /// [`crate::matching::FrontierMismatch`]).
-    DigestMismatch {
-        /// Tag-group path of the offending component.
-        path: String,
-        /// The underlying digest mismatch.
-        mismatch: crate::matching::FrontierMismatch,
-    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -139,9 +130,6 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "frontier at {path}: retained {retained} + discarded {discarded} != 1"
             ),
-            InvariantViolation::DigestMismatch { path, mismatch } => {
-                write!(f, "frontier at {path}: {mismatch}")
-            }
         }
     }
 }
@@ -150,7 +138,6 @@ impl std::error::Error for InvariantViolation {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             InvariantViolation::Doc(e) => Some(e),
-            InvariantViolation::DigestMismatch { mismatch, .. } => Some(mismatch),
             _ => None,
         }
     }
@@ -201,15 +188,12 @@ pub fn verify_frontier(doc: &PxDoc, df: &DocFrontier) -> Result<(), InvariantVio
             prob: anchor.index(),
         });
     }
-    // Materialise the enumeration state: a resident live enumerator is
-    // checked through exactly the snapshot the codec would persist.
-    let cf = df.snapshot_frontier();
     let kids = doc.children(anchor);
-    if kids.len() != cf.kept() {
+    if kids.len() != df.kept() {
         return Err(InvariantViolation::KeptMismatch {
             path: path(),
             children: kids.len(),
-            kept: cf.kept(),
+            kept: df.kept(),
         });
     }
     let mut prev = f64::INFINITY;
@@ -224,17 +208,12 @@ pub fn verify_frontier(doc: &PxDoc, df: &DocFrontier) -> Result<(), InvariantVio
             prev = *p;
         }
     }
-    if (cf.retained_mass + cf.discarded_mass - 1.0).abs() > MASS_EPSILON {
+    let (retained, discarded) = (df.retained_mass(), df.discarded_mass());
+    if (retained + discarded - 1.0).abs() > MASS_EPSILON {
         return Err(InvariantViolation::MassAccounting {
             path: path(),
-            retained: cf.retained_mass,
-            discarded: cf.discarded_mass,
-        });
-    }
-    if let Err(mismatch) = FrontierEnumerator::restore(std::sync::Arc::clone(df.component()), &cf) {
-        return Err(InvariantViolation::DigestMismatch {
-            path: path(),
-            mismatch,
+            retained,
+            discarded,
         });
     }
     Ok(())
@@ -243,7 +222,7 @@ pub fn verify_frontier(doc: &PxDoc, df: &DocFrontier) -> Result<(), InvariantVio
 impl RefineState {
     /// Verify this refinement state against the document version it is
     /// stored with: arena deep-check plus every open frontier's anchor,
-    /// ordering, mass accounting, and component digest.
+    /// ordering and mass accounting.
     pub fn verify(&self, doc: &PxDoc) -> Result<(), InvariantViolation> {
         doc.deep_check()?;
         for df in &self.frontiers {

@@ -369,6 +369,39 @@ fn nonsensical_options_are_rejected() {
 }
 
 #[test]
+fn non_finite_or_non_positive_source_weights_are_rejected() {
+    // Source weights become possibility probabilities: (inf, 1) would
+    // emit NaN and (-1, 3) a probability of -0.5.
+    let schema = movie_schema();
+    let oracle = uninformed_movie_oracle();
+    let (a, b) = confusable_catalogs(2);
+    for bad in [
+        (f64::NAN, 1.0),
+        (f64::INFINITY, 1.0),
+        (1.0, f64::NEG_INFINITY),
+        (-1.0, 3.0),
+        (0.0, 1.0),
+        (f64::MAX, f64::MAX),
+    ] {
+        let err = integrate_xml(
+            &a,
+            &b,
+            &oracle,
+            Some(&schema),
+            &IntegrationOptions {
+                source_weights: bad,
+                ..IntegrationOptions::default()
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, IntegrateError::InvalidOptions(_)),
+            "source_weights {bad:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn uniform_prior_catalogs_integrate_under_budget() {
     // Ten indistinguishable records per side under the uninformed 0.5
     // prior: every search bound ties, which used to degenerate the

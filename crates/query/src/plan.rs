@@ -1,9 +1,9 @@
 //! Compile-then-execute query pipeline: [`QueryPlan`].
 //!
-//! The one-shot [`crate::eval_px`] API re-derives everything on every
-//! call. A [`QueryPlan`] separates the *plan* from its *execution* (as
-//! uncertainty-aware query systems typically do, so pruning and caching
-//! can live in the plan layer):
+//! The one-shot [`crate::eval_px`] API compiles a plan and discards it
+//! on every call. A [`QueryPlan`] separates the *plan* from its
+//! *execution* (as uncertainty-aware query systems typically do, so
+//! pruning and caching can live in the plan layer):
 //!
 //! * **compile** — logical step normalization (collapsing redundant
 //!   `//*`-chain traversals, deduplicating predicates) followed by a
@@ -37,7 +37,7 @@ use crate::answer::RankedAnswers;
 use crate::ast::{Axis, CmpOp, Expr, NodeTest, Query, RelPath, Step};
 use crate::event::Event;
 use crate::parse::{parse_query, QueryParseError};
-use crate::px_eval::{ContextMerger, EvalError, Evaluator};
+use crate::px_eval::{ContextMerger, EvalError, Evaluator, StepPredicate};
 use crate::stream::AnswerStream;
 use imprecise_pxml::{PxDoc, PxNodeId};
 use std::fmt;
@@ -115,6 +115,17 @@ impl CompiledPred {
     }
 }
 
+impl StepPredicate for CompiledPred {
+    fn event_at(&self, eval: &mut Evaluator<'_>, node: PxNodeId) -> Result<Event, EvalError> {
+        match self {
+            CompiledPred::Value { path, test } => {
+                eval.path_value_event(node, path, |v| test.holds(v))
+            }
+            CompiledPred::General(expr) => eval.eval_expr_event(node, expr),
+        }
+    }
+}
+
 impl fmt::Display for CompiledPred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -158,15 +169,15 @@ impl fmt::Display for StepOp {
 /// producing the classic [`RankedAnswers`].
 ///
 /// ```
-/// use imprecise_query::{eval_px, parse_query, QueryPlan};
+/// use imprecise_query::{parse_query, QueryPlan};
 /// use imprecise_pxml::from_xml;
 /// use imprecise_xmlkit::parse;
 ///
 /// let doc = from_xml(&parse("<catalog><movie><title>Jaws</title></movie></catalog>").unwrap());
-/// let query = parse_query("//movie/title").unwrap();
-/// let plan = QueryPlan::compile(&query);
-/// // At threshold 0 the plan reproduces eval_px exactly.
-/// assert_eq!(plan.collect(&doc).unwrap(), eval_px(&doc, &query).unwrap());
+/// let plan = QueryPlan::compile(&parse_query("//movie/title").unwrap());
+/// // Compile once, run against any number of documents.
+/// let answers = plan.collect(&doc).unwrap();
+/// assert_eq!(answers.items[0].value, "Jaws");
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
@@ -185,7 +196,7 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// Compile a parsed query into a plan (threshold 0: keep every
-    /// answer with non-zero probability, like [`crate::eval_px`]).
+    /// answer with non-zero probability).
     pub fn compile(query: &Query) -> Self {
         let (steps, rewrites) = normalize(&query.steps);
         let ops = steps
@@ -265,8 +276,8 @@ impl QueryPlan {
         ))
     }
 
-    /// Execute and collect into ranked answers (the compatibility
-    /// adapter: at threshold 0 this equals [`crate::eval_px`] exactly).
+    /// Execute and collect into ranked answers (at threshold 0 this is
+    /// [`crate::eval_px`]).
     pub fn collect(&self, doc: &PxDoc) -> Result<RankedAnswers, EvalError> {
         Ok(self.execute(doc)?.into_ranked())
     }
@@ -279,7 +290,7 @@ impl QueryPlan {
         for op in &self.ops {
             let mut merger = ContextMerger::new();
             for (ctx, ctx_event) in current {
-                for (node, ev) in apply_op(&mut eval, ctx, &ctx_event, op)? {
+                for (node, ev) in eval.apply_step(ctx, &ctx_event, op.axis, &op.test, &op.preds)? {
                     merger.add(node, ev);
                 }
             }
@@ -296,36 +307,6 @@ fn sanitize_threshold(threshold: f64) -> f64 {
     } else {
         threshold.clamp(0.0, 1.0)
     }
-}
-
-/// Apply one physical operator from a context node.
-fn apply_op(
-    eval: &mut Evaluator<'_>,
-    ctx: Option<PxNodeId>,
-    ctx_event: &Event,
-    op: &StepOp,
-) -> Result<Vec<(PxNodeId, Event)>, EvalError> {
-    let found = eval.collect_step_nodes(ctx, op.axis, &op.test);
-    let mut out = Vec::with_capacity(found.len());
-    for (node, local_event) in found {
-        let mut ev = Event::and(ctx_event.clone(), local_event);
-        for pred in &op.preds {
-            if matches!(ev, Event::False) {
-                break;
-            }
-            let pe = match pred {
-                CompiledPred::Value { path, test } => {
-                    eval.path_value_event(node, path, |v| test.holds(v))?
-                }
-                CompiledPred::General(expr) => eval.eval_expr_event(node, expr)?,
-            };
-            ev = Event::and(ev, pe);
-        }
-        if !matches!(ev, Event::False) {
-            out.push((node, ev));
-        }
-    }
-    Ok(out)
 }
 
 /// Logical normalization: rewrite the step chain into an equivalent one
@@ -420,7 +401,6 @@ impl fmt::Display for QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval_px;
     use crate::naive::eval_px_naive;
 
     fn movie_doc() -> PxDoc {
@@ -437,25 +417,6 @@ mod tests {
         px.add_text_elem(m2, "genre", "Horror");
         px.add_poss(c, 0.7);
         px
-    }
-
-    #[test]
-    fn plan_collect_equals_eval_px_exactly() {
-        let px = movie_doc();
-        for q in [
-            "//movie/title",
-            "//movie[genre=\"Horror\"]/title",
-            "//movie[not(genre=\"Horror\")]/title",
-            "//movie[contains(title,\"2\")]/title",
-            "//title",
-            "/catalog/movie/title",
-        ] {
-            let query = parse_query(q).unwrap();
-            let plan = QueryPlan::compile(&query);
-            let planned = plan.collect(&px).unwrap();
-            let classic = eval_px(&px, &query).unwrap();
-            assert_eq!(planned.items, classic.items, "query {q}");
-        }
     }
 
     #[test]
@@ -506,7 +467,7 @@ mod tests {
         assert!(plan.rewrites().iter().any(|r| r.contains("duplicate")));
         let px = movie_doc();
         let planned = plan.collect(&px).unwrap();
-        let classic = eval_px(&px, &single).unwrap();
+        let classic = QueryPlan::compile(&single).collect(&px).unwrap();
         assert_eq!(planned.items, classic.items);
     }
 

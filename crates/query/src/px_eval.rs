@@ -13,13 +13,14 @@
 //! The walk itself lives in a per-execution `Evaluator` context that
 //! memoizes each node's `value_events` so predicates and amalgamation
 //! never recompute the value distribution of the same subtree twice.
-//! [`eval_px`] drives it for the one-shot API; the planned, streaming
-//! API ([`crate::QueryPlan`] / [`crate::AnswerStream`]) drives the same
-//! walk over a normalized step chain with threshold pushdown on top.
+//! [`crate::QueryPlan`] drives it over a normalized step chain; the
+//! one-shot [`eval_px`] and [`answer_events`] are thin wrappers that
+//! compile a plan and run it.
 
 use crate::answer::RankedAnswers;
-use crate::ast::{Axis, Expr, NodeTest, Query, RelPath, Step};
-use crate::event::{probability, ChoiceAtom, Event};
+use crate::ast::{Axis, Expr, NodeTest, Query, RelPath};
+use crate::event::{ChoiceAtom, Event};
+use crate::plan::QueryPlan;
 use imprecise_pxml::{PxDoc, PxNodeId, PxNodeKind};
 use std::collections::HashMap;
 use std::fmt;
@@ -62,26 +63,32 @@ pub fn answer_event(doc: &PxDoc, query: &Query, value: &str) -> Result<Option<Ev
 
 /// The events of all possible answer values (unranked, document order).
 pub fn answer_events(doc: &PxDoc, query: &Query) -> Result<Vec<(String, Event)>, EvalError> {
-    Evaluator::new(doc).collect_answer_events(&query.steps)
+    QueryPlan::compile(query).answer_events(doc)
 }
 
 /// Evaluate a query over a probabilistic document; returns ranked answers.
 ///
-/// This is the one-shot, unplanned API: events are rebuilt and every
-/// answer's probability is computed on every call. When the same query
-/// runs more than once, or only answers above a threshold are wanted,
-/// prefer compiling a [`crate::QueryPlan`] and streaming.
+/// This is the one-shot API: it compiles a [`QueryPlan`] and collects it
+/// at threshold 0 on every call. When the same query runs more than
+/// once, or only answers above a threshold are wanted, compile the plan
+/// once and stream.
 pub fn eval_px(doc: &PxDoc, query: &Query) -> Result<RankedAnswers, EvalError> {
-    let events = answer_events(doc, query)?;
-    let mut pairs = Vec::with_capacity(events.len());
-    // lint:allow(hash-iteration, false positive: this events is the Vec from answer_events in document order, not the evaluator hash map)
-    for (value, ev) in events {
-        let p = probability(doc, &ev);
-        if p > 0.0 {
-            pairs.push((value, p));
-        }
+    QueryPlan::compile(query).collect(doc)
+}
+
+/// A step predicate: evaluates, at one selected node, to the event "the
+/// predicate holds". Plain AST predicates (inside relative paths) and
+/// the plan's compiled predicates both implement it, so every step goes
+/// through the one [`Evaluator::apply_step`].
+pub(crate) trait StepPredicate {
+    /// The event under which this predicate holds at `node`.
+    fn event_at(&self, eval: &mut Evaluator<'_>, node: PxNodeId) -> Result<Event, EvalError>;
+}
+
+impl StepPredicate for Expr {
+    fn event_at(&self, eval: &mut Evaluator<'_>, node: PxNodeId) -> Result<Event, EvalError> {
+        eval.eval_expr_event(node, self)
     }
-    Ok(RankedAnswers::from_pairs(pairs))
 }
 
 /// One query execution over one document: the step-walk machinery plus a
@@ -104,20 +111,10 @@ impl<'d> Evaluator<'d> {
         }
     }
 
-    /// Walk `steps` from the virtual document node and amalgamate: every
-    /// result node contributes each of its possible string values under
-    /// (existence ∧ value) events. Returns (value, event) pairs in
-    /// document order of first occurrence.
-    pub(crate) fn collect_answer_events(
-        &mut self,
-        steps: &[Step],
-    ) -> Result<Vec<(String, Event)>, EvalError> {
-        let current = self.step_contexts(steps)?;
-        self.amalgamate(current)
-    }
-
-    /// Amalgamate a final context set into (value, event) pairs in
-    /// document order of first occurrence.
+    /// Amalgamate a final context set: every node contributes each of
+    /// its possible string values under (existence ∧ value) events.
+    /// Returns (value, event) pairs in document order of first
+    /// occurrence.
     pub(crate) fn amalgamate(
         &mut self,
         contexts: Vec<(Option<PxNodeId>, Event)>,
@@ -151,42 +148,28 @@ impl<'d> Evaluator<'d> {
             .collect())
     }
 
-    /// Apply a step chain from the virtual document node, OR-merging the
-    /// events of contexts reached along multiple derivations.
-    fn step_contexts(
-        &mut self,
-        steps: &[Step],
-    ) -> Result<Vec<(Option<PxNodeId>, Event)>, EvalError> {
-        let mut current: Vec<(Option<PxNodeId>, Event)> = vec![(None, Event::True)];
-        for step in steps {
-            let mut merger = ContextMerger::new();
-            for (ctx, ctx_event) in current {
-                for (node, ev) in self.apply_step(ctx, ctx_event.clone(), step)? {
-                    merger.add(node, ev);
-                }
-            }
-            current = merger.into_optional_contexts();
-        }
-        Ok(current)
-    }
-
-    /// Apply one step from a context node (None = virtual document node).
-    fn apply_step(
+    /// Apply one step — axis scan, node test, predicates — from a
+    /// context node (None = virtual document node): every selected node
+    /// carries the conjunction of the context's event, its own existence
+    /// event and its predicates' events. The one step function absolute
+    /// (planned) and relative (predicate) paths share.
+    pub(crate) fn apply_step<P: StepPredicate>(
         &mut self,
         ctx: Option<PxNodeId>,
-        ctx_event: Event,
-        step: &Step,
+        ctx_event: &Event,
+        axis: Axis,
+        test: &NodeTest,
+        preds: &[P],
     ) -> Result<Vec<(PxNodeId, Event)>, EvalError> {
-        let found = self.collect_step_nodes(ctx, step.axis, &step.test);
-        // Combine with the context's own existence event and the predicates.
+        let found = self.collect_step_nodes(ctx, axis, test);
         let mut out = Vec::with_capacity(found.len());
         for (node, local_event) in found {
             let mut ev = Event::and(ctx_event.clone(), local_event);
-            for pred in &step.predicates {
+            for pred in preds {
                 if matches!(ev, Event::False) {
                     break;
                 }
-                let pe = self.eval_expr_event(node, pred)?;
+                let pe = pred.event_at(self, node)?;
                 ev = Event::and(ev, pe);
             }
             if !matches!(ev, Event::False) {
@@ -199,7 +182,7 @@ impl<'d> Evaluator<'d> {
     /// The axis/test part of one step: nodes selected from a context
     /// (None = virtual document node) with their local existence events,
     /// before any context event or predicate is applied.
-    pub(crate) fn collect_step_nodes(
+    fn collect_step_nodes(
         &self,
         ctx: Option<PxNodeId>,
         axis: Axis,
@@ -321,7 +304,9 @@ impl<'d> Evaluator<'d> {
         for step in &path.steps {
             let mut merger = ContextMerger::new();
             for (c, ce) in current {
-                for (node, ev) in self.apply_step(Some(c), ce, step)? {
+                for (node, ev) in
+                    self.apply_step(Some(c), &ce, step.axis, &step.test, &step.predicates)?
+                {
                     merger.add(node, ev);
                 }
             }
@@ -363,8 +348,8 @@ impl<'d> Evaluator<'d> {
 
 /// Per-step context merger: OR-merges the events of nodes reached
 /// through several derivations, preserving first-encounter (document)
-/// order. The single home of the merge logic the one-shot and planned
-/// walks both rely on — they must never diverge.
+/// order. The single home of the merge logic the absolute and relative
+/// path walks both rely on — they must never diverge.
 pub(crate) struct ContextMerger {
     next: Vec<(PxNodeId, Event)>,
     index: HashMap<PxNodeId, usize>,

@@ -153,26 +153,6 @@ proptest! {
         }
     }
 
-    /// The planned, streaming pipeline is byte-identical to the one-shot
-    /// evaluator at threshold 0: same values, same probabilities (bitwise),
-    /// same ranking. The plan layer must never change a result.
-    #[test]
-    fn plan_collect_is_byte_identical_to_eval_px(
-        spec in doc_strategy(),
-        query_idx in 0usize..QUERIES.len(),
-    ) {
-        let px = build_doc(&spec);
-        let query = parse_query(QUERIES[query_idx]).unwrap();
-        let classic = eval_px(&px, &query).unwrap();
-        let planned = QueryPlan::compile(&query).collect(&px).unwrap();
-        prop_assert_eq!(planned.len(), classic.len());
-        for (p, c) in planned.items.iter().zip(&classic.items) {
-            prop_assert_eq!(&p.value, &c.value);
-            prop_assert_eq!(p.probability.to_bits(), c.probability.to_bits(),
-                "value {}: planned {} vs classic {}", p.value, p.probability, c.probability);
-        }
-    }
-
     /// Threshold pushdown streams exactly the naive evaluator's answers
     /// filtered at the threshold — pruning never drops an answer whose
     /// true probability meets it, and never distorts a probability.

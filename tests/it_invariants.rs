@@ -377,45 +377,52 @@ fn check_invariants_reports_corrupt_documents() {
 
 #[test]
 fn foreign_refine_state_is_a_typed_error_not_a_panic() {
-    // The wrong-component-restore path `Engine::refine` runs through:
-    // resuming a persisted frontier against a component it does not
-    // belong to must surface `FrontierMismatch` as a typed error (and
-    // convert cleanly up the `IntegrateError` -> `ImpreciseError`
-    // chain), not panic.
-    use imprecise::integrate::{
-        Candidate, Component, FrontierEnumerator, IntegrateError, MatchBudget,
-    };
-    let component = |p: f64| Component {
-        a_nodes: vec![0, 1],
-        b_nodes: vec![0, 1],
+    // A frontier can only meet the wrong component when it is decoded
+    // (the store path `Engine::open` runs through): enumerator bytes
+    // decoded against a foreign or lookalike component must surface a
+    // typed `CodecError` (converting cleanly up the `StoreError` ->
+    // `ImpreciseError` chain), not panic or resume a wrong search.
+    use imprecise::integrate::{Candidate, Component, FrontierEnumerator, MatchBudget};
+    use imprecise::pxml::codec::Reader;
+    use imprecise::StoreError;
+    use std::sync::Arc;
+    let component = |n: usize, p: f64| Component {
+        a_nodes: (0..n).collect(),
+        b_nodes: (0..n).collect(),
         forced: Vec::new(),
-        possible: vec![
-            Candidate { a: 0, b: 0, p },
-            Candidate { a: 0, b: 1, p },
-            Candidate { a: 1, b: 0, p },
-            Candidate { a: 1, b: 1, p },
-        ],
+        possible: (0..n * n)
+            .map(|i| Candidate {
+                a: i / n,
+                b: i % n,
+                p,
+            })
+            .collect(),
     };
-    let mine = std::sync::Arc::new(component(0.5));
-    let mut enumerator = FrontierEnumerator::new(mine.clone());
+    let mut enumerator = FrontierEnumerator::new(Arc::new(component(2, 0.5)));
     enumerator.run(&MatchBudget {
         max_matchings: 2,
         min_retained_mass: None,
     });
-    let frontier = enumerator.frontier().expect("budget of 2 leaves work open");
-    // Same shape, different candidate probabilities: the content digest
-    // must reject the restore.
-    let foreign = std::sync::Arc::new(component(0.25));
-    let mismatch = match FrontierEnumerator::restore(foreign, &frontier) {
-        Err(mismatch) => mismatch,
-        Ok(_) => panic!("foreign restore must fail"),
-    };
-    assert_ne!(mismatch.expected, mismatch.found);
-    let err = ImpreciseError::from(IntegrateError::from(mismatch));
-    assert!(
-        err.to_string().contains("does not belong"),
-        "unexpected message: {err}"
-    );
-    // The genuine owner still restores.
-    FrontierEnumerator::restore(mine, &frontier).expect("own component restores");
+    assert!(!enumerator.is_drained(), "budget of 2 leaves work open");
+    let mut bytes = Vec::new();
+    enumerator.encode(&mut bytes);
+    let decode = |c: Component| FrontierEnumerator::decode(&mut Reader::new(&bytes), Arc::new(c));
+    // A different shape, and the same shape with different candidate
+    // probabilities: the content digest rejects both.
+    for foreign in [component(3, 0.5), component(2, 0.25)] {
+        let err = match decode(foreign) {
+            Err(err) => err,
+            Ok(_) => panic!("foreign decode must fail"),
+        };
+        assert_eq!(err.expected, "frontier digest matching its component");
+        let err = ImpreciseError::from(StoreError::from(err));
+        assert!(
+            err.to_string().contains("frontier digest"),
+            "unexpected message: {err}"
+        );
+    }
+    // The genuine owner still decodes, and resumes where it stopped.
+    let decoded = decode(component(2, 0.5)).expect("own component decodes");
+    assert_eq!(decoded.kept(), enumerator.kept());
+    assert_eq!(decoded.open_nodes(), enumerator.open_nodes());
 }

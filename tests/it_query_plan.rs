@@ -1,12 +1,12 @@
 //! End-to-end tests of the planned, streaming query pipeline:
-//! `QueryPlan` / `AnswerStream` against the classic evaluators, with
-//! the threshold-pushdown edge cases the plan layer must get right.
+//! `QueryPlan` / `AnswerStream` against the naive evaluator, with the
+//! threshold-pushdown edge cases the plan layer must get right.
 
 use imprecise::datagen::scenarios;
 use imprecise::integrate::{integrate_xml, IntegrationOptions};
 use imprecise::oracle::presets::{movie_oracle, MovieOracleConfig};
 use imprecise::pxml::PxDoc;
-use imprecise::query::{eval_px, eval_px_naive, parse_query, QueryPlan, RankedAnswers};
+use imprecise::query::{eval_px_naive, parse_query, QueryPlan};
 use imprecise::Engine;
 
 /// The §VI integrated query database (same configuration as the
@@ -41,32 +41,6 @@ const QUERIES: [&str; 4] = [
     "//movie[some $d in .//director satisfies contains($d,\"John\")]/title",
     "//title",
 ];
-
-/// Acceptance: at threshold 0 the planned pipeline is *byte-identical*
-/// to `eval_px` — same values, same ranking, bitwise-equal floats — on
-/// the paper's integrated query database.
-#[test]
-fn plan_at_threshold_zero_is_byte_identical_to_eval_px() {
-    let db = query_db();
-    for q in QUERIES {
-        let query = parse_query(q).unwrap();
-        let classic = eval_px(&db, &query).unwrap();
-        let plan = QueryPlan::compile(&query).with_min_probability(0.0);
-        let planned = plan.collect(&db).unwrap();
-        let streamed: RankedAnswers = plan.execute(&db).unwrap().collect();
-        assert_eq!(planned.len(), classic.len(), "query {q}");
-        for (p, c) in planned.items.iter().zip(&classic.items) {
-            assert_eq!(p.value, c.value, "query {q}");
-            assert_eq!(
-                p.probability.to_bits(),
-                c.probability.to_bits(),
-                "query {q}, value {}",
-                p.value
-            );
-        }
-        assert_eq!(streamed.items, planned.items, "query {q}");
-    }
-}
 
 /// Threshold 1.0 returns exactly the certain answers.
 #[test]

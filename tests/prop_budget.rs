@@ -10,7 +10,7 @@
 
 use imprecise::datagen::movies::{catalog_to_xml, movie_schema, Movie, MovieBuilder, SourceStyle};
 use imprecise::integrate::matching::{
-    enumerate_budgeted, enumerate_matchings, Candidate, Component, MatchBudget,
+    enumerate_matchings, Candidate, Component, FrontierEnumerator, MatchBudget,
 };
 use imprecise::integrate::{integrate_xml, IntegrationOptions};
 use imprecise::oracle::presets::{movie_oracle, MovieOracleConfig};
@@ -75,7 +75,7 @@ proptest! {
     ) {
         let component = component_from(n, m, &cells);
         let exhaustive = enumerate_matchings(&component, usize::MAX).expect("no cap");
-        let budgeted = enumerate_budgeted(&component, &MatchBudget::UNLIMITED);
+        let budgeted = FrontierEnumerator::new(component.into()).run(&MatchBudget::UNLIMITED);
         prop_assert!(!budgeted.truncated);
         prop_assert_eq!(budgeted.retained_mass, 1.0);
         prop_assert_eq!(budgeted.discarded_mass, 0.0);
@@ -99,7 +99,7 @@ proptest! {
             max_matchings,
             min_retained_mass: min_mass_pct.map(|p| f64::from(p) / 100.0),
         };
-        let result = enumerate_budgeted(&component, &budget);
+        let result = FrontierEnumerator::new(component.into()).run(&budget);
         // Mass accounting closes per component.
         prop_assert!(
             (result.retained_mass + result.discarded_mass - 1.0).abs() < 1e-9,

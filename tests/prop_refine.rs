@@ -105,6 +105,52 @@ fn catalogs(
     )
 }
 
+/// Length and FNV-1a digest of the encoded refine state of the 4×7
+/// confusable grid at budget 64 after two 64-matching installments. The
+/// store persists exactly these bytes, so a change here is an on-disk
+/// format change (and needs a segment `FORMAT_VERSION` bump).
+const PINNED_REFINE_STATE: (usize, u64) = (5_362_134, 17_803_913_712_546_686_512);
+
+#[test]
+fn encoded_refine_state_bytes_are_pinned() {
+    use imprecise::datagen::scenarios;
+    use imprecise::integrate::codec::encode_refine_state;
+    let grid = scenarios::confusable_grid(4, 7);
+    let oracle = movie_oracle(MovieOracleConfig {
+        title_rule: false,
+        ..MovieOracleConfig::default()
+    });
+    let mut outcome = integrate_xml(
+        &grid.mpeg7,
+        &grid.imdb,
+        &oracle,
+        Some(&grid.schema),
+        &IntegrationOptions {
+            max_matchings_per_component: 64,
+            ..IntegrationOptions::default()
+        },
+    )
+    .expect("budgeted never errors");
+    let installment = RefineOptions {
+        extra_matchings: 64,
+        ..RefineOptions::default()
+    };
+    for _ in 0..2 {
+        outcome
+            .refine(&oracle, Some(&grid.schema), &installment)
+            .expect("refine succeeds");
+    }
+    let state = outcome
+        .detach_refine_state()
+        .expect("two installments leave the grid open");
+    let mut bytes = Vec::new();
+    encode_refine_state(&state, &mut bytes);
+    assert_eq!(
+        (bytes.len(), imprecise::pxml::codec::fnv1a(&bytes)),
+        PINNED_REFINE_STATE
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -170,11 +216,10 @@ proptest! {
                 .expect("refine succeeds");
             // Mass closure per component, after every step.
             for f in outcome.frontiers() {
-                let cf = f.snapshot_frontier();
                 prop_assert!(
-                    (cf.retained_mass + cf.discarded_mass - 1.0).abs() < 1e-9,
+                    (f.retained_mass() + f.discarded_mass() - 1.0).abs() < 1e-9,
                     "{}: retained {} + discarded {} != 1",
-                    f.path(), cf.retained_mass, cf.discarded_mass
+                    f.path(), f.retained_mass(), f.discarded_mass()
                 );
             }
             // The refined components' own accounting closes too.
