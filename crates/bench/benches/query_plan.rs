@@ -1,8 +1,16 @@
 //! Criterion bench for the planned, streaming query pipeline.
 //!
 //! Three execution tiers are compared on the §VI movie database, a
-//! larger confusing-conditions movie integration, and an integrated
-//! address-book database:
+//! larger confusing-conditions movie integration, an integrated
+//! address-book database, and the un-refined confusable grid the
+//! end-to-end benchmark's `query-uncertain` workload queries
+//! (`confusable_grid(4, 7)` at budget 32: thousands of choice points
+//! whose answer events share variables, so exact event probability —
+//! independence decomposition, then Shannon expansion — is what costs),
+//! with its genre, director and title query shapes, and the same grid
+//! refined to budget 64 by 8 installments of 64 (the end-to-end
+//! benchmark's `refine-durable` end state), whose genre answers are
+//! disjunctions of hundreds to thousands of uncertain occurrences:
 //!
 //! * `eval_px-unplanned` — the one-shot API: compiles a throwaway plan,
 //!   re-derives answer events and recomputes every probability on every
@@ -17,15 +25,17 @@
 //!   recomputing — the per-call recomputation `eval_px` cannot avoid is
 //!   gone entirely;
 //! * `naive-all-worlds` — the §VI baseline, where world counts permit
-//!   enumeration (the larger movie integration has ~1e9 worlds, so the
-//!   naive evaluator is structurally infeasible there — that gap *is*
-//!   the paper's point).
+//!   enumeration (the larger movie integration has ~1e9 worlds and the
+//!   grids 3e27 and more, so the naive evaluator is structurally infeasible there
+//!   — that gap *is* the paper's point).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imprecise::datagen::scenarios;
-use imprecise::integrate::{integrate_xml, IntegrationOptions};
+use imprecise::integrate::{integrate_xml, BlockingMode, IntegrationOptions, RefineOptions};
+use imprecise::oracle::presets::{movie_oracle, MovieOracleConfig};
 use imprecise::pxml::PxDoc;
 use imprecise::query::{eval_px, eval_px_naive, parse_query, QueryPlan};
+use imprecise::xml::to_string;
 use imprecise::Engine;
 use imprecise_bench::{addressbook_query_db, build_query_db, query_oracle};
 use std::hint::black_box;
@@ -48,6 +58,75 @@ fn large_movie_db() -> PxDoc {
     )
     .expect("fig5 workload integrates")
     .doc
+}
+
+/// The `query-uncertain` document: `confusable_grid(4, 7)` integrated at
+/// a matching budget of 32 with the title rule off (every pair inside a
+/// grid block stays undecided) and blocking off, not refined.
+fn grid_query_db() -> PxDoc {
+    let scenario = scenarios::confusable_grid(4, 7);
+    let oracle = movie_oracle(MovieOracleConfig {
+        title_rule: false,
+        ..MovieOracleConfig::default()
+    });
+    let options = IntegrationOptions {
+        max_matchings_per_component: 32,
+        blocking: BlockingMode::Off,
+        ..IntegrationOptions::default()
+    };
+    integrate_xml(
+        &scenario.mpeg7,
+        &scenario.imdb,
+        &oracle,
+        Some(&scenario.schema),
+        &options,
+    )
+    .expect("grid workload integrates")
+    .doc
+}
+
+/// The `refine-durable` end state: the same grid integrated at a budget
+/// of 64 and refined by 8 installments of 64 matchings. Its answer
+/// values are disjunctions of hundreds to thousands of uncertain
+/// occurrences, so building answer events leans on `Event::any`'s hashed
+/// duplicate check, where the grid at budget 32 only forms small ones.
+fn refined_grid_query_db() -> PxDoc {
+    let scenario = scenarios::confusable_grid(4, 7);
+    let engine = Engine::builder()
+        .oracle(movie_oracle(MovieOracleConfig {
+            title_rule: false,
+            ..MovieOracleConfig::default()
+        }))
+        .schema(scenario.schema.clone())
+        .options(IntegrationOptions {
+            max_matchings_per_component: 64,
+            blocking: BlockingMode::Off,
+            ..IntegrationOptions::default()
+        })
+        .build();
+    let a = engine
+        .load_xml("mpeg7", &to_string(&scenario.mpeg7))
+        .expect("grid source loads");
+    let b = engine
+        .load_xml("imdb", &to_string(&scenario.imdb))
+        .expect("grid source loads");
+    let (merged, _) = engine
+        .integrate(&a, &b, "grid")
+        .expect("grid workload integrates");
+    let installment = RefineOptions {
+        extra_matchings: 64,
+        ..RefineOptions::default()
+    };
+    for _ in 0..8 {
+        engine
+            .refine(&merged, &installment)
+            .expect("grid workload refines");
+    }
+    engine
+        .snapshot(&merged)
+        .expect("document exists")
+        .doc()
+        .clone()
 }
 
 fn bench_scenario(c: &mut Criterion, scenario: &str, db: &PxDoc, query_text: &str, naive: bool) {
@@ -103,6 +182,19 @@ fn bench_query_plan(c: &mut Criterion) {
     bench_scenario(c, "movies-large", &large, "//movie/director", false);
     let addrbook = addressbook_query_db();
     bench_scenario(c, "addrbook", &addrbook, "//person/tel", true);
+    let grid = grid_query_db();
+    for (shape, query) in [
+        ("genre", "//movie[.//genre=\"Action\"]/title"),
+        (
+            "director",
+            "//movie[some $d in .//director satisfies contains($d,\"Woo\")]/title",
+        ),
+        ("title", "//movie/title"),
+    ] {
+        bench_scenario(c, &format!("grid-{shape}"), &grid, query, false);
+    }
+    let refined = refined_grid_query_db();
+    bench_scenario(c, "grid-refined-genre", &refined, "//movie/genre", false);
 }
 
 criterion_group!(benches, bench_query_plan);

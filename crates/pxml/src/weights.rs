@@ -1,13 +1,14 @@
 //! Dense per-document choice-weight table: the probability memoization
 //! hook used by query execution.
 //!
-//! Exact probability computation (Shannon expansion over choice atoms,
-//! see `imprecise-query`) repeatedly asks the same two questions of a
-//! probability node: *how many possibilities does it have* and *what are
-//! their weights*. Answering through the arena means a kind-match and a
-//! child walk per visit. A [`ChoiceWeights`] table answers both with one
-//! slice lookup, is built in a single pass, and — because it borrows
-//! nothing — can be cached for the lifetime of one query execution (the
+//! Exact probability computation (independence decomposition, then
+//! Shannon expansion over choice atoms, see `imprecise-query`)
+//! repeatedly asks the same two questions of a probability node: *how
+//! many possibilities does it have* and *what are their weights*.
+//! Answering through the arena means a kind-match and a child walk per
+//! visit. A [`ChoiceWeights`] table answers both with one slice lookup,
+//! is built in a single pass, and — because it borrows nothing — can be
+//! cached for the lifetime of one query execution (the
 //! document behind an `Arc` snapshot never changes).
 
 use crate::node::{PxDoc, PxNodeId, PxNodeKind};

@@ -5,14 +5,35 @@
 //! that selects one of its possibilities. Any query-related event (a node
 //! exists, a predicate holds, a value appears in the answer) is a boolean
 //! combination of *atoms* "probability node v selected possibility i".
-//! Probabilities of such events are computed exactly by Shannon expansion:
-//! pick a variable occurring in the event, split on its possibilities,
-//! recurse on the simplified cofactors. Expansion in ascending node-id
-//! order follows document order, which keeps cofactors small because an
-//! outer choice's atoms dominate the events of everything beneath it.
+//!
+//! Probabilities are computed exactly, without enumerating worlds, by one
+//! decomposition core that every probability path shares:
+//!
+//! 1. **Independence decomposition.** The parts of an `And`/`Or` are split
+//!    into groups that share no variable. Variable-disjoint events over
+//!    independent choice points are independent, so
+//!    P(⋀gᵢ) = ∏P(gᵢ) and P(⋁gᵢ) = 1 − ∏(1 − P(gᵢ)) with no expansion at
+//!    all (the union is accumulated as P(a) + P(b)(1 − P(a)), which keeps
+//!    tiny probabilities precise). A `Not` flips the polarity (De Morgan)
+//!    instead of being subtracted from one, so a certainly-false event
+//!    stays exactly 0.
+//! 2. **Shannon expansion** runs only on a group that does not split: it
+//!    picks the group's smallest variable, splits on its possibilities and
+//!    decomposes every cofactor again. Expansion in ascending node-id
+//!    order follows document order, which keeps cofactors small because
+//!    an outer choice's atoms dominate the events of everything beneath
+//!    it.
+//!
+//! Groups are ordered by their smallest part index and the expansion
+//! variable is the smallest node id, so a result depends only on the
+//! event's structure and the relative order of its variables: it is
+//! bit-stable under any monotone renumbering of choice points (compaction).
+//! The threshold path ([`probability_above`]) runs the same core with the
+//! same grouping and arithmetic order, so every answer it keeps carries
+//! the exact path's bits.
 
 use imprecise_pxml::{ChoiceWeights, PxDoc, PxNodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// An atom: "probability node `prob_node` selects possibility `poss_index`".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,6 +43,15 @@ pub struct ChoiceAtom {
     /// Index of the selected possibility within it.
     pub poss_index: u32,
 }
+
+/// Up to this many parts, [`Event::any`] finds repeated parts by a linear
+/// scan of the parts kept so far; above it, with a hash set. Hashing an
+/// event walks all of it while a comparison of distinct events usually
+/// stops at the first atom, so the scan wins on the two- and three-part
+/// disjunctions cofactors form, and the hash set on the disjunctions of
+/// hundreds to thousands of occurrences that amalgamation forms on a
+/// refined document. They cross near 32 parts.
+const LINEAR_DEDUP_PARTS: usize = 32;
 
 /// A boolean event over choice atoms.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -41,63 +71,21 @@ pub enum Event {
 }
 
 impl Event {
-    /// Smart conjunction with eager simplification.
+    /// Smart conjunction with eager simplification (see [`Event::all`]).
     pub fn and(a: Event, b: Event) -> Event {
         match (a, b) {
             (Event::False, _) | (_, Event::False) => Event::False,
             (Event::True, x) | (x, Event::True) => x,
-            (a, b) => {
-                let mut parts = Vec::new();
-                flatten_and(a, &mut parts);
-                flatten_and(b, &mut parts);
-                // Contradictory or duplicate atoms on the same variable.
-                let mut seen: Vec<ChoiceAtom> = Vec::new();
-                let mut out: Vec<Event> = Vec::new();
-                for e in parts {
-                    if let Event::Atom(atom) = &e {
-                        if let Some(prev) = seen.iter().find(|x| x.prob_node == atom.prob_node) {
-                            if prev.poss_index == atom.poss_index {
-                                continue; // duplicate
-                            }
-                            return Event::False; // contradiction
-                        }
-                        seen.push(*atom);
-                    }
-                    out.push(e);
-                }
-                match out.len() {
-                    0 => Event::True,
-                    // lint:allow(expect-in-lib, holds by construction: len checked)
-                    1 => out.pop().expect("len checked"),
-                    _ => Event::And(out),
-                }
-            }
+            (a, b) => Event::all([a, b]),
         }
     }
 
-    /// Smart disjunction with eager simplification.
+    /// Smart disjunction with eager simplification (see [`Event::any`]).
     pub fn or(a: Event, b: Event) -> Event {
         match (a, b) {
             (Event::True, _) | (_, Event::True) => Event::True,
             (Event::False, x) | (x, Event::False) => x,
-            (a, b) => {
-                let mut parts = Vec::new();
-                flatten_or(a, &mut parts);
-                flatten_or(b, &mut parts);
-                // Cheap duplicate elimination for identical events.
-                let mut out: Vec<Event> = Vec::new();
-                for e in parts {
-                    if !out.contains(&e) {
-                        out.push(e);
-                    }
-                }
-                match out.len() {
-                    0 => Event::False,
-                    // lint:allow(expect-in-lib, holds by construction: len checked)
-                    1 => out.pop().expect("len checked"),
-                    _ => Event::Or(out),
-                }
-            }
+            (a, b) => Event::any([a, b]),
         }
     }
 
@@ -113,14 +101,53 @@ impl Event {
         }
     }
 
-    /// Disjunction of many events.
+    /// Disjunction of many events, built in one pass: a `True` input
+    /// decides it, `False` inputs drop out, nested disjunctions are
+    /// flattened and a part repeated anywhere keeps only its first
+    /// occurrence. Structurally equal to folding [`Event::or`] from
+    /// `False`, without re-flattening the growing disjunction per input.
     pub fn any(events: impl IntoIterator<Item = Event>) -> Event {
-        events.into_iter().fold(Event::False, Event::or)
+        let parts = match collect_parts(events, Event::True, flatten_or) {
+            Ok(parts) => parts,
+            Err(decided) => return decided,
+        };
+        let mut out = dedup_first(parts);
+        match out.len() {
+            0 => Event::False,
+            1 => out.swap_remove(0),
+            _ => Event::Or(out),
+        }
     }
 
-    /// Conjunction of many events.
+    /// Conjunction of many events, built in one pass: a `False` input or
+    /// two atoms selecting different possibilities of one variable decide
+    /// it, `True` inputs drop out, nested conjunctions are flattened and a
+    /// repeated atom keeps only its first occurrence. Structurally equal
+    /// to folding [`Event::and`] from `True`.
     pub fn all(events: impl IntoIterator<Item = Event>) -> Event {
-        events.into_iter().fold(Event::True, Event::and)
+        let parts = match collect_parts(events, Event::False, flatten_and) {
+            Ok(parts) => parts,
+            Err(decided) => return decided,
+        };
+        let mut atoms: Vec<ChoiceAtom> = Vec::new();
+        let mut out: Vec<Event> = Vec::with_capacity(parts.len());
+        for e in parts {
+            if let Event::Atom(atom) = &e {
+                if let Some(prev) = atoms.iter().find(|x| x.prob_node == atom.prob_node) {
+                    if prev.poss_index == atom.poss_index {
+                        continue; // duplicate
+                    }
+                    return Event::False; // contradiction
+                }
+                atoms.push(*atom);
+            }
+            out.push(e);
+        }
+        match out.len() {
+            0 => Event::True,
+            1 => out.swap_remove(0),
+            _ => Event::And(out),
+        }
     }
 
     /// The smallest variable (probability node) occurring in the event.
@@ -132,6 +159,20 @@ impl Event {
                 parts.iter().filter_map(Event::first_variable).min()
             }
             Event::Not(inner) => inner.first_variable(),
+        }
+    }
+
+    /// Push `(variable, part)` for every atom occurring in the event.
+    fn push_variables(&self, part: u32, out: &mut Vec<(PxNodeId, u32)>) {
+        match self {
+            Event::True | Event::False => {}
+            Event::Atom(a) => out.push((a.prob_node, part)),
+            Event::And(parts) | Event::Or(parts) => {
+                for p in parts {
+                    p.push_variables(part, out);
+                }
+            }
+            Event::Not(inner) => inner.push_variables(part, out),
         }
     }
 
@@ -151,15 +192,71 @@ impl Event {
                     Event::Atom(*a)
                 }
             }
-            Event::And(parts) => parts
-                .iter()
-                .fold(Event::True, |acc, p| Event::and(acc, p.assign(v, idx))),
-            Event::Or(parts) => parts
-                .iter()
-                .fold(Event::False, |acc, p| Event::or(acc, p.assign(v, idx))),
+            Event::And(parts) => Event::all(parts.iter().map(|p| p.assign(v, idx))),
+            Event::Or(parts) => Event::any(parts.iter().map(|p| p.assign(v, idx))),
             Event::Not(inner) => Event::not(inner.assign(v, idx)),
         }
     }
+}
+
+/// The shared input pass of [`Event::any`] and [`Event::all`]: `Err` with
+/// the result when the inputs decide it — the deciding constant when an
+/// input equals `decisive`, or a lone non-constant input as-is (folding
+/// the pairwise constructors returns it untouched too); otherwise every
+/// input flattened into parts, the other constant's inputs dropped.
+fn collect_parts(
+    events: impl IntoIterator<Item = Event>,
+    decisive: Event,
+    flatten: fn(Event, &mut Vec<Event>),
+) -> Result<Vec<Event>, Event> {
+    let mut first: Option<Event> = None;
+    let mut parts: Vec<Event> = Vec::new();
+    let mut inputs = 0usize;
+    for e in events {
+        if e == decisive {
+            return Err(decisive);
+        }
+        if matches!(e, Event::True | Event::False) {
+            continue;
+        }
+        inputs += 1;
+        if inputs == 1 {
+            first = Some(e);
+            continue;
+        }
+        if let Some(f) = first.take() {
+            flatten(f, &mut parts);
+        }
+        flatten(e, &mut parts);
+    }
+    match first {
+        Some(only) => Err(only),
+        None => Ok(parts),
+    }
+}
+
+/// `parts` with every repeated part dropped after its first occurrence,
+/// in input order. The hash set only answers membership; the order comes
+/// from the input.
+fn dedup_first(parts: Vec<Event>) -> Vec<Event> {
+    if parts.len() <= LINEAR_DEDUP_PARTS {
+        let mut out: Vec<Event> = Vec::with_capacity(parts.len());
+        for e in parts {
+            if !out.contains(&e) {
+                out.push(e);
+            }
+        }
+        return out;
+    }
+    let keep: Vec<bool> = {
+        let mut firsts: HashSet<&Event> = HashSet::with_capacity(parts.len());
+        parts.iter().map(|e| firsts.insert(e)).collect()
+    };
+    parts
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(e, first)| first.then_some(e))
+        .collect()
 }
 
 /// A partial assignment of choice points: each listed probability node is
@@ -241,30 +338,13 @@ fn flatten_or(e: Event, out: &mut Vec<Event>) {
     }
 }
 
-/// Exact probability of an event under the document's choice weights,
-/// by Shannon expansion in ascending variable order.
+/// Exact probability of an event under the document's choice weights
+/// (independence decomposition, then Shannon expansion — see the
+/// [module docs](self)). Builds the document's [`ChoiceWeights`] table
+/// once per call; callers asking about many events should build it once
+/// and use [`probability_memo`] or [`probability_above`].
 pub fn probability(doc: &PxDoc, event: &Event) -> f64 {
-    match event {
-        Event::True => 1.0,
-        Event::False => 0.0,
-        _ => {
-            let v = event
-                .first_variable()
-                // lint:allow(expect-in-lib, holds by construction: non-constant event has a variable)
-                .expect("non-constant event has a variable");
-            let mut total = 0.0;
-            for (idx, &poss) in doc.children(v).iter().enumerate() {
-                // lint:allow(expect-in-lib, holds by construction: prob child is poss)
-                let w = doc.poss_prob(poss).expect("prob child is poss");
-                if w == 0.0 {
-                    continue;
-                }
-                let cofactor = event.assign(v, idx as u32);
-                total += w * probability(doc, &cofactor);
-            }
-            total
-        }
-    }
+    probability_weights(&doc.choice_weights(), event)
 }
 
 /// Cheap, sound bounds `(lower, upper)` on the probability of an event,
@@ -317,10 +397,10 @@ pub fn probability_bounds(weights: &ChoiceWeights, event: &Event) -> (f64, f64) 
 /// Caching is at whole-event granularity: re-asking the probability of
 /// an event already computed this execution (e.g. the same answer event
 /// reached through a later step, or a re-run over the same snapshot) is
-/// a single lookup. Expansion cofactors are deliberately *not* cached —
-/// hashing every intermediate event costs more than the expansion saves.
+/// a single lookup. Cofactors are deliberately *not* cached — hashing
+/// every intermediate event costs more than the decomposition saves.
 /// A hit never changes a result: it returns a value previously computed
-/// by the identical expansion.
+/// by the identical decomposition.
 #[derive(Debug, Clone, Default)]
 pub struct ProbMemo {
     cache: HashMap<Event, f64>,
@@ -343,9 +423,9 @@ impl ProbMemo {
     }
 }
 
-/// Exact probability of an event by Shannon expansion over a
-/// precomputed [`ChoiceWeights`] table, memoized per event in `memo`
-/// (see [`ProbMemo`]). Computes bit-identical values to [`probability`].
+/// Exact probability of an event over a precomputed [`ChoiceWeights`]
+/// table, memoized per event in `memo` (see [`ProbMemo`]). Bit-identical
+/// to [`probability`].
 pub fn probability_memo(weights: &ChoiceWeights, event: &Event, memo: &mut ProbMemo) -> f64 {
     match event {
         Event::True => 1.0,
@@ -367,82 +447,270 @@ pub fn probability_memo(weights: &ChoiceWeights, event: &Event, memo: &mut ProbM
 /// at the threshold.
 pub(crate) const ABOVE_SLACK: f64 = 1e-12;
 
-/// Branch-and-bound Shannon expansion: the exact probability of `event`,
-/// or `None` as soon as the expansion *proves* the probability is below
-/// `min_required` (the remaining unresolved probability mass can no
-/// longer lift the running total to the threshold).
+/// Threshold-aware exact probability: the exact probability of `event`,
+/// or `None` as soon as the computation *proves* it is below
+/// `min_required`.
 ///
-/// For events that pass, the returned value is bit-identical to
-/// [`probability`] — the bound checks add comparisons, never arithmetic,
-/// on the surviving path. For events that fail, most of the expansion is
-/// skipped; this is where threshold pushdown wins over evaluate-then-
-/// filter. The abort checks carry a tiny slack so an answer whose true
-/// probability equals the threshold is never aborted by rounding drift
-/// in the bound itself.
+/// This is the shared core with a live threshold. A product of
+/// independent groups (a conjunction, or a negated disjunction) aborts
+/// once one group, or the running product, falls below the threshold
+/// (every factor is at most 1); a Shannon expansion aborts once the
+/// remaining probability mass can no longer lift its running total to
+/// the threshold. A union of independent groups (a disjunction, or a
+/// negated conjunction) is computed in full. For events that pass, the
+/// returned value is bit-identical to [`probability`] — the bound checks
+/// add comparisons, never arithmetic, on the surviving path. The abort
+/// checks carry a tiny slack so an answer whose true probability equals
+/// the threshold is never aborted by rounding drift in the bound itself.
 pub fn probability_above(weights: &ChoiceWeights, event: &Event, min_required: f64) -> Option<f64> {
+    decompose(weights, event, false, min_required)
+}
+
+/// Exact probability over the flat [`ChoiceWeights`] table, uncached:
+/// the right call when each event is asked exactly once. Bit-identical
+/// to [`probability`].
+pub(crate) fn probability_weights(weights: &ChoiceWeights, event: &Event) -> f64 {
+    // With no threshold nothing can abort; 0.0 is unreachable.
+    decompose(weights, event, false, 0.0).unwrap_or(0.0)
+}
+
+/// The decomposition core: P(`event`), or P(¬`event`) when `negated`,
+/// or `None` once the result is proven below `min_required` (never when
+/// `min_required` ≤ 0).
+fn decompose(
+    weights: &ChoiceWeights,
+    event: &Event,
+    negated: bool,
+    min_required: f64,
+) -> Option<f64> {
     match event {
-        Event::True => Some(1.0),
-        Event::False => Some(0.0),
-        _ => {
-            let v = event
-                .first_variable()
-                // lint:allow(expect-in-lib, holds by construction: non-constant event has a variable)
-                .expect("non-constant event has a variable");
-            let ws = weights.of(v);
-            let mut remaining: f64 = ws.iter().sum();
-            let mut total = 0.0;
-            for (idx, &w) in ws.iter().enumerate() {
-                remaining -= w;
-                if w == 0.0 {
-                    continue;
-                }
-                // Even if this and every later possibility contributed
-                // fully, can the total still reach the threshold?
-                if total + w + remaining < min_required - ABOVE_SLACK {
-                    return None;
-                }
-                let cofactor = event.assign(v, idx as u32);
-                // What this cofactor must contribute for the total to
-                // still be reachable, given the rest contributes fully.
-                let need = min_required - total - remaining;
-                let sub_required = if need > 0.0 { need / w } else { 0.0 };
-                let p = probability_above(weights, &cofactor, sub_required)?;
-                total += w * p;
-            }
-            Some(total)
-        }
+        Event::True => Some(if negated { 0.0 } else { 1.0 }),
+        Event::False => Some(if negated { 1.0 } else { 0.0 }),
+        Event::Atom(a) if !negated => Some(
+            weights
+                .of(a.prob_node)
+                .get(a.poss_index as usize)
+                .copied()
+                .unwrap_or(0.0),
+        ),
+        Event::Atom(a) => expand(weights, &[event], true, negated, a.prob_node, min_required),
+        Event::Not(inner) => decompose(weights, inner, !negated, min_required),
+        Event::And(parts) => decompose_parts(weights, parts, true, negated, min_required),
+        Event::Or(parts) => decompose_parts(weights, parts, false, negated, min_required),
     }
 }
 
-/// Exact probability by Shannon expansion, reading possibility weights
-/// from the flat [`ChoiceWeights`] table instead of walking the arena.
-/// Identical arithmetic to [`probability`] (bit-identical results).
-/// Uncached: the right call when each event is asked exactly once.
-pub(crate) fn probability_weights(weights: &ChoiceWeights, event: &Event) -> f64 {
-    match event {
-        Event::True => 1.0,
-        Event::False => 0.0,
-        _ => {
-            let v = event
-                .first_variable()
-                // lint:allow(expect-in-lib, holds by construction: non-constant event has a variable)
-                .expect("non-constant event has a variable");
-            let mut total = 0.0;
-            for (idx, &w) in weights.of(v).iter().enumerate() {
-                if w == 0.0 {
-                    continue;
-                }
-                let cofactor = event.assign(v, idx as u32);
-                total += w * probability_weights(weights, &cofactor);
+/// P of the conjunction (`conj`) or disjunction of `parts`, negated when
+/// `negated`: the product or union of its independent groups, each group
+/// that does not split further expanded on its smallest variable.
+fn decompose_parts(
+    weights: &ChoiceWeights,
+    parts: &[Event],
+    conj: bool,
+    negated: bool,
+    min_required: f64,
+) -> Option<f64> {
+    let groups = IndependentGroups::of(parts);
+    // Under negation a conjunction is a disjunction of negated parts and
+    // vice versa (De Morgan), so the polarity picks the combination.
+    let product = conj != negated;
+    // A factor below the threshold sinks the whole product, so product
+    // groups inherit it; a union's groups are computed in full, unless
+    // the one group is the whole event.
+    let group_required = if product || groups.len() == 1 {
+        min_required
+    } else {
+        0.0
+    };
+    let mut acc = if product { 1.0 } else { 0.0 };
+    for g in 0..groups.len() {
+        let members = groups.members(g);
+        let q = match groups.first_var[g] {
+            Some(v) if members.len() > 1 => {
+                let members: Vec<&Event> = members.iter().map(|&i| &parts[i as usize]).collect();
+                expand(weights, &members, conj, negated, v, group_required)?
             }
-            total
+            // A single part (parts without variables never join a group).
+            _ => decompose(
+                weights,
+                &parts[members[0] as usize],
+                negated,
+                group_required,
+            )?,
+        };
+        if product {
+            acc *= q;
+            if acc < min_required - ABOVE_SLACK {
+                return None;
+            }
+        } else {
+            // P(a ∨ b) = P(a) + P(b)(1 − P(a)) for independent a, b: the
+            // union 1 − ∏(1 − qᵢ) accumulated so that tiny probabilities
+            // keep their precision.
+            acc += q * (1.0 - acc);
         }
     }
+    Some(acc)
+}
+
+/// Shannon expansion of the conjunction (`conj`) or disjunction of
+/// `parts` (one group that does not split) on its smallest variable `v`:
+/// Σ w·P(cofactor), each cofactor decomposed again. Aborts once the
+/// remaining mass cannot lift the total to `min_required`.
+fn expand(
+    weights: &ChoiceWeights,
+    parts: &[&Event],
+    conj: bool,
+    negated: bool,
+    v: PxNodeId,
+    min_required: f64,
+) -> Option<f64> {
+    let ws = weights.of(v);
+    let mut remaining: f64 = ws.iter().sum();
+    let mut total = 0.0;
+    for (idx, &w) in ws.iter().enumerate() {
+        remaining -= w;
+        if w == 0.0 {
+            continue;
+        }
+        // Even if this and every later possibility contributed fully,
+        // can the total still reach the threshold?
+        if total + w + remaining < min_required - ABOVE_SLACK {
+            return None;
+        }
+        let assigned = parts.iter().map(|p| p.assign(v, idx as u32));
+        let cofactor = if conj {
+            Event::all(assigned)
+        } else {
+            Event::any(assigned)
+        };
+        // What this cofactor must contribute for the total to still be
+        // reachable, given the rest contributes fully.
+        let need = min_required - total - remaining;
+        let sub_required = if need > 0.0 { need / w } else { 0.0 };
+        total += w * decompose(weights, &cofactor, negated, sub_required)?;
+    }
+    Some(total)
+}
+
+/// The parts of one `And`/`Or` split into groups that share no variable,
+/// ordered by their smallest part index (never by hash order), with each
+/// group's smallest variable.
+///
+/// Every part's variables are read once into sorted `(variable, part)`
+/// pairs; parts sharing a variable are adjacent there and are joined by
+/// a union-find whose root is always the smallest part index.
+struct IndependentGroups {
+    /// Part indices, grouped, ascending within each group.
+    order: Vec<u32>,
+    /// Group `g` is `order[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+    /// The smallest variable of each group (`None`: constants only).
+    first_var: Vec<Option<PxNodeId>>,
+}
+
+impl IndependentGroups {
+    fn of(parts: &[Event]) -> Self {
+        let n = parts.len();
+        let mut pairs: Vec<(PxNodeId, u32)> = Vec::new();
+        for (i, p) in parts.iter().enumerate() {
+            p.push_variables(i as u32, &mut pairs);
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut root_of: Vec<u32> = (0..n as u32).collect();
+        for pair in pairs.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                let (a, b) = (root(&mut root_of, pair[0].1), root(&mut root_of, pair[1].1));
+                root_of[a.max(b) as usize] = a.min(b);
+            }
+        }
+        let mut split = false;
+        for i in 0..n as u32 {
+            let r = root(&mut root_of, i);
+            root_of[i as usize] = r;
+            split |= r != 0;
+        }
+        // Most events do not split: one group, whose smallest variable
+        // is the smallest variable of all.
+        if n > 0 && !split {
+            return IndependentGroups {
+                order: (0..n as u32).collect(),
+                starts: vec![0, n],
+                first_var: vec![pairs.first().map(|&(v, _)| v)],
+            };
+        }
+        // A root is its group's smallest part index, so a stable sort by
+        // root orders groups by smallest part and keeps each ascending.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&i| root_of[i as usize]);
+        let mut first_var_of: Vec<Option<PxNodeId>> = vec![None; n];
+        for &(v, part) in &pairs {
+            first_var_of[root_of[part as usize] as usize].get_or_insert(v);
+        }
+        let mut starts = Vec::new();
+        let mut first_var = Vec::new();
+        for (k, &i) in order.iter().enumerate() {
+            let r = root_of[i as usize];
+            if k == 0 || r != root_of[order[k - 1] as usize] {
+                starts.push(k);
+                first_var.push(first_var_of[r as usize]);
+            }
+        }
+        starts.push(n);
+        IndependentGroups {
+            order,
+            starts,
+            first_var,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.first_var.len()
+    }
+
+    fn members(&self, g: usize) -> &[u32] {
+        &self.order[self.starts[g]..self.starts[g + 1]]
+    }
+}
+
+/// Union-find root of `i`, halving the path on the way.
+fn root(parent: &mut [u32], mut i: u32) -> u32 {
+    while parent[i as usize] != i {
+        let up = parent[parent[i as usize] as usize];
+        parent[i as usize] = up;
+        i = up;
+    }
+    i
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference the decomposition core is checked against: plain
+    /// Shannon expansion on the smallest variable, no decomposition,
+    /// weights read from the arena.
+    fn shannon_reference(doc: &PxDoc, event: &Event) -> f64 {
+        match event {
+            Event::True => 1.0,
+            Event::False => 0.0,
+            _ => {
+                let v = event
+                    .first_variable()
+                    .expect("non-constant event has a variable");
+                let mut total = 0.0;
+                for (idx, &poss) in doc.children(v).iter().enumerate() {
+                    let w = doc.poss_prob(poss).expect("prob child is poss");
+                    if w == 0.0 {
+                        continue;
+                    }
+                    total += w * shannon_reference(doc, &event.assign(v, idx as u32));
+                }
+                total
+            }
+        }
+    }
 
     /// A document with two independent binary choices (30/70 and 40/60).
     fn doc2() -> (PxDoc, PxNodeId, PxNodeId) {
@@ -680,9 +948,14 @@ mod tests {
             Event::or(atom(c1, 0), atom(c2, 0)), // repeat: served from cache
         ];
         for e in &events {
-            let plain = probability(&px, e);
+            let exact = probability(&px, e);
             let memoized = probability_memo(&weights, e, &mut memo);
-            assert_eq!(plain.to_bits(), memoized.to_bits(), "{e:?}");
+            assert_eq!(exact.to_bits(), memoized.to_bits(), "{e:?}");
+            assert_eq!(
+                exact.to_bits(),
+                probability_weights(&weights, e).to_bits(),
+                "{e:?}"
+            );
         }
         assert!(!memo.is_empty());
         assert!(memo.len() >= 2);
@@ -700,5 +973,111 @@ mod tests {
         }
         let ev = Event::or(atom(c, 0), atom(c, 2));
         assert!((probability(&px, &ev) - 0.7).abs() < 1e-12);
+    }
+
+    /// Three independent choices (c1: 30/70, c2: 40/60, c3: 0/50/50 with
+    /// a zero-weight possibility) and a battery of events mixing shared
+    /// and disjoint variables under nesting and negation.
+    fn doc3_events() -> (PxDoc, Vec<Event>) {
+        let (mut px, c1, c2) = doc2();
+        let root_elem = px.children(px.children(px.root())[0])[0];
+        let c3 = px.add_prob(root_elem);
+        for (i, weight) in [0.0, 0.5, 0.5].into_iter().enumerate() {
+            let poss = px.add_poss(c3, weight);
+            px.add_text_elem(poss, "z", format!("{i}"));
+        }
+        let (a, b, c) = (atom(c1, 0), atom(c2, 1), atom(c3, 2));
+        let events = vec![
+            Event::and(a.clone(), Event::or(b.clone(), c.clone())),
+            Event::or(Event::and(a.clone(), b.clone()), c.clone()),
+            Event::or(
+                Event::and(a.clone(), b.clone()),
+                Event::and(Event::not(a.clone()), c.clone()),
+            ),
+            Event::not(Event::or(
+                Event::and(a.clone(), atom(c3, 0)),
+                Event::not(b.clone()),
+            )),
+            Event::all([
+                Event::or(a.clone(), b.clone()),
+                Event::or(b.clone(), c.clone()),
+                Event::not(atom(c3, 1)),
+            ]),
+            Event::any([
+                Event::not(Event::and(a.clone(), c.clone())),
+                Event::and(atom(c1, 1), atom(c2, 0)),
+            ]),
+            Event::or(atom(c3, 0), Event::and(atom(c3, 0), b.clone())),
+        ];
+        (px, events)
+    }
+
+    #[test]
+    fn decomposition_matches_shannon_reference() {
+        let (px, c1, c2) = doc2();
+        let (px3, events3) = doc3_events();
+        let events2 = [
+            Event::or(atom(c1, 0), atom(c2, 0)),
+            Event::and(atom(c1, 1), atom(c2, 1)),
+            Event::not(Event::and(atom(c1, 0), atom(c2, 0))),
+            Event::not(Event::or(atom(c1, 0), atom(c1, 1))),
+        ];
+        for (doc, events) in [(&px, &events2[..]), (&px3, &events3[..])] {
+            for e in events {
+                let (got, want) = (probability(doc, e), shannon_reference(doc, e));
+                assert!((got - want).abs() < 1e-12, "{e:?}: {got} vs {want}");
+            }
+        }
+        // A certainly-false negation stays exactly 0 (the complement is
+        // pushed to the leaves, never subtracted from one).
+        assert_eq!(probability(&px, &events2[3]), 0.0);
+    }
+
+    #[test]
+    fn threshold_core_agrees_bitwise_on_decomposed_events() {
+        let (px, events) = doc3_events();
+        let weights = px.choice_weights();
+        for e in &events {
+            let p = probability(&px, e);
+            for t in [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, p] {
+                match probability_above(&weights, e, t) {
+                    Some(got) => assert_eq!(got.to_bits(), p.to_bits(), "{e:?} at {t}"),
+                    None => assert!(p < t, "{e:?}: aborted at {t} but p = {p}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn independent_groups_follow_part_order() {
+        let (px, c1, c2) = doc2();
+        let root = px.root();
+        let parts = [
+            atom(c2, 0),
+            atom(c1, 0),
+            Event::or(atom(c2, 1), atom(root, 0)),
+            Event::True,
+        ];
+        let groups = IndependentGroups::of(&parts);
+        assert_eq!(groups.len(), 3);
+        assert_eq!(groups.members(0), &[0, 2]);
+        assert_eq!(groups.members(1), &[1]);
+        assert_eq!(groups.members(2), &[3]);
+        assert_eq!(groups.first_var, vec![Some(root), Some(c1), None]);
+        // Parts chained through shared variables form one group.
+        let chained = [
+            atom(c2, 0),
+            Event::and(atom(c1, 1), atom(c2, 1)),
+            atom(c1, 0),
+        ];
+        let one = IndependentGroups::of(&chained);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one.members(0), &[0, 1, 2]);
+        assert_eq!(one.first_var, vec![Some(c1)]);
+        // A hand-built empty conjunction or disjunction has no groups.
+        assert_eq!(IndependentGroups::of(&[]).len(), 0);
+        let w = px.choice_weights();
+        assert_eq!(probability_weights(&w, &Event::And(Vec::new())), 1.0);
+        assert_eq!(probability_weights(&w, &Event::Or(Vec::new())), 0.0);
     }
 }

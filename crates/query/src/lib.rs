@@ -17,7 +17,10 @@
 //!   ([`eval_px`]): every answer value's probability is the exact
 //!   probability of the event "some occurrence of this value is in the
 //!   query result", computed symbolically over the document's choice
-//!   points — no world enumeration;
+//!   points — no world enumeration. Variable-disjoint sub-events of an
+//!   `and`/`or` are independent and multiply (or unite) directly; only
+//!   sub-events that share choice points are Shannon-expanded, and every
+//!   cofactor is decomposed again (see [`event`]);
 //! * a **compile-then-execute pipeline** ([`QueryPlan`] compiled from the
 //!   AST, executed as a lazy [`AnswerStream`] of typed [`Answer`]s):
 //!   logical step normalization, a physical operator chain with hoisted

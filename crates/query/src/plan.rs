@@ -37,7 +37,7 @@ use crate::answer::RankedAnswers;
 use crate::ast::{Axis, CmpOp, Expr, NodeTest, Query, RelPath, Step};
 use crate::event::Event;
 use crate::parse::{parse_query, QueryParseError};
-use crate::px_eval::{ContextMerger, EvalError, Evaluator, StepPredicate};
+use crate::px_eval::{EvalError, Evaluator, KeyedDisjuncts, StepPredicate};
 use crate::stream::AnswerStream;
 use imprecise_pxml::{PxDoc, PxNodeId};
 use std::fmt;
@@ -256,7 +256,7 @@ impl QueryPlan {
     /// Answer *events* are derived eagerly (errors surface here); each
     /// answer's exact probability is computed lazily as the stream is
     /// consumed, so taking only the first `k` answers pays for `k`
-    /// Shannon expansions. The stream owns everything it needs — it does
+    /// probability computations. The stream owns everything it needs — it does
     /// not borrow the document.
     pub fn execute(&self, doc: &PxDoc) -> Result<AnswerStream, EvalError> {
         self.execute_at(doc, self.min_probability)
@@ -288,13 +288,17 @@ impl QueryPlan {
         let mut eval = Evaluator::new(doc);
         let mut current: Vec<(Option<PxNodeId>, Event)> = vec![(None, Event::True)];
         for op in &self.ops {
-            let mut merger = ContextMerger::new();
+            let mut merger = KeyedDisjuncts::new();
             for (ctx, ctx_event) in current {
                 for (node, ev) in eval.apply_step(ctx, &ctx_event, op.axis, &op.test, &op.preds)? {
                     merger.add(node, ev);
                 }
             }
-            current = merger.into_optional_contexts();
+            current = merger
+                .into_events()
+                .into_iter()
+                .map(|(n, e)| (Some(n), e))
+                .collect();
         }
         eval.amalgamate(current)
     }
@@ -392,7 +396,8 @@ impl fmt::Display for QueryPlan {
         }
         write!(
             f,
-            "    {}: Amalgamate -> rank by exact probability (memoized Shannon expansion)",
+            "    {}: Amalgamate -> rank by exact probability (independence decomposition, then \
+             Shannon expansion)",
             self.ops.len() + 1
         )
     }

@@ -4,8 +4,9 @@
 //! tree once, carrying for every intermediate node the [`Event`] under
 //! which that node exists in a world. Predicates evaluate to events too.
 //! The answer probability of a value is the exact probability of the
-//! disjunction of all its occurrence events, computed by Shannon
-//! expansion ([`crate::event::probability`]).
+//! disjunction of all its occurrence events, built once per value
+//! ([`Event::any`]) and computed by independence decomposition, then
+//! Shannon expansion ([`crate::event::probability`]).
 //!
 //! This is the paper's "amalgamated answer" — merged over worlds, ranked
 //! by likelihood — computed without touching worlds.
@@ -57,7 +58,6 @@ impl std::error::Error for EvalError {}
 /// condition a document on user confirmation/rejection of an answer.
 pub fn answer_event(doc: &PxDoc, query: &Query, value: &str) -> Result<Option<Event>, EvalError> {
     let events = answer_events(doc, query)?;
-    // lint:allow(hash-iteration, false positive: this events is the Vec from answer_events in document order, not the evaluator hash map, and find is a keyed lookup)
     Ok(events.into_iter().find(|(v, _)| v == value).map(|(_, e)| e))
 }
 
@@ -119,33 +119,18 @@ impl<'d> Evaluator<'d> {
         &mut self,
         contexts: Vec<(Option<PxNodeId>, Event)>,
     ) -> Result<Vec<(String, Event)>, EvalError> {
-        let mut order: Vec<String> = Vec::new();
-        let mut events: HashMap<String, Event> = HashMap::new();
+        let mut disjuncts = KeyedDisjuncts::new();
         for (node, ctx_event) in contexts {
             // lint:allow(expect-in-lib, holds by construction: after ≥1 steps contexts are real nodes)
             let node = node.expect("after ≥1 steps contexts are real nodes");
             for (value, val_event) in self.value_events(node)?.iter() {
-                let combined = Event::and(ctx_event.clone(), val_event.clone());
-                match events.get_mut(value) {
-                    Some(e) => {
-                        let old = std::mem::replace(e, Event::False);
-                        *e = Event::or(old, combined);
-                    }
-                    None => {
-                        order.push(value.clone());
-                        events.insert(value.clone(), combined);
-                    }
-                }
+                disjuncts.add(
+                    value.clone(),
+                    Event::and(ctx_event.clone(), val_event.clone()),
+                );
             }
         }
-        Ok(order
-            .into_iter()
-            .map(|v| {
-                // lint:allow(expect-in-lib, holds by construction: collected above)
-                let e = events.remove(&v).expect("collected above");
-                (v, e)
-            })
-            .collect())
+        Ok(disjuncts.into_events())
     }
 
     /// Apply one step — axis scan, node test, predicates — from a
@@ -302,7 +287,7 @@ impl<'d> Evaluator<'d> {
     ) -> Result<Vec<(PxNodeId, Event)>, EvalError> {
         let mut current: Vec<(PxNodeId, Event)> = vec![(ctx, Event::True)];
         for step in &path.steps {
-            let mut merger = ContextMerger::new();
+            let mut merger = KeyedDisjuncts::new();
             for (c, ce) in current {
                 for (node, ev) in
                     self.apply_step(Some(c), &ce, step.axis, &step.test, &step.predicates)?
@@ -310,7 +295,7 @@ impl<'d> Evaluator<'d> {
                     merger.add(node, ev);
                 }
             }
-            current = merger.into_contexts();
+            current = merger.into_events();
         }
         Ok(current)
     }
@@ -346,48 +331,61 @@ impl<'d> Evaluator<'d> {
     }
 }
 
-/// Per-step context merger: OR-merges the events of nodes reached
-/// through several derivations, preserving first-encounter (document)
-/// order. The single home of the merge logic the absolute and relative
-/// path walks both rely on — they must never diverge.
-pub(crate) struct ContextMerger {
-    next: Vec<(PxNodeId, Event)>,
-    index: HashMap<PxNodeId, usize>,
+/// Events collected per key, each key's disjuncts OR-ed once at the end
+/// ([`Event::any`]): folding them in one at a time re-flattens the
+/// growing disjunction per disjunct, cubic in a key's occurrences.
+/// Keys come out in first-encounter (document) order; the hash map only
+/// finds a key's slot. The single home of the merge logic amalgamation,
+/// value grouping and both path walks (merging nodes reached through
+/// several derivations) rely on — they must never diverge.
+pub(crate) struct KeyedDisjuncts<K> {
+    /// Each key with its first disjunct, in first-encounter order. Held
+    /// apart from the rest so that a path step reaching no node twice
+    /// (the common case) hands its contexts on without a per-key
+    /// allocation or rebuild.
+    firsts: Vec<(K, Event)>,
+    /// Every later disjunct, with its key's index in `firsts`.
+    later: Vec<(usize, Event)>,
+    slot_of: HashMap<K, usize>,
 }
 
-impl ContextMerger {
+impl<K: Clone + Eq + std::hash::Hash> KeyedDisjuncts<K> {
     pub(crate) fn new() -> Self {
-        ContextMerger {
-            next: Vec::new(),
-            index: HashMap::new(),
+        KeyedDisjuncts {
+            firsts: Vec::new(),
+            later: Vec::new(),
+            slot_of: HashMap::new(),
         }
     }
 
-    /// Record that `node` was reached under `ev` (disjoined with any
-    /// earlier derivation's event).
-    pub(crate) fn add(&mut self, node: PxNodeId, ev: Event) {
-        match self.index.get(&node) {
-            Some(&i) => {
-                let old = std::mem::replace(&mut self.next[i].1, Event::False);
-                self.next[i].1 = Event::or(old, ev);
-            }
+    /// Record `ev` as one more disjunct of `key`'s event.
+    pub(crate) fn add(&mut self, key: K, ev: Event) {
+        match self.slot_of.get(&key) {
+            Some(&i) => self.later.push((i, ev)),
             None => {
-                self.index.insert(node, self.next.len());
-                self.next.push((node, ev));
+                self.slot_of.insert(key.clone(), self.firsts.len());
+                self.firsts.push((key, ev));
             }
         }
     }
 
-    /// The merged contexts, in first-encounter order.
-    pub(crate) fn into_contexts(self) -> Vec<(PxNodeId, Event)> {
-        self.next
-    }
-
-    /// As [`into_contexts`](Self::into_contexts), in the
-    /// `Option`-wrapped shape the absolute-path walk threads through
-    /// (only the pre-first-step virtual document context is `None`).
-    pub(crate) fn into_optional_contexts(self) -> Vec<(Option<PxNodeId>, Event)> {
-        self.next.into_iter().map(|(n, e)| (Some(n), e)).collect()
+    /// Each key with the disjunction of its events, in first-encounter
+    /// order.
+    pub(crate) fn into_events(self) -> Vec<(K, Event)> {
+        // Every key seen once: nothing to merge.
+        if self.later.is_empty() {
+            return self.firsts;
+        }
+        let mut rest: Vec<Vec<Event>> = Vec::new();
+        rest.resize_with(self.firsts.len(), Vec::new);
+        for (i, ev) in self.later {
+            rest[i].push(ev);
+        }
+        self.firsts
+            .into_iter()
+            .zip(rest)
+            .map(|((k, first), rest)| (k, Event::any(std::iter::once(first).chain(rest))))
+            .collect()
     }
 }
 
@@ -488,29 +486,11 @@ fn collect_descendant_elems(
 /// Values are grouped (equal values' events are disjoined), so the result
 /// has one entry per distinct possible value.
 pub fn value_events(doc: &PxDoc, node: PxNodeId) -> Result<Vec<(String, Event)>, EvalError> {
-    let raw = node_value_events(doc, node)?;
-    let mut order: Vec<String> = Vec::new();
-    let mut merged: HashMap<String, Event> = HashMap::new();
-    for (v, e) in raw {
-        match merged.get_mut(&v) {
-            Some(existing) => {
-                let old = std::mem::replace(existing, Event::False);
-                *existing = Event::or(old, e);
-            }
-            None => {
-                order.push(v.clone());
-                merged.insert(v, e);
-            }
-        }
+    let mut disjuncts = KeyedDisjuncts::new();
+    for (v, e) in node_value_events(doc, node)? {
+        disjuncts.add(v, e);
     }
-    Ok(order
-        .into_iter()
-        .map(|v| {
-            // lint:allow(expect-in-lib, holds by construction: inserted above)
-            let e = merged.remove(&v).expect("inserted above");
-            (v, e)
-        })
-        .collect())
+    Ok(disjuncts.into_events())
 }
 
 fn node_value_events(doc: &PxDoc, node: PxNodeId) -> Result<Vec<(String, Event)>, EvalError> {
