@@ -15,14 +15,20 @@
 //! Append is the hot path (every integrate/refine/feedback publish
 //! pays it); recovery runs once per process start, so its budget is
 //! "human-noticeable", not "per-operation".
+//!
+//! Under `cargo bench` the harness then runs the durable-vs-in-memory
+//! gate: 8 staged refine installments on a store-backed engine must
+//! stay within [`DURABLE_GATE_CEILING`]× of the same installments on a
+//! store-less engine, failing the run if durable refinement regresses
+//! toward re-appending the whole document per installment.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use imprecise::datagen::scenarios;
 use imprecise::integrate::{integrate_xml, IntegrationOptions, RefineState};
 use imprecise::pxml::PxDoc;
 use imprecise::store::{Durability, Store};
 use imprecise::Engine;
-use imprecise_bench::confusion_oracle;
+use imprecise_bench::{confusion_oracle, measure_durable_vs_in_memory, DURABLE_GATE_CEILING};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -184,5 +190,35 @@ fn bench_engine_reopen(c: &mut Criterion) {
     group.finish();
 }
 
+/// Regression gate for O(delta) durable refinement (see
+/// [`DURABLE_GATE_CEILING`]).
+fn durable_vs_in_memory_gate() {
+    if std::env::var("IMPRECISE_BENCH_GATE").is_ok_and(|v| v == "off") {
+        println!("gate: skipped (IMPRECISE_BENCH_GATE=off)");
+        return;
+    }
+    let m = measure_durable_vs_in_memory();
+    let ratio = m.ratio();
+    println!(
+        "gate: durable-8x64 {:?} / in-memory-8x64 {:?} = {ratio:.2}x (ceiling {DURABLE_GATE_CEILING}x)",
+        m.measured, m.base
+    );
+    assert!(
+        m.holds(DURABLE_GATE_CEILING),
+        "durable staged refinement regressed to {ratio:.2}x the in-memory cost \
+         (ceiling {DURABLE_GATE_CEILING}x): each installment should append a delta, \
+         not the whole document"
+    );
+}
+
 criterion_group!(benches, bench_append, bench_engine_reopen);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    // Gate only under `cargo bench` (the shim's test mode runs each
+    // bench body once for compile/behaviour coverage; timing there is
+    // meaningless).
+    if std::env::args().any(|a| a == "--bench") {
+        durable_vs_in_memory_gate();
+    }
+}

@@ -367,30 +367,65 @@ pub fn format_table1(rows: &[IntegrationMeasurement]) -> String {
 /// arena-splice grafting the staged path measures ~1.05–1.10×, so the
 /// ceiling both enforces the live-enumerator budget and still catches
 /// a return to detach-and-re-emit behaviour. Measurement noise is
-/// handled by the paired min-of-ratios protocol in
-/// [`measure_staged_vs_one_shot`], not by slack in the ceiling.
+/// handled by the paired min-of-ratios protocol of [`cleanest_pair`],
+/// not by slack in the ceiling.
 pub const STAGED_GATE_CEILING: f64 = 1.15;
 
-/// Paired wall-clock comparison of staged refinement against a
-/// one-shot budget (see [`measure_staged_vs_one_shot`]).
+/// Paired wall-clock comparison of a gated path against its baseline,
+/// from the cleanest of several interleaved pairs (see
+/// [`cleanest_pair`]).
 #[derive(Debug, Clone, Copy)]
-pub struct StagedGateMeasurement {
-    /// One-shot (full budget at once) time of the cleanest pair.
-    pub one_shot: std::time::Duration,
-    /// Staged (same budget in installments) time of the same pair.
-    pub staged: std::time::Duration,
+pub struct GateMeasurement {
+    /// The baseline's time in the cleanest pair.
+    pub base: std::time::Duration,
+    /// The gated path's time in the same pair.
+    pub measured: std::time::Duration,
 }
 
-impl StagedGateMeasurement {
-    /// Staged cost as a multiple of the one-shot cost.
+impl GateMeasurement {
+    /// The gated path's cost as a multiple of the baseline's.
     pub fn ratio(&self) -> f64 {
-        self.staged.as_secs_f64() / self.one_shot.as_secs_f64().max(1e-9)
+        self.measured.as_secs_f64() / self.base.as_secs_f64().max(1e-9)
     }
 
-    /// Whether the ratio is within [`STAGED_GATE_CEILING`].
-    pub fn holds(&self) -> bool {
-        self.ratio() <= STAGED_GATE_CEILING
+    /// Whether the ratio is within `ceiling`.
+    pub fn holds(&self, ceiling: f64) -> bool {
+        self.ratio() <= ceiling
     }
+}
+
+/// Time `base` and `measured` as `pairs` interleaved pairs and keep the
+/// pair with the smallest measured/base ratio.
+///
+/// A load spike on a busy (or single-core CI) machine inflates both
+/// halves of the pair it lands in; taking the cleanest pair rejects
+/// that noise, where a best-of-N on each half independently would
+/// happily divide a noisy numerator by a quiet denominator (or vice
+/// versa) and report a phantom regression. One quiet window is enough
+/// for a faithful ratio.
+pub fn cleanest_pair(
+    pairs: usize,
+    mut base: impl FnMut() -> std::time::Duration,
+    mut measured: impl FnMut() -> std::time::Duration,
+) -> GateMeasurement {
+    let mut best: Option<GateMeasurement> = None;
+    for _ in 0..pairs {
+        let pair = GateMeasurement {
+            base: base(),
+            measured: measured(),
+        };
+        if best.is_none_or(|b| pair.ratio() < b.ratio()) {
+            best = Some(pair);
+        }
+    }
+    best.expect("at least one measurement pair")
+}
+
+/// Wall-clock time of one call of `f`.
+fn timed<T>(f: impl FnOnce() -> T) -> std::time::Duration {
+    let start = std::time::Instant::now();
+    std::hint::black_box(f());
+    start.elapsed()
 }
 
 /// Integrate a scenario under `opts`, then apply up to `steps`
@@ -430,49 +465,107 @@ pub fn integrate_then_refine(
     outcome
 }
 
-/// Measure the staged-vs-one-shot gate workload: one-shot budget 512 vs
-/// staged 8 × 64 on confusable(8). Shared by the `integrate_refine`
-/// bench gate and the `gate` integration test so CI and local runs
-/// assert the same numbers.
-///
-/// The two halves are timed as *interleaved pairs* and the pair with
-/// the smallest staged/one-shot ratio wins. A load spike on a busy
-/// (or single-core CI) machine inflates both halves of the pair it
-/// lands in; taking the cleanest pair rejects that noise, where a
-/// best-of-N on each half independently would happily divide a noisy
-/// numerator by a quiet denominator (or vice versa) and report a
-/// phantom regression. One quiet window out of five is enough for a
-/// faithful ratio.
-pub fn measure_staged_vs_one_shot() -> StagedGateMeasurement {
+/// Measure the staged-vs-one-shot gate workload: one-shot budget 512
+/// (the base) vs staged 8 × 64 (measured) on confusable(8), cleanest of
+/// five interleaved pairs. Shared by the `integrate_refine` bench gate
+/// and the `gate` integration test so CI and local runs assert the same
+/// numbers; checked against [`STAGED_GATE_CEILING`].
+pub fn measure_staged_vs_one_shot() -> GateMeasurement {
     let oracle = confusion_oracle();
     let c8 = scenarios::confusable(8);
     let options = |budget: usize| IntegrationOptions {
         max_matchings_per_component: budget,
         ..IntegrationOptions::default()
     };
-    let mut best: Option<StagedGateMeasurement> = None;
-    for _ in 0..5 {
-        let start = std::time::Instant::now();
-        std::hint::black_box(
-            integrate_xml(
-                &c8.mpeg7,
-                &c8.imdb,
-                &oracle,
-                Some(&c8.schema),
-                &options(512),
-            )
-            .expect("integrates"),
-        );
-        let one_shot = start.elapsed();
-        let start = std::time::Instant::now();
-        std::hint::black_box(integrate_then_refine(&c8, &oracle, &options(64), 64, 7));
-        let staged = start.elapsed();
-        let pair = StagedGateMeasurement { one_shot, staged };
-        if best.is_none_or(|b| pair.ratio() < b.ratio()) {
-            best = Some(pair);
-        }
+    cleanest_pair(
+        5,
+        || {
+            timed(|| {
+                integrate_xml(
+                    &c8.mpeg7,
+                    &c8.imdb,
+                    &oracle,
+                    Some(&c8.schema),
+                    &options(512),
+                )
+                .expect("integrates")
+            })
+        },
+        || timed(|| integrate_then_refine(&c8, &oracle, &options(64), 64, 7)),
+    )
+}
+
+/// Regression ceiling for the durable-vs-in-memory gate: 8 staged
+/// refine installments on an engine with a durable store
+/// ([`Durability::Always`](imprecise::Durability::Always)) must stay
+/// within this factor of the same installments on a store-less engine,
+/// on the 4×7 confusable grid at budget 64. With one delta record per
+/// installment the durable path measures 1.05–1.16× (the remainder is
+/// the encoding, write and fsync of ~4 MB per step); re-appending the
+/// whole document and frontier on every installment measured
+/// 2.18–2.35× (2-vCPU container, three runs each), so the ceiling
+/// fails a return to O(document) appends. Noise is handled by the
+/// paired min-of-ratios protocol of [`cleanest_pair`].
+pub const DURABLE_GATE_CEILING: f64 = 1.5;
+
+/// Time `installments` refine installments of `extra` matchings on
+/// `engine`, after loading and integrating `scenario` (not timed).
+fn timed_installments(
+    engine: &Engine,
+    scenario: &MovieScenario,
+    installments: usize,
+    extra: usize,
+) -> std::time::Duration {
+    use imprecise::integrate::RefineOptions;
+    let a = engine
+        .load_xml("a", &imprecise::xml::to_string(&scenario.mpeg7))
+        .expect("loads");
+    let b = engine
+        .load_xml("b", &imprecise::xml::to_string(&scenario.imdb))
+        .expect("loads");
+    let (m, _) = engine.integrate(&a, &b, "m").expect("integrates");
+    let refine = RefineOptions {
+        extra_matchings: extra,
+        ..RefineOptions::default()
+    };
+    let start = std::time::Instant::now();
+    for _ in 0..installments {
+        std::hint::black_box(engine.refine(&m, &refine).expect("refines"));
     }
-    best.expect("at least one measurement pair")
+    start.elapsed()
+}
+
+/// Measure the durable-vs-in-memory gate workload: 8 installments of 64
+/// matchings on `confusable_grid(4, 7)` integrated at budget 64, on a
+/// store-less engine and on one with a fresh durable store under
+/// [`Durability::Always`](imprecise::Durability::Always) in the system
+/// temp directory: the store-less engine is the base, the durable one is
+/// measured, cleanest of three interleaved pairs; checked against
+/// [`DURABLE_GATE_CEILING`].
+pub fn measure_durable_vs_in_memory() -> GateMeasurement {
+    let grid = scenarios::confusable_grid(4, 7);
+    let builder = || {
+        Engine::builder()
+            .oracle(confusion_oracle())
+            .schema(grid.schema.clone())
+            .options(IntegrationOptions {
+                max_matchings_per_component: 64,
+                ..IntegrationOptions::default()
+            })
+    };
+    let path = std::env::temp_dir().join(format!("durable-gate-{}.seg", std::process::id()));
+    cleanest_pair(
+        3,
+        || timed_installments(&builder().build(), &grid, 8, 64),
+        || {
+            let _ = std::fs::remove_file(&path);
+            let engine = builder().with_store(&path).open().expect("store opens");
+            let durable = timed_installments(&engine, &grid, 8, 64);
+            drop(engine);
+            let _ = std::fs::remove_file(&path);
+            durable
+        },
+    )
 }
 
 /// The default movie oracle (title + year + genre rules), whose blocking

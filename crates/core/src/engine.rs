@@ -655,7 +655,9 @@ impl EngineBuilder {
     /// visible in the in-memory catalog, and opening the same path
     /// later recovers the catalog to the last published versions,
     /// including open refinement state that resumes bit-for-bit in the
-    /// new process.
+    /// new process. A refine installment is appended as a delta record
+    /// against the previous version, so its cost on disk follows what
+    /// the step changed, not the size of the document.
     ///
     /// Opening a store can fail, so this returns a
     /// [`DurableEngineBuilder`] whose terminal operation is the

@@ -18,8 +18,13 @@
 
 use crate::matching::{Candidate, Component};
 use crate::pipeline::DocFrontier;
-use crate::{BudgetPlan, IntegrationOptions, IntegrationStats, RefineState, TruncatedComponent};
-use imprecise_pxml::codec::{put_f64, put_len, put_str, put_u8, CodecError, Reader};
+use crate::{
+    BudgetPlan, FrontierOrigin, IntegrationOptions, IntegrationStats, Lineage, RefineState,
+    TruncatedComponent,
+};
+use imprecise_pxml::codec::{
+    apply_doc_delta, encode_doc_delta, put_f64, put_len, put_str, put_u8, CodecError, Reader,
+};
 use imprecise_pxml::PxDoc;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,7 +33,7 @@ fn put_bool(out: &mut Vec<u8>, v: bool) {
     put_u8(out, u8::from(v));
 }
 
-fn take_bool(r: &mut Reader<'_>, expected: &'static str) -> Result<bool, CodecError> {
+pub(crate) fn take_bool(r: &mut Reader<'_>, expected: &'static str) -> Result<bool, CodecError> {
     match r.take_u8(expected)? {
         0 => Ok(false),
         1 => Ok(true),
@@ -313,6 +318,105 @@ pub fn decode_refine_state(
         sources,
         options,
         emitted_nodes,
+        lineage: Lineage::fresh(),
+    })
+}
+
+/// Serialise the refine step that produced `state` and `doc` as a delta
+/// against the state and document the step started from (appends to
+/// `out`); returns `false`, writing nothing, when `state` carries no
+/// step (see [`RefineState::step_base`]).
+///
+/// The delta holds the arena slots the step appended or rewrote, the
+/// new stats, and per frontier either a reference to the base's
+/// frontier (untouched, or advanced — then with its search-state delta:
+/// popped seqs, pushed states still open, new matchings, scalars) or,
+/// for a frontier the step created, its full encoding. Its size follows
+/// what the step changed, not the size of the document or the open
+/// search; [`apply_refine_step`] replays it.
+pub fn encode_refine_step(doc: &PxDoc, state: &RefineState, out: &mut Vec<u8>) -> bool {
+    let Some(step) = &state.lineage.step else {
+        return false;
+    };
+    debug_assert_eq!(step.origins.len(), state.frontiers.len());
+    encode_doc_delta(doc, step.base_arena_len, &step.rewritten, out);
+    encode_stats(&state.stats, out);
+    put_len(out, state.emitted_nodes);
+    put_len(out, step.base_frontiers);
+    put_len(out, state.frontiers.len());
+    for (f, origin) in state.frontiers.iter().zip(&step.origins) {
+        match *origin {
+            FrontierOrigin::Kept(i) => {
+                put_u8(out, 0);
+                put_len(out, i);
+            }
+            FrontierOrigin::Advanced(i) => {
+                put_u8(out, 1);
+                put_len(out, i);
+                f.encode_step(out);
+            }
+            FrontierOrigin::New => {
+                put_u8(out, 2);
+                f.encode(out);
+            }
+        }
+    }
+    true
+}
+
+/// Replay [`encode_refine_step`] bytes on the document and state the
+/// step started from: `doc` is updated in place and the stepped state
+/// returned, so that both encode to exactly the bytes of the originals
+/// ([`imprecise_pxml::codec::encode_doc`], [`encode_refine_state`]).
+///
+/// Base frontiers are referenced by strictly increasing index and each
+/// at most once; new frontiers are validated like
+/// [`decode_refine_state`] validates them. Any mismatch with the base —
+/// arena length, frontier count, open search states — is a typed
+/// [`CodecError`]; `doc` must then be discarded.
+pub fn apply_refine_step(
+    r: &mut Reader<'_>,
+    doc: &mut PxDoc,
+    state: RefineState,
+) -> Result<RefineState, CodecError> {
+    apply_doc_delta(doc, r)?;
+    let stats = decode_stats(r)?;
+    let emitted_nodes = r.take_len("emitted node count")?;
+    if r.take_len("base frontier count")? != state.frontiers.len() {
+        return Err(r.err("base frontier count matching the state"));
+    }
+    let n_frontiers = r.take_len("frontier count")?;
+    let (a_len, b_len) = (state.sources.0.arena_len(), state.sources.1.arena_len());
+    let mut base: Vec<Option<DocFrontier>> = state.frontiers.into_iter().map(Some).collect();
+    let mut next_base = 0usize;
+    let mut frontiers = Vec::with_capacity(n_frontiers.min(1 << 20));
+    for _ in 0..n_frontiers {
+        let tag = r.take_u8("frontier origin tag")?;
+        match tag {
+            0 | 1 => {
+                let i = r.take_len("base frontier index")?;
+                let mut f = base
+                    .get_mut(i)
+                    .filter(|_| i >= next_base)
+                    .and_then(Option::take)
+                    .ok_or_else(|| r.err("base frontier index, increasing and in range"))?;
+                next_base = i + 1;
+                if tag == 1 {
+                    f.apply_step(r)?;
+                }
+                frontiers.push(f);
+            }
+            2 => frontiers.push(DocFrontier::decode(r, doc.arena_len(), a_len, b_len)?),
+            _ => return Err(r.err("frontier origin tag")),
+        }
+    }
+    Ok(RefineState {
+        stats,
+        frontiers,
+        sources: state.sources,
+        options: state.options,
+        emitted_nodes,
+        lineage: Lineage::fresh(),
     })
 }
 
@@ -408,6 +512,88 @@ mod tests {
                 .expect("refines");
         }
         assert_eq!(outcome.doc.fingerprint(), exact.doc.fingerprint());
+    }
+
+    fn full_bytes(doc: &PxDoc, state: Option<&RefineState>) -> (Vec<u8>, Vec<u8>) {
+        let (mut d, mut s) = (Vec::new(), Vec::new());
+        imprecise_pxml::codec::encode_doc(doc, &mut d);
+        if let Some(state) = state {
+            encode_refine_state(state, &mut s);
+        }
+        (d, s)
+    }
+
+    #[test]
+    fn refine_steps_replay_to_the_full_encoding() {
+        let srcs = sources();
+        let oracle = Oracle::uninformed();
+        let mut budgeted = budgeted_outcome(&srcs);
+        let mut state = budgeted.detach_refine_state().expect("state");
+        let mut doc = budgeted.doc;
+        let mut bytes = Vec::new();
+        assert!(
+            !encode_refine_step(&doc, &state, &mut bytes),
+            "an integrated state carries no step"
+        );
+        assert!(bytes.is_empty());
+        let one = RefineOptions {
+            extra_matchings: 1,
+            ..RefineOptions::default()
+        };
+        let mut steps = 0;
+        loop {
+            let mut outcome = IntegrationOutcome::with_refine_state(doc.clone(), state.clone());
+            outcome.refine(&oracle, None, &one).expect("refines");
+            let Some(next) = outcome.detach_refine_state() else {
+                break;
+            };
+            assert_eq!(next.step_base().map(|b| b.lineage), Some(state.lineage()));
+            assert_eq!(next.step_base().map(|b| b.arena_len), Some(doc.arena_len()));
+            let mut delta = Vec::new();
+            assert!(encode_refine_step(&outcome.doc, &next, &mut delta));
+            let mut replayed_doc = doc.clone();
+            let mut r = Reader::new(&delta);
+            let replayed =
+                apply_refine_step(&mut r, &mut replayed_doc, state.clone()).expect("replays");
+            r.finish().expect("consumed exactly");
+            assert_eq!(
+                full_bytes(&replayed_doc, Some(&replayed)),
+                full_bytes(&outcome.doc, Some(&next))
+            );
+            // Against the stepped document the recorded base is wrong.
+            let mut wrong = outcome.doc.clone();
+            assert!(apply_refine_step(&mut Reader::new(&delta), &mut wrong, next.clone()).is_err());
+            doc = outcome.doc;
+            state = next;
+            steps += 1;
+        }
+        assert!(steps >= 2, "test premise: several open steps, got {steps}");
+    }
+
+    #[test]
+    fn compaction_drops_the_step() {
+        let srcs = sources();
+        let mut outcome = budgeted_outcome(&srcs);
+        outcome
+            .refine(
+                &Oracle::uninformed(),
+                None,
+                &RefineOptions {
+                    extra_matchings: 1,
+                    ..RefineOptions::default()
+                },
+            )
+            .expect("refines");
+        let mut compacted = outcome.clone();
+        compacted.compact_arena();
+        let stepped = outcome.detach_refine_state().expect("state");
+        let state = compacted.detach_refine_state().expect("state");
+        assert!(stepped.step_base().is_some());
+        assert_eq!(state.step_base(), None);
+        // The compacted state is a new state, not a clone of the one a
+        // store may hold under the old identity.
+        assert_ne!(state.lineage(), stepped.lineage());
+        assert!(!encode_refine_step(&compacted.doc, &state, &mut Vec::new()));
     }
 
     #[test]

@@ -113,7 +113,7 @@ use imprecise_pxml::{from_xml, PxDoc, PxInvariantError, PxNodeId};
 use imprecise_xmlkit::{Schema, XmlDoc};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 /// How the matching budget is applied across the components of a tag
@@ -593,6 +593,9 @@ pub struct IntegrationOutcome {
     /// Cumulative arena nodes grafted by [`refine`](Self::refine) calls
     /// on this outcome (across catalog round-trips via [`RefineState`]).
     emitted_nodes: usize,
+    /// Identity of the refinable state, and what the last refine step
+    /// changed (travels with the state through [`RefineState`]).
+    lineage: Lineage,
 }
 
 impl IntegrationOutcome {
@@ -671,6 +674,8 @@ impl IntegrationOutcome {
             .clone()
             // lint:allow(expect-in-lib, holds by construction: open frontiers retain their sources)
             .expect("open frontiers retain their sources");
+        let base_len = self.doc.arena_len();
+        let base_frontiers = self.frontiers.len();
         // Pick the top components by discarded mass (ties: emission
         // order — deterministic).
         let mut order: Vec<usize> = (0..self.frontiers.len()).collect();
@@ -743,10 +748,16 @@ impl IntegrationOutcome {
         let mut emitted_nodes = 0usize;
         let mut replaced_subtrees = false;
         let mut search = SearchStats::default();
+        // Pre-existing nodes the step rewrites: each anchor and its
+        // possibility children (re-weighted, or detached by a synthetic
+        // replacement).
+        let mut rewritten: Vec<PxNodeId> = Vec::new();
         for p in prepared {
             search.absorb(&p.all.search);
             let df = &self.frontiers[p.slot];
             let prob = df.prob();
+            rewritten.push(prob);
+            rewritten.extend_from_slice(self.doc.children(prob));
             let before = self.doc.arena_len();
             // Move the scratch arena under the anchor wholesale (one
             // linear pass, slots and payloads transferred rather than
@@ -821,10 +832,17 @@ impl IntegrationOutcome {
         }
         // Components still open keep their *advanced enumerator*
         // resident for the next step. Drained components drop out.
+        // `origins` tracks where each frontier came from, for the step's
+        // delta.
+        let mut origins: Vec<FrontierOrigin> =
+            (0..base_frontiers).map(FrontierOrigin::Kept).collect();
         let mut drained: Vec<usize> = Vec::new();
         for (i, left) in updates {
             match left {
-                Some(en) => self.frontiers[i].install(en),
+                Some(en) => {
+                    self.frontiers[i].install(en);
+                    origins[i] = FrontierOrigin::Advanced(i);
+                }
                 None => drained.push(i),
             }
         }
@@ -834,7 +852,9 @@ impl IntegrationOutcome {
         drained.sort_unstable_by(|a, b| b.cmp(a));
         for i in drained {
             self.frontiers.remove(i);
+            origins.remove(i);
         }
+        origins.extend(nested_all.iter().map(|_| FrontierOrigin::New));
         self.frontiers.extend(nested_all);
         // A synthetic replacement detached its old subtrees; frontiers
         // recorded inside them are gone with their nodes. The normal
@@ -842,8 +862,19 @@ impl IntegrationOutcome {
         // become unreachable and the arena-wide scan is skipped.
         if replaced_subtrees {
             let reachable: HashSet<PxNodeId> = self.doc.descendants(self.doc.root()).collect();
-            self.frontiers.retain(|f| reachable.contains(&f.prob()));
+            (self.frontiers, origins) = std::mem::take(&mut self.frontiers)
+                .into_iter()
+                .zip(origins)
+                .filter(|(f, _)| reachable.contains(&f.prob()))
+                .unzip();
         }
+        self.lineage = Lineage::stepped(StepDelta {
+            base: self.lineage.id,
+            base_arena_len: base_len,
+            rewritten,
+            base_frontiers,
+            origins,
+        });
         self.sync_truncation_stats();
         if self.frontiers.is_empty() {
             // The document is exact now: run the deferred finishing pass
@@ -879,9 +910,18 @@ impl IntegrationOutcome {
     /// renumbering the surviving nodes and re-anchoring the open
     /// frontiers. The document's content — fingerprint, worlds, query
     /// answers — is unchanged; only node ids move. Returns the remap so
-    /// callers holding their own [`PxNodeId`]s can follow.
+    /// callers holding their own [`PxNodeId`]s can follow. The refine
+    /// state detached afterwards is a new state: it has a fresh
+    /// [`RefineState::lineage`] and no step delta
+    /// ([`RefineState::step_base`] is `None`), so a durable store
+    /// writes the compacted version whole and never extends it from the
+    /// uncompacted version it may hold.
     pub fn compact_arena(&mut self) -> imprecise_pxml::CompactMap {
         let map = self.doc.compact();
+        // Compaction renumbers the arena: the document is no longer the
+        // one stored under the old identity, and the last step's delta
+        // no longer describes it.
+        self.lineage = Lineage::fresh();
         if !map.is_identity() {
             for f in &mut self.frontiers {
                 let prob = map
@@ -918,6 +958,7 @@ impl IntegrationOutcome {
                 .expect("open frontiers retain their sources"),
             options: self.options,
             emitted_nodes: self.emitted_nodes,
+            lineage: std::mem::replace(&mut self.lineage, Lineage::fresh()),
         })
     }
 
@@ -932,6 +973,7 @@ impl IntegrationOutcome {
             sources: Some(state.sources),
             options: state.options,
             emitted_nodes: state.emitted_nodes,
+            lineage: state.lineage,
         }
     }
 
@@ -998,6 +1040,7 @@ fn prepare_one(
 ) -> Result<PreparedComponent, IntegrateError> {
     let df = &frontiers[slot];
     let mut en = df.enumerator();
+    en.mark_step();
     let max_matchings = if options.extra_matchings == usize::MAX {
         usize::MAX
     } else {
@@ -1124,6 +1167,82 @@ pub struct RefineState {
     sources: (Arc<PxDoc>, Arc<PxDoc>),
     options: IntegrationOptions,
     emitted_nodes: usize,
+    lineage: Lineage,
+}
+
+/// Where a refinable state sits in its refinement history: an identity
+/// unique within the process, plus — when the state is exactly one
+/// refine step past another — what that step changed.
+///
+/// Clones share the identity (a clone *is* the same state); every
+/// refine step mints a new one and records the old one as the step's
+/// base; compaction mints a new one with no step, since it renumbers
+/// the arena. The identity never reaches the disk, so a decoded state
+/// starts a fresh lineage.
+#[derive(Debug, Clone)]
+struct Lineage {
+    id: u64,
+    step: Option<Arc<StepDelta>>,
+}
+
+impl Lineage {
+    /// A new identity with no step on record.
+    fn fresh() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        Lineage {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            step: None,
+        }
+    }
+
+    /// A new identity one step past `step.base`.
+    fn stepped(step: StepDelta) -> Self {
+        Lineage {
+            step: Some(Arc::new(step)),
+            ..Lineage::fresh()
+        }
+    }
+}
+
+/// The state and document a refine step started from, as
+/// [`RefineState::step_base`] reports them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepBase {
+    /// [`RefineState::lineage`] of the state the step started from.
+    pub lineage: u64,
+    /// Arena length of the document the step started from.
+    pub arena_len: usize,
+}
+
+/// What one refine step changed, relative to the state and document it
+/// started from: enough to write the step as a delta
+/// ([`codec::encode_refine_step`]) instead of the whole document and
+/// state.
+#[derive(Debug)]
+struct StepDelta {
+    /// Lineage identity of the state the step started from.
+    base: u64,
+    /// Arena length of the document the step started from; every slot
+    /// from here on was appended by the step.
+    base_arena_len: usize,
+    /// Pre-existing arena slots the step rewrote: each refined anchor,
+    /// then its children as they were before the step.
+    rewritten: Vec<PxNodeId>,
+    /// Frontier count of the state the step started from.
+    base_frontiers: usize,
+    /// Per frontier after the step, where it came from.
+    origins: Vec<FrontierOrigin>,
+}
+
+/// Where a frontier after a refine step came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrontierOrigin {
+    /// The base's frontier at this index, untouched by the step.
+    Kept(usize),
+    /// The base's frontier at this index, advanced by the step.
+    Advanced(usize),
+    /// Truncated inside subtrees the step grafted.
+    New,
 }
 
 impl RefineState {
@@ -1153,6 +1272,27 @@ impl RefineState {
     /// them back to [`codec::decode_refine_state`] on recovery.
     pub fn sources(&self) -> (&Arc<PxDoc>, &Arc<PxDoc>) {
         (&self.sources.0, &self.sources.1)
+    }
+
+    /// This state's identity: unique within the process, shared by its
+    /// clones, renewed by every refine step. Never persisted — a state
+    /// decoded from bytes gets a fresh one.
+    pub fn lineage(&self) -> u64 {
+        self.lineage.id
+    }
+
+    /// The state this one is exactly one refine step past, when that
+    /// step's delta is on record: the state came out of
+    /// [`IntegrationOutcome::refine`] on that state and its document,
+    /// with no compaction since. A durable store that holds that state
+    /// (and a document of that arena length) as a name's latest version
+    /// can then append [`codec::encode_refine_step`] instead of the
+    /// whole document and state.
+    pub fn step_base(&self) -> Option<StepBase> {
+        self.lineage.step.as_ref().map(|step| StepBase {
+            lineage: step.base,
+            arena_len: step.base_arena_len,
+        })
     }
 }
 
@@ -1262,6 +1402,7 @@ fn integrate_inner(
         sources,
         options: *options,
         emitted_nodes: 0,
+        lineage: Lineage::fresh(),
     };
     #[cfg(feature = "strict-invariants")]
     verify::shadow_check(&outcome, "integrate");
@@ -1333,6 +1474,7 @@ pub fn integrate_many_px(
         sources: None,
         options: *options,
         emitted_nodes: 0,
+        lineage: Lineage::fresh(),
     });
     Ok(ManyIntegration { outcome, steps })
 }

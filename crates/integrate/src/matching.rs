@@ -33,6 +33,7 @@ use imprecise_pxml::codec::{CodecError, Reader};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{mpsc, Arc, OnceLock};
 
 /// An undecided candidate pair with its match probability.
@@ -672,6 +673,85 @@ fn decode_matching(r: &mut Reader<'_>) -> Result<Matching, CodecError> {
     Ok(Matching { pairs, weight })
 }
 
+/// Serialise a set of open search states. Appends to `out`.
+///
+/// The states are written in descending pop order, a form independent
+/// of the heap's physical layout, so the encoding is a pure function of
+/// the set. `taken` prefix vectors are heavily shared between open
+/// states (children extend their parent's `Arc`); they are written once
+/// into a content-deduplicated pool, in first-reference order, and each
+/// state stores a pool index — the decoder re-shares them.
+fn encode_states<'s>(states: impl Iterator<Item = &'s SearchState>, out: &mut Vec<u8>) {
+    use imprecise_pxml::codec::{put_f64, put_len, put_u64};
+    let mut open: Vec<&SearchState> = states.collect();
+    open.sort_by(|x, y| y.cmp(x));
+    let mut pool: Vec<&[(usize, usize)]> = Vec::new();
+    let mut by_content: HashMap<&[(usize, usize)], usize, BuildHasherDefault<WordHasher>> =
+        HashMap::default();
+    let mut state_prefix: Vec<usize> = Vec::with_capacity(open.len());
+    for state in &open {
+        let idx = *by_content.entry(&state.taken[..]).or_insert_with(|| {
+            pool.push(&state.taken);
+            pool.len() - 1
+        });
+        state_prefix.push(idx);
+    }
+    put_len(out, pool.len());
+    for prefix in &pool {
+        put_len(out, prefix.len());
+        for &(a, b) in prefix.iter() {
+            put_len(out, a);
+            put_len(out, b);
+        }
+    }
+    put_len(out, open.len());
+    for (state, &prefix) in open.iter().zip(&state_prefix) {
+        put_len(out, state.idx);
+        put_f64(out, state.weight);
+        put_f64(out, state.bound);
+        put_u64(out, state.seq);
+        put_len(out, prefix);
+    }
+}
+
+/// Decode states written by [`encode_states`], re-sharing their pooled
+/// `taken` prefixes.
+fn decode_states(r: &mut Reader<'_>) -> Result<Vec<SearchState>, CodecError> {
+    let n_pool = r.take_len("taken-prefix pool size")?;
+    let mut pool: Vec<Arc<[(usize, usize)]>> = Vec::with_capacity(n_pool.min(1 << 20));
+    for _ in 0..n_pool {
+        let n = r.take_len("taken-prefix length")?;
+        let mut prefix = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            let a = r.take_len("taken pair a")?;
+            let b = r.take_len("taken pair b")?;
+            prefix.push((a, b));
+        }
+        pool.push(prefix.into());
+    }
+    let n_open = r.take_len("open state count")?;
+    let mut open = Vec::with_capacity(n_open.min(1 << 20));
+    for _ in 0..n_open {
+        let idx = r.take_len("open state idx")?;
+        let weight = r.take_f64("open state weight")?;
+        let bound = r.take_f64("open state bound")?;
+        let seq = r.take_u64("open state seq")?;
+        let prefix = r.take_len("open state prefix index")?;
+        let taken = pool
+            .get(prefix)
+            .cloned()
+            .ok_or_else(|| r.err("prefix index within pool"))?;
+        open.push(SearchState {
+            bound,
+            seq,
+            idx,
+            weight,
+            taken,
+        });
+    }
+    Ok(open)
+}
+
 /// FNV-1a digest of a component's matching-relevant content: forced
 /// pairs plus every live candidate's endpoints and probability bits.
 /// Two components whose digests differ can never legally exchange
@@ -693,6 +773,60 @@ fn component_digest(forced: &[(usize, usize)], live: &[Candidate]) -> u64 {
         mix(c.p.to_bits());
     }
     h
+}
+
+/// A fast deterministic hasher for lookup-only maps keyed by integer
+/// slices: one multiply-rotate per word (the scheme of rustc's FxHash).
+/// It is never seeded from the OS, and no map built on it is iterated,
+/// so it cannot influence any output; it only replaces SipHash's cost
+/// where the pool of `taken` prefixes is deduplicated.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Where the current refine step started, so the step's change to the
+/// search state can be written as a delta (see
+/// [`FrontierEnumerator::encode_step`]): states with `seq` above
+/// `seq` were pushed during the step, `popped` lists the older states
+/// the step took off the heap, and the first `yielded` matchings are
+/// the ones that were already kept before it.
+#[derive(Debug, Clone, Default)]
+struct StepMark {
+    seq: u64,
+    yielded: usize,
+    popped: Vec<u64>,
+}
+
+impl StepMark {
+    /// Note a state leaving the heap.
+    fn popped(&mut self, seq: u64) {
+        if seq <= self.seq {
+            self.popped.push(seq);
+        }
+    }
 }
 
 /// A resumable best-first branch-and-bound enumerator over one
@@ -734,6 +868,8 @@ pub struct FrontierEnumerator {
     discarded_mass: f64,
     /// Lazily computed exact total mass (see [`exact_total_mass`]).
     total_mass_cache: Option<Option<f64>>,
+    /// The start of the current refine step (see [`StepMark`]).
+    mark: StepMark,
 }
 
 impl FrontierEnumerator {
@@ -770,7 +906,19 @@ impl FrontierEnumerator {
             retained_mass: 1.0,
             discarded_mass: 0.0,
             total_mass_cache: None,
+            mark: StepMark::default(),
         }
+    }
+
+    /// Start a refine step here: from now on the enumerator records what
+    /// [`encode_step`](Self::encode_step) needs to write the step's
+    /// change as a delta.
+    pub(crate) fn mark_step(&mut self) {
+        self.mark = StepMark {
+            seq: self.seq,
+            yielded: self.yielded.len(),
+            popped: Vec::new(),
+        };
     }
 
     /// True when the search space is exhausted: the yielded matchings
@@ -819,43 +967,12 @@ impl FrontierEnumerator {
     /// `out`). The component itself is not written: the caller persists
     /// it alongside and hands it back to [`decode`](Self::decode).
     ///
-    /// Open states are written in descending pop order, a form
-    /// independent of the heap's physical layout, so the encoding is a
-    /// pure function of the search state. `taken` prefix vectors are
-    /// heavily shared between open states (children extend their
-    /// parent's `Arc`); they are written once into a
-    /// content-deduplicated pool, in first-reference order, and each
-    /// state stores a pool index — the decoder re-shares them.
+    /// Open states are written in descending pop order, with their
+    /// `taken` prefixes pooled, so the encoding is a pure function of
+    /// the search state.
     pub fn encode(&self, out: &mut Vec<u8>) {
         use imprecise_pxml::codec::{put_f64, put_len, put_u64, put_u8};
-        let mut open: Vec<&SearchState> = self.heap.iter().collect();
-        open.sort_by(|x, y| y.cmp(x));
-        let mut pool: Vec<&[(usize, usize)]> = Vec::new();
-        let mut by_content: HashMap<&[(usize, usize)], usize> = HashMap::new();
-        let mut state_prefix: Vec<usize> = Vec::with_capacity(open.len());
-        for state in &open {
-            let idx = *by_content.entry(&state.taken[..]).or_insert_with(|| {
-                pool.push(&state.taken);
-                pool.len() - 1
-            });
-            state_prefix.push(idx);
-        }
-        put_len(out, pool.len());
-        for prefix in &pool {
-            put_len(out, prefix.len());
-            for &(a, b) in prefix.iter() {
-                put_len(out, a);
-                put_len(out, b);
-            }
-        }
-        put_len(out, open.len());
-        for (state, &prefix) in open.iter().zip(&state_prefix) {
-            put_len(out, state.idx);
-            put_f64(out, state.weight);
-            put_f64(out, state.bound);
-            put_u64(out, state.seq);
-            put_len(out, prefix);
-        }
+        encode_states(self.heap.iter(), out);
         put_u64(out, self.seq);
         put_len(out, self.yielded.len());
         for m in &self.yielded {
@@ -869,6 +986,90 @@ impl FrontierEnumerator {
         put_f64(out, self.discarded_mass);
     }
 
+    /// Serialise what the current refine step changed (appends to
+    /// `out`): the seqs of the open states it popped from before the
+    /// step, the states it pushed that are still open, the matchings it
+    /// yielded, and the new scalars. Costs O(delta) bytes; the open
+    /// states that survived the step are not written.
+    ///
+    /// [`apply_step`](Self::apply_step) on the enumerator as it was at
+    /// [`mark_step`](Self::mark_step) reproduces this one: the same
+    /// [`encode`](Self::encode) bytes and the same future runs.
+    pub(crate) fn encode_step(&self, out: &mut Vec<u8>) {
+        use imprecise_pxml::codec::{put_f64, put_len, put_u64, put_u8};
+        let mark = &self.mark;
+        put_len(out, mark.popped.len());
+        for &seq in &mark.popped {
+            put_u64(out, seq);
+        }
+        encode_states(self.heap.iter().filter(|s| s.seq > mark.seq), out);
+        put_u64(out, self.seq);
+        put_len(out, mark.yielded);
+        put_len(out, self.yielded.len() - mark.yielded);
+        for m in &self.yielded[mark.yielded..] {
+            encode_matching(m, out);
+        }
+        put_f64(out, self.retained);
+        put_u8(out, u8::from(self.synthetic));
+        put_f64(out, self.retained_mass);
+        put_f64(out, self.discarded_mass);
+    }
+
+    /// Replay [`encode_step`](Self::encode_step) bytes on the enumerator
+    /// the step started from. States that are not open, pushed states
+    /// outside the step's seq range or outside the component, and a
+    /// kept prefix longer than what is kept are typed errors.
+    pub(crate) fn apply_step(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        let base_seq = self.seq;
+        let n_popped = r.take_len("popped state count")?;
+        let mut popped = Vec::with_capacity(n_popped.min(1 << 20));
+        for _ in 0..n_popped {
+            popped.push(r.take_u64("popped state seq")?);
+        }
+        popped.sort_unstable();
+        let mut open = std::mem::take(&mut self.heap).into_vec();
+        let before = open.len();
+        open.retain(|s| popped.binary_search(&s.seq).is_err());
+        if before - open.len() != n_popped {
+            return Err(r.err("popped states among the open ones"));
+        }
+        let pushed = decode_states(r)?;
+        let next_seq = r.take_u64("next_seq")?;
+        if pushed.iter().any(|s| s.seq <= base_seq || s.seq > next_seq) {
+            return Err(r.err("pushed states within the step's seq range"));
+        }
+        self.check_open(&pushed, r)?;
+        let kept = r.take_len("kept matching count")?;
+        if kept > self.yielded.len() {
+            return Err(r.err("kept matchings among the yielded ones"));
+        }
+        self.yielded.truncate(kept);
+        let n_yielded = r.take_len("yielded count")?;
+        for _ in 0..n_yielded {
+            self.yielded.push(decode_matching(r)?);
+        }
+        self.retained = r.take_f64("retained")?;
+        self.synthetic = crate::codec::take_bool(r, "synthetic flag")?;
+        self.retained_mass = r.take_f64("retained mass")?;
+        self.discarded_mass = r.take_f64("discarded mass")?;
+        open.extend(pushed);
+        self.heap = BinaryHeap::from(open);
+        self.seq = next_seq;
+        self.mark_step();
+        Ok(())
+    }
+
+    /// Fail unless every state lies within this enumerator's component.
+    fn check_open(&self, states: &[SearchState], r: &Reader<'_>) -> Result<(), CodecError> {
+        if states
+            .iter()
+            .any(|s| s.idx > self.live.len() || s.taken.len() > self.max_take)
+        {
+            return Err(r.err("open states within their component"));
+        }
+        Ok(())
+    }
+
     /// Decode a search state written by [`encode`](Self::encode) into an
     /// enumerator over `component`, positioned exactly where the
     /// encoding run stopped.
@@ -879,38 +1080,7 @@ impl FrontierEnumerator {
     /// bytes whose open states reach past it, is a typed [`CodecError`]
     /// — never a wrong enumeration or a later out-of-bounds panic.
     pub fn decode(r: &mut Reader<'_>, component: Arc<Component>) -> Result<Self, CodecError> {
-        let n_pool = r.take_len("taken-prefix pool size")?;
-        let mut pool: Vec<Arc<[(usize, usize)]>> = Vec::with_capacity(n_pool.min(1 << 20));
-        for _ in 0..n_pool {
-            let n = r.take_len("taken-prefix length")?;
-            let mut prefix = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let a = r.take_len("taken pair a")?;
-                let b = r.take_len("taken pair b")?;
-                prefix.push((a, b));
-            }
-            pool.push(prefix.into());
-        }
-        let n_open = r.take_len("open state count")?;
-        let mut open = Vec::with_capacity(n_open.min(1 << 20));
-        for _ in 0..n_open {
-            let idx = r.take_len("open state idx")?;
-            let weight = r.take_f64("open state weight")?;
-            let bound = r.take_f64("open state bound")?;
-            let seq = r.take_u64("open state seq")?;
-            let prefix = r.take_len("open state prefix index")?;
-            let taken = pool
-                .get(prefix)
-                .cloned()
-                .ok_or_else(|| r.err("prefix index within pool"))?;
-            open.push(SearchState {
-                bound,
-                seq,
-                idx,
-                weight,
-                taken,
-            });
-        }
+        let open = decode_states(r)?;
         let next_seq = r.take_u64("next_seq")?;
         let n_yielded = r.take_len("yielded count")?;
         let mut yielded = Vec::with_capacity(n_yielded.min(1 << 20));
@@ -918,11 +1088,7 @@ impl FrontierEnumerator {
             yielded.push(decode_matching(r)?);
         }
         let retained = r.take_f64("retained")?;
-        let synthetic = match r.take_u8("synthetic flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(r.err("synthetic flag")),
-        };
+        let synthetic = crate::codec::take_bool(r, "synthetic flag")?;
         let digest = r.take_u64("component digest")?;
         let live_pairs = r.take_len("live pair count")?;
         let retained_mass = r.take_f64("retained mass")?;
@@ -933,12 +1099,7 @@ impl FrontierEnumerator {
         {
             return Err(r.err("frontier digest matching its component"));
         }
-        if open
-            .iter()
-            .any(|s| s.idx > live_pairs || s.taken.len() > this.max_take)
-        {
-            return Err(r.err("open states within their component"));
-        }
+        this.check_open(&open, r)?;
         this.heap = BinaryHeap::from(open);
         this.seq = next_seq;
         this.yielded = yielded;
@@ -946,6 +1107,7 @@ impl FrontierEnumerator {
         this.synthetic = synthetic;
         this.retained_mass = retained_mass;
         this.discarded_mass = discarded_mass;
+        this.mark_step();
         Ok(this)
     }
 
@@ -1009,6 +1171,7 @@ impl FrontierEnumerator {
             self.yielded.clear();
             self.retained = 0.0;
             self.synthetic = false;
+            self.mark.yielded = 0;
         }
         let watermark = self.yielded.len();
         let live_len = self.live.len();
@@ -1056,6 +1219,7 @@ impl FrontierEnumerator {
                 ref mut yielded,
                 ref mut retained,
                 ref mut total_mass_cache,
+                ref mut mark,
                 ..
             } = *self;
             let mut cursor = SearchCursor {
@@ -1068,6 +1232,7 @@ impl FrontierEnumerator {
                 yielded,
                 retained,
                 total_mass_cache,
+                mark,
             };
             if workers > 1 {
                 expand_pooled(&mut cursor, budget, max_expansions, workers, &mut stats);
@@ -1259,6 +1424,7 @@ struct SearchCursor<'e> {
     yielded: &'e mut Vec<Matching>,
     retained: &'e mut f64,
     total_mass_cache: &'e mut Option<Option<f64>>,
+    mark: &'e mut StepMark,
 }
 
 impl SearchCursor<'_> {
@@ -1289,6 +1455,7 @@ impl SearchCursor<'_> {
             while self.heap.peek().is_some_and(|s| s.idx == live_len) {
                 let Some(state) = self.heap.pop() else { break };
                 stats.popped += 1;
+                self.mark.popped(state.seq);
                 let mut pairs = self.forced.to_vec();
                 pairs.extend_from_slice(&state.taken);
                 pairs.sort_unstable();
@@ -1379,6 +1546,7 @@ impl SearchCursor<'_> {
                         }
                         let Some(s) = self.heap.pop() else { break };
                         stats.popped += 1;
+                        self.mark.popped(s.seq);
                         batch.push(s);
                     }
                     None => break,

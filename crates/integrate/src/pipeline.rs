@@ -510,6 +510,22 @@ impl DocFrontier {
         (&self.ga, &self.gb)
     }
 
+    /// Write what the current refine step changed in this site's search
+    /// state (see [`FrontierEnumerator::encode_step`]); the path, anchor
+    /// and groups never change within a step.
+    pub(crate) fn encode_step(&self, out: &mut Vec<u8>) {
+        self.enumerator.encode_step(out);
+    }
+
+    /// Replay [`encode_step`](Self::encode_step) bytes on the site the
+    /// step started from.
+    pub(crate) fn apply_step(
+        &mut self,
+        r: &mut imprecise_pxml::codec::Reader<'_>,
+    ) -> Result<(), imprecise_pxml::codec::CodecError> {
+        self.enumerator.apply_step(r)
+    }
+
     /// Keep the enumerator a committed refine step advanced resident for
     /// the next step.
     pub(crate) fn install(&mut self, en: FrontierEnumerator) {

