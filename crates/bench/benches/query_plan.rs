@@ -28,16 +28,30 @@
 //!   enumeration (the larger movie integration has ~1e9 worlds and the
 //!   grids 3e27 and more, so the naive evaluator is structurally infeasible there
 //!   — that gap *is* the paper's point).
+//!
+//! The `query_plan_catalog` group runs the end-to-end benchmark's
+//! `ingest-catalog` queries on the integrated `large_source(10_000)`
+//! (317 754 nodes): the [`DocIndex`] build, and each query shape with a
+//! warm index (the engine's per-version cache) and cold (a bare
+//! `QueryPlan::execute`, which builds a transient index). Under
+//! `--bench` the harness ends with a scaling gate: with a warm index,
+//! `//movie[year="1955"]/title` (168 answers) must cost at most
+//! [`CATALOG_QUERY_GATE_CEILING`] of `//movie/title` (17 500 answers) —
+//! a selective query pays for its answers, not for the catalog. Set
+//! `IMPRECISE_BENCH_GATE=off` to skip the gate on noisy machines.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use imprecise::datagen::scenarios;
 use imprecise::integrate::{integrate_xml, BlockingMode, IntegrationOptions, RefineOptions};
 use imprecise::oracle::presets::{movie_oracle, MovieOracleConfig};
 use imprecise::pxml::PxDoc;
-use imprecise::query::{eval_px, eval_px_naive, parse_query, QueryPlan};
+use imprecise::query::{eval_px, eval_px_naive, parse_query, DocIndex, QueryPlan};
 use imprecise::xml::to_string;
 use imprecise::Engine;
-use imprecise_bench::{addressbook_query_db, build_query_db, query_oracle};
+use imprecise_bench::{
+    addressbook_query_db, build_query_db, catalog_query_db, measure_catalog_query_ratio,
+    query_oracle, CATALOG_FULL_QUERY, CATALOG_QUERY_GATE_CEILING, CATALOG_SELECTIVE_QUERY,
+};
 use std::hint::black_box;
 
 /// The fig5 sequels workload at n=12 under the §VI oracle and source
@@ -197,5 +211,70 @@ fn bench_query_plan(c: &mut Criterion) {
     bench_scenario(c, "grid-refined-genre", &refined, "//movie/genre", false);
 }
 
-criterion_group!(benches, bench_query_plan);
-criterion_main!(benches);
+/// The catalog group (see the module docs). The shim's test mode runs
+/// each body once in the debug profile, so it shrinks the catalog.
+fn bench_catalog(c: &mut Criterion) {
+    let n = if bench_mode() { 10_000 } else { 300 };
+    let db = catalog_query_db(n);
+    let index = DocIndex::build(&db);
+    let mut group = c.benchmark_group("query_plan_catalog");
+    group.sample_size(10);
+    group.bench_function(format!("n={n}/index-build"), |b| {
+        b.iter(|| black_box(DocIndex::build(black_box(&db))))
+    });
+    for (shape, query) in [
+        ("year", CATALOG_SELECTIVE_QUERY),
+        ("genre", "//movie[.//genre=\"action\"]/title"),
+        (
+            "director",
+            "//movie[some $d in .//director satisfies contains($d,\"Harlin\")]/title",
+        ),
+        ("title", CATALOG_FULL_QUERY),
+    ] {
+        let plan = QueryPlan::parse(query).expect("bench query parses");
+        group.bench_function(format!("n={n}/{shape}-warm"), |b| {
+            b.iter(|| black_box(plan.collect_indexed(black_box(&db), &index)))
+        });
+        group.bench_function(format!("n={n}/{shape}-cold"), |b| {
+            b.iter(|| black_box(plan.collect(black_box(&db))))
+        });
+    }
+    group.finish();
+}
+
+/// Whether the harness runs timed (`cargo bench`) rather than in the
+/// shim's once-per-body test mode.
+fn bench_mode() -> bool {
+    std::env::args().any(|a| a == "--bench")
+}
+
+/// The catalog scaling gate (see the module docs), under `--bench` only.
+fn catalog_query_gate() {
+    if std::env::var("IMPRECISE_BENCH_GATE").is_ok_and(|v| v == "off") {
+        println!("gate: skipped (IMPRECISE_BENCH_GATE=off)");
+        return;
+    }
+    let db = catalog_query_db(10_000);
+    let index = DocIndex::build(&db);
+    let m = measure_catalog_query_ratio(&db, &index);
+    let ratio = m.ratio();
+    println!(
+        "gate: warm year query {:?} / title query {:?} = {ratio:.3} (ceiling \
+         {CATALOG_QUERY_GATE_CEILING})",
+        m.measured, m.base
+    );
+    assert!(
+        m.holds(CATALOG_QUERY_GATE_CEILING),
+        "the selective catalog query cost {ratio:.3} of the full one (ceiling \
+         {CATALOG_QUERY_GATE_CEILING}): value predicates are no longer index-driven"
+    );
+}
+
+criterion_group!(benches, bench_query_plan, bench_catalog);
+
+fn main() {
+    benches();
+    if bench_mode() {
+        catalog_query_gate();
+    }
+}

@@ -811,6 +811,62 @@ pub fn measure_candidate_scaling() -> CandidateGateMeasurement {
     best.expect("at least one measurement pair")
 }
 
+/// The `ingest-catalog` document: `large_source(n)` integrated the way
+/// the end-to-end benchmark integrates it (default movie oracle,
+/// recall-safe blocking, a budget of 64, serial). At n = 10 000 it has
+/// 317 754 nodes.
+pub fn catalog_query_db(n: usize) -> PxDoc {
+    use imprecise::integrate::Parallelism;
+    let scenario = scenarios::large_source(n);
+    integrate_xml(
+        &scenario.mpeg7,
+        &scenario.imdb,
+        &movie_oracle(MovieOracleConfig::default()),
+        Some(&scenario.schema),
+        &IntegrationOptions {
+            max_matchings_per_component: 64,
+            blocking: BlockingMode::RecallSafe,
+            parallelism: Parallelism::SERIAL,
+            ..IntegrationOptions::default()
+        },
+    )
+    .expect("catalog integrates")
+    .doc
+}
+
+/// The selective catalog query of the scaling gate: 168 answers on
+/// `catalog_query_db(10_000)`.
+pub const CATALOG_SELECTIVE_QUERY: &str = "//movie[year=\"1955\"]/title";
+
+/// The catalog query that answers with every title, the gate's base.
+pub const CATALOG_FULL_QUERY: &str = "//movie/title";
+
+/// Ceiling of the catalog query gate: with a warm [`DocIndex`], the
+/// selective query must cost at most this fraction of the full one. A
+/// value predicate evaluated on every `movie` (the tree walk's way)
+/// costs 0.7–0.9 of it; an index-driven one follows its answer count.
+///
+/// [`DocIndex`]: imprecise::query::DocIndex
+pub const CATALOG_QUERY_GATE_CEILING: f64 = 0.1;
+
+/// Measure the catalog query gate on `doc` with its warm `index`:
+/// [`CATALOG_SELECTIVE_QUERY`] (measured) against [`CATALOG_FULL_QUERY`]
+/// (base), both at threshold 0, cleanest of five interleaved pairs (see
+/// [`cleanest_pair`]).
+pub fn measure_catalog_query_ratio(
+    doc: &PxDoc,
+    index: &imprecise::query::DocIndex,
+) -> GateMeasurement {
+    use imprecise::query::QueryPlan;
+    let full = QueryPlan::parse(CATALOG_FULL_QUERY).expect("gate query parses");
+    let selective = QueryPlan::parse(CATALOG_SELECTIVE_QUERY).expect("gate query parses");
+    cleanest_pair(
+        5,
+        || timed(|| full.collect_indexed(doc, index).expect("evaluates")),
+        || timed(|| selective.collect_indexed(doc, index).expect("evaluates")),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,9 @@
 //! * **Queries compile once.** [`Engine::prepare`] returns a
 //!   [`PreparedQuery`] that owns a compiled [`QueryPlan`], re-binds it
 //!   per snapshot (the last run is cached keyed by document version) and
-//!   can be evaluated against any number of snapshots from any thread;
+//!   can be evaluated against any number of snapshots from any thread.
+//!   Each version's query index ([`DocIndex`]) is built by the first
+//!   query of that version and shared by every later one;
 //!   [`Engine::query_many`] runs a batch against one consistent
 //!   snapshot, and [`Engine::query_stream`] / [`PreparedQuery::stream`]
 //!   yield answers lazily with a probability threshold pushed down into
@@ -54,20 +56,20 @@
 //! ```
 
 use crate::error::ImpreciseError;
-use imprecise_feedback::{apply_feedback, FeedbackReport};
+use imprecise_feedback::{apply_feedback_indexed, FeedbackReport};
 use imprecise_integrate::{
     integrate_many_px, integrate_px_shared, IntegrateError, IntegrationOptions, IntegrationOutcome,
     IntegrationStats, InvariantViolation, RefineOptions, RefineState, RefineStep,
 };
 use imprecise_oracle::Oracle;
 use imprecise_pxml::{parse_annotated, to_annotated_xml, NodeBreakdown, PxDoc};
-use imprecise_query::{parse_query, AnswerStream, Query, QueryPlan, RankedAnswers};
+use imprecise_query::{parse_query, AnswerStream, DocIndex, Query, QueryPlan, RankedAnswers};
 use imprecise_store::{Durability, Store};
 use imprecise_xmlkit::{parse, to_string, Schema};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Size/uncertainty statistics of one document version.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,6 +152,9 @@ pub struct DocSnapshot {
     handle: DocHandle,
     version: u64,
     doc: Arc<PxDoc>,
+    /// The version's query index, shared with its slot and every other
+    /// snapshot of the version.
+    index: Arc<OnceLock<DocIndex>>,
 }
 
 impl DocSnapshot {
@@ -172,6 +177,14 @@ impl DocSnapshot {
     /// A shared reference to the document, for handing to other threads.
     pub fn doc_arc(&self) -> Arc<PxDoc> {
         Arc::clone(&self.doc)
+    }
+
+    /// The query index of this version: built by the first query of the
+    /// version (from any snapshot of it), then shared by every later
+    /// one. Publishing never builds it, so integration, refinement and
+    /// feedback do not pay for it.
+    pub fn index(&self) -> &DocIndex {
+        self.index.get_or_init(|| DocIndex::build(&self.doc))
     }
 
     /// Size/uncertainty statistics of this version.
@@ -288,7 +301,9 @@ impl PreparedQuery {
             }
         }
         // Evaluate outside the lock; a racing clone at worst recomputes.
-        let ranked = self.plan.collect(snapshot.doc())?;
+        let ranked = self
+            .plan
+            .collect_indexed(snapshot.doc(), snapshot.index())?;
         let mut cache = self
             .cache
             .lock()
@@ -332,11 +347,15 @@ impl PreparedQuery {
         snapshot: &DocSnapshot,
         min_probability: Option<f64>,
     ) -> Result<AnswerStream, ImpreciseError> {
-        self.stream_doc(snapshot.doc(), min_probability)
+        let threshold = min_probability.unwrap_or(self.plan.min_probability());
+        Ok(self
+            .plan
+            .execute_indexed(snapshot.doc(), snapshot.index(), threshold)?)
     }
 
     /// Evaluate against a bare probabilistic document (no cache: a bare
-    /// document has no version identity).
+    /// document has no version identity, so every call builds a
+    /// transient index).
     pub fn run_doc(&self, doc: &PxDoc) -> Result<RankedAnswers, ImpreciseError> {
         Ok(self.plan.collect(doc)?)
     }
@@ -383,6 +402,9 @@ struct Slot {
     name: Arc<str>,
     version: u64,
     doc: Arc<PxDoc>,
+    /// The query index of `doc`, built lazily by the first query of this
+    /// version and replaced (empty) by every publish.
+    index: Arc<OnceLock<DocIndex>>,
     refine: Option<Arc<RefineState>>,
     /// `Some(version)` while the slot's content is exactly what
     /// [`Engine::open`] recovered from the durable store (tagged with
@@ -391,6 +413,23 @@ struct Slot {
     /// and `imprecise refine --stats` — can tell resumed state from
     /// state produced in this process.
     recovered_at: Option<u64>,
+}
+
+impl Slot {
+    /// Install the next version: `doc` with its (not yet built) index
+    /// and the refinable state belonging to it.
+    fn publish(&mut self, doc: Arc<PxDoc>, refine: Option<Arc<RefineState>>) {
+        self.version += 1;
+        self.doc = doc;
+        self.index = Arc::default();
+        self.refine = refine;
+        self.recovered_at = None;
+    }
+
+    /// The current version's index, built now if no query built it yet.
+    fn index(&self) -> &DocIndex {
+        self.index.get_or_init(|| DocIndex::build(&self.doc))
+    }
 }
 
 /// The versioned document catalog behind the engine's `RwLock`.
@@ -439,10 +478,7 @@ impl Catalog {
             // minting a fresh slot below (re-pointing the name at it)
             // instead of panicking mid-publish.
             if let Some(slot) = self.slots.get_mut(&id) {
-                slot.version += 1;
-                slot.doc = doc;
-                slot.refine = refine;
-                slot.recovered_at = None;
+                slot.publish(doc, refine);
                 return DocHandle {
                     engine_id: self.engine_id,
                     id,
@@ -459,6 +495,7 @@ impl Catalog {
                 name: Arc::clone(&name),
                 version: 1,
                 doc,
+                index: Arc::default(),
                 refine,
                 recovered_at: None,
             },
@@ -502,6 +539,7 @@ impl Catalog {
                 name: Arc::clone(&name),
                 version,
                 doc,
+                index: Arc::default(),
                 refine,
                 recovered_at: Some(version),
             },
@@ -906,6 +944,7 @@ impl Engine {
             handle: handle.clone(),
             version: slot.version,
             doc: Arc::clone(&slot.doc),
+            index: Arc::clone(&slot.index),
         })
     }
 
@@ -1119,10 +1158,7 @@ impl Engine {
             if slot.version == version {
                 let refined_doc = Arc::new(refined_doc);
                 self.persist(&slot.name, version + 1, &refined_doc, next_state.as_ref())?;
-                slot.version += 1;
-                slot.doc = refined_doc;
-                slot.refine = next_state.map(Arc::new);
-                slot.recovered_at = None;
+                slot.publish(refined_doc, next_state.map(Arc::new));
                 return Ok(step);
             }
             // A writer raced us; retry against the published version.
@@ -1142,10 +1178,7 @@ impl Engine {
             &refined_doc,
             next_state.as_ref(),
         )?;
-        slot.version += 1;
-        slot.doc = refined_doc;
-        slot.refine = next_state.map(Arc::new);
-        slot.recovered_at = None;
+        slot.publish(refined_doc, next_state.map(Arc::new));
         Ok(step)
     }
 
@@ -1341,9 +1374,10 @@ impl Engine {
         value: &str,
         correct: bool,
     ) -> Result<FeedbackReport, ImpreciseError> {
-        let condition = |doc: &PxDoc| {
-            let result = apply_feedback(
+        let condition = |doc: &PxDoc, index: &DocIndex| {
+            let result = apply_feedback_indexed(
                 doc,
+                index,
                 query.ast(),
                 value,
                 correct,
@@ -1357,19 +1391,16 @@ impl Engine {
         };
         for _ in 0..OPTIMISTIC_ROUNDS {
             let snapshot = self.snapshot(handle)?;
-            let (conditioned, report) = condition(snapshot.doc())?;
+            let (conditioned, report) = condition(snapshot.doc(), snapshot.index())?;
             let mut catalog = self.shared.catalog_write();
             let slot = catalog.slot_mut_of(handle)?;
             if slot.version == snapshot.version() {
                 let conditioned = Arc::new(conditioned);
                 self.persist(&slot.name, slot.version + 1, &conditioned, None)?;
-                slot.version += 1;
-                slot.doc = conditioned;
                 // Conditioning rebuilds the document: any persisted
                 // integration frontiers point into the old arena and are
                 // finalized here.
-                slot.refine = None;
-                slot.recovered_at = None;
+                slot.publish(conditioned, None);
                 return Ok(report);
             }
             // A writer raced us; retry against the published version.
@@ -1377,13 +1408,10 @@ impl Engine {
         // Contended slot: condition under the write lock so nothing races.
         let mut catalog = self.shared.catalog_write();
         let slot = catalog.slot_mut_of(handle)?;
-        let (conditioned, report) = condition(&slot.doc)?;
+        let (conditioned, report) = condition(&slot.doc, slot.index())?;
         let conditioned = Arc::new(conditioned);
         self.persist(&slot.name, slot.version + 1, &conditioned, None)?;
-        slot.version += 1;
-        slot.doc = conditioned;
-        slot.refine = None;
-        slot.recovered_at = None;
+        slot.publish(conditioned, None);
         Ok(report)
     }
 
@@ -1625,8 +1653,12 @@ mod tests {
         assert_eq!(q.text(), "//person[nm=\"John\"]/tel");
         assert_eq!(q.plan().min_probability(), 0.0);
         let explain = q.explain();
-        assert!(explain.contains("SubtreeScan(person)"), "{explain}");
-        assert!(explain.contains("ChildScan(tel)"), "{explain}");
+        assert!(explain.contains("TagRangeScan(//person)"), "{explain}");
+        assert!(
+            explain.contains("ValueLookup(./nm = \"John\") \u{222a} uncertain(nm)"),
+            "{explain}"
+        );
+        assert!(explain.contains("TagRangeScan(/tel)"), "{explain}");
     }
 
     #[test]

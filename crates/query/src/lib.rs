@@ -28,6 +28,18 @@
 //!   on cheap event bounds before any exact probability is computed, and
 //!   per-execution memo tables for node value events and event
 //!   probabilities;
+//! * **indexed path evaluation** over a per-document [`DocIndex`]: every
+//!   step is a range scan over its tag's elements inside the context's
+//!   pre/post region (the staircase-join numbering of MonetDB/XQuery, the
+//!   system the original prototype ran on), each node's existence event
+//!   is read off its chain of enclosing choices, and an equality
+//!   predicate like `[year="1955"]` first narrows the step to the
+//!   ancestors of the elements whose value can match, so a selective
+//!   query costs what its answers cost. The engine builds the index
+//!   lazily, once per published document version, on the first query of
+//!   that version; a bare [`QueryPlan::execute`] builds a transient one,
+//!   and callers that query one document many times build it once and
+//!   use [`QueryPlan::execute_indexed`];
 //! * a naive all-worlds evaluator ([`eval_px_naive`]) used as a semantic
 //!   oracle in tests (`eval_px` ≡ `eval_px_naive` on every document).
 //!
@@ -63,6 +75,7 @@
 pub mod answer;
 pub mod ast;
 pub mod event;
+pub mod index;
 pub mod naive;
 pub mod parse;
 pub mod plan;
@@ -76,9 +89,10 @@ pub use event::{
     probability_above, probability_bounds, probability_memo, satisfying_assignments, ChoiceAtom,
     Event, PartialAssignment, ProbMemo,
 };
+pub use index::DocIndex;
 pub use naive::eval_px_naive;
 pub use parse::{parse_query, QueryParseError};
 pub use plan::QueryPlan;
-pub use px_eval::{answer_event, answer_events, eval_px, EvalError};
+pub use px_eval::{answer_event, answer_event_indexed, answer_events, eval_px, EvalError};
 pub use stream::{Answer, AnswerStream, AnswerValue};
 pub use xml_eval::eval_xml;

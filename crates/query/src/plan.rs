@@ -36,8 +36,9 @@
 use crate::answer::RankedAnswers;
 use crate::ast::{Axis, CmpOp, Expr, NodeTest, Query, RelPath, Step};
 use crate::event::Event;
+use crate::index::{lookup_shape, DocIndex};
 use crate::parse::{parse_query, QueryParseError};
-use crate::px_eval::{EvalError, Evaluator, KeyedDisjuncts, StepPredicate};
+use crate::px_eval::{EvalError, Evaluator, StepPredicate};
 use crate::stream::AnswerStream;
 use imprecise_pxml::{PxDoc, PxNodeId};
 use std::fmt;
@@ -145,13 +146,41 @@ pub(crate) struct StepOp {
     pub(crate) preds: Vec<CompiledPred>,
 }
 
+impl StepOp {
+    /// The value lookup that narrows this step, when its first predicate
+    /// is `path = "literal"` with a path the index answers (`.` under a
+    /// tag test, or one predicate-free tag step). Only the first
+    /// predicate may narrow: the others run on a node only after it
+    /// passed the first.
+    fn lookup(&self) -> Option<(&RelPath, &str)> {
+        match self.preds.first() {
+            Some(CompiledPred::Value {
+                path,
+                test: ValueTest::Eq(literal),
+            }) if lookup_shape(&self.test, path).is_some() => Some((path, literal)),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for StepOp {
+    /// Names the physical access: `TagRangeScan(//movie)` scans the
+    /// tag's list over each context's region (`/` keeps the context's
+    /// children); a value lookup first narrows it to the ancestors of the
+    /// elements whose value may match.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let scan = match self.axis {
-            Axis::Child => "ChildScan",
-            Axis::Descendant => "SubtreeScan",
+        let axis = match self.axis {
+            Axis::Child => "/",
+            Axis::Descendant => "//",
         };
-        write!(f, "{scan}({})", self.test)?;
+        write!(f, "TagRangeScan({axis}{})", self.test)?;
+        if let Some((path, literal)) = self.lookup() {
+            let tag = lookup_shape(&self.test, path).map_or("", |(_, tag)| tag);
+            write!(
+                f,
+                " over ValueLookup({path} = {literal:?}) \u{222a} uncertain({tag})"
+            )?;
+        }
         for p in &self.preds {
             write!(f, " where {p}")?;
         }
@@ -258,6 +287,10 @@ impl QueryPlan {
     /// consumed, so taking only the first `k` answers pays for `k`
     /// probability computations. The stream owns everything it needs — it does
     /// not borrow the document.
+    ///
+    /// Builds a transient [`DocIndex`] of `doc`; to run several queries
+    /// on one document, build the index once and use
+    /// [`execute_indexed`](Self::execute_indexed).
     pub fn execute(&self, doc: &PxDoc) -> Result<AnswerStream, EvalError> {
         self.execute_at(doc, self.min_probability)
     }
@@ -268,9 +301,22 @@ impl QueryPlan {
     /// callers that reuse one compiled plan across many thresholds
     /// without cloning it.
     pub fn execute_at(&self, doc: &PxDoc, min_probability: f64) -> Result<AnswerStream, EvalError> {
-        let events = self.answer_events(doc)?;
+        self.execute_indexed(doc, &DocIndex::build(doc), min_probability)
+    }
+
+    /// [`execute_at`](Self::execute_at) on a document whose index the
+    /// caller holds. `index` must have been built from `doc`, unmodified
+    /// since; an index of a different-size arena is an
+    /// [`EvalError::IndexMismatch`].
+    pub fn execute_indexed(
+        &self,
+        doc: &PxDoc,
+        index: &DocIndex,
+        min_probability: f64,
+    ) -> Result<AnswerStream, EvalError> {
+        let events = self.answer_events(doc, index)?;
         Ok(AnswerStream::new(
-            doc.choice_weights(),
+            index.weights(),
             events,
             sanitize_threshold(min_probability),
         ))
@@ -282,23 +328,44 @@ impl QueryPlan {
         Ok(self.execute(doc)?.into_ranked())
     }
 
+    /// [`collect`](Self::collect) on a document whose index the caller
+    /// holds (same contract as [`execute_indexed`](Self::execute_indexed)).
+    pub fn collect_indexed(
+        &self,
+        doc: &PxDoc,
+        index: &DocIndex,
+    ) -> Result<RankedAnswers, EvalError> {
+        Ok(self
+            .execute_indexed(doc, index, self.min_probability)?
+            .into_ranked())
+    }
+
     /// The amalgamated (value, event) pairs of this plan on `doc`, in
     /// document order — the input the stream ranks and filters.
-    pub(crate) fn answer_events(&self, doc: &PxDoc) -> Result<Vec<(String, Event)>, EvalError> {
-        let mut eval = Evaluator::new(doc);
-        let mut current: Vec<(Option<PxNodeId>, Event)> = vec![(None, Event::True)];
-        for op in &self.ops {
-            let mut merger = KeyedDisjuncts::new();
-            for (ctx, ctx_event) in current {
-                for (node, ev) in eval.apply_step(ctx, &ctx_event, op.axis, &op.test, &op.preds)? {
-                    merger.add(node, ev);
-                }
-            }
-            current = merger
-                .into_events()
-                .into_iter()
-                .map(|(n, e)| (Some(n), e))
-                .collect();
+    pub(crate) fn answer_events(
+        &self,
+        doc: &PxDoc,
+        index: &DocIndex,
+    ) -> Result<Vec<(String, Event)>, EvalError> {
+        if !index.fits(doc) {
+            return Err(EvalError::IndexMismatch {
+                indexed: index.arena_len(),
+                document: doc.arena_len(),
+            });
+        }
+        let mut eval = Evaluator::new(doc, index);
+        let mut current: Vec<(PxNodeId, Event)> = Vec::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            let within = op
+                .lookup()
+                .and_then(|(path, literal)| index.eq_candidate_ranks(doc, &op.test, path, literal));
+            let within = within.as_deref();
+            current = if i == 0 {
+                let document: Vec<(Option<PxNodeId>, Event)> = vec![(None, Event::True)];
+                eval.step_all(document, op.axis, &op.test, &op.preds, within)?
+            } else {
+                eval.step_all(current, op.axis, &op.test, &op.preds, within)?
+            };
         }
         eval.amalgamate(current)
     }
@@ -320,10 +387,11 @@ fn sanitize_threshold(threshold: f64) -> f64 {
 /// existence event — in every possible world):
 ///
 /// 1. **`//*`-chain collapse.** In `…//*//x…`, the second descendant
-///    walk is redundant: any element that is a strict descendant of some
+///    scan is redundant: any element that is a strict descendant of some
 ///    element is equally a *child* of some element, so the follow-up
-///    step relaxes to a child scan (`//*/x`). A subtree walk per context
-///    becomes a single child scan.
+///    step relaxes to a child scan (`//*/x`). Overlapping descendant
+///    scans from nested contexts, whose results must be merged, become
+///    one child scan per context that reaches each node once.
 /// 2. **Duplicate predicate elimination.** Structurally identical
 ///    predicates within one step hold or fail together; only the first
 ///    is kept.
@@ -493,11 +561,66 @@ mod tests {
             .unwrap()
             .with_min_probability(0.5);
         let text = plan.to_string();
-        assert!(text.contains("SubtreeScan(movie)"), "{text}");
+        assert!(text.contains("TagRangeScan(//movie)"), "{text}");
+        assert!(
+            text.contains("ValueLookup(./genre = \"Horror\") \u{222a} uncertain(genre)"),
+            "{text}"
+        );
         assert!(text.contains("ValueScan"), "{text}");
-        assert!(text.contains("ChildScan(title)"), "{text}");
+        assert!(text.contains("TagRangeScan(/title)"), "{text}");
         assert!(text.contains("threshold: 0.5"), "{text}");
         assert!(text.contains("Amalgamate"), "{text}");
+    }
+
+    #[test]
+    fn comparisons_and_general_predicates_scan_the_tag_range() {
+        for q in [
+            "//movie[year >= 1995]/title",
+            "//movie[contains(title, \"Jaws\")]/title",
+            "//movie[not(genre=\"Horror\")]/title",
+            "//movie[*=\"Horror\"]/title",
+            "//*[.=\"Horror\"]",
+        ] {
+            let text = QueryPlan::parse(q).unwrap().to_string();
+            assert!(!text.contains("ValueLookup"), "{q}: {text}");
+        }
+        let text = QueryPlan::parse("//genre[.=\"Horror\"]")
+            .unwrap()
+            .to_string();
+        assert!(
+            text.contains("ValueLookup(. = \"Horror\") \u{222a} uncertain(genre)"),
+            "{text}"
+        );
+    }
+
+    /// A bare document is indexed afresh by every execution, so a
+    /// mutation between two runs is always seen; an index held across
+    /// the mutation is refused.
+    #[test]
+    fn a_bare_document_is_reindexed_on_every_execution() {
+        let mut px = movie_doc();
+        let plan = QueryPlan::parse("//movie[genre=\"Horror\"]/title").unwrap();
+        let before = plan.collect(&px).unwrap();
+        assert_eq!(before.len(), 2);
+        let stale = DocIndex::build(&px);
+        let cat = px.children(px.children(px.root())[0])[0];
+        let m3 = px.add_elem(cat, "movie");
+        px.add_text_elem(m3, "title", "Alien");
+        px.add_text_elem(m3, "genre", "Horror");
+        let after = plan.collect(&px).unwrap();
+        assert_eq!(after.len(), 3);
+        assert_eq!(after.probability_of("Alien"), 1.0);
+        assert!(matches!(
+            plan.collect_indexed(&px, &stale),
+            Err(EvalError::IndexMismatch { .. })
+        ));
+        // A probability change keeps the arena's size: still seen.
+        let jaws2 = px.children(px.children(cat)[1])[0];
+        px.set_poss_prob(jaws2, 0.6);
+        let sibling = px.children(px.children(cat)[1])[1];
+        px.set_poss_prob(sibling, 0.4);
+        let reweighted = plan.collect(&px).unwrap();
+        assert!((reweighted.probability_of("Jaws 2") - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -1,26 +1,33 @@
 //! Exact probabilistic query evaluation over the compact representation.
 //!
-//! Instead of enumerating worlds, the evaluator walks the probabilistic
-//! tree once, carrying for every intermediate node the [`Event`] under
-//! which that node exists in a world. Predicates evaluate to events too.
-//! The answer probability of a value is the exact probability of the
-//! disjunction of all its occurrence events, built once per value
-//! ([`Event::any`]) and computed by independence decomposition, then
-//! Shannon expansion ([`crate::event::probability`]).
+//! Instead of enumerating worlds, the evaluator carries for every
+//! intermediate node the [`Event`] under which that node exists in a
+//! world. Predicates evaluate to events too. The answer probability of a
+//! value is the exact probability of the disjunction of all its
+//! occurrence events, built once per value ([`Event::any`]) and computed
+//! by independence decomposition, then Shannon expansion
+//! ([`crate::event::probability`]).
 //!
 //! This is the paper's "amalgamated answer" — merged over worlds, ranked
 //! by likelihood — computed without touching worlds.
 //!
-//! The walk itself lives in a per-execution `Evaluator` context that
-//! memoizes each node's `value_events` so predicates and amalgamation
-//! never recompute the value distribution of the same subtree twice.
-//! [`crate::QueryPlan`] drives it over a normalized step chain; the
-//! one-shot [`eval_px`] and [`answer_events`] are thin wrappers that
-//! compile a plan and run it.
+//! Every step, of the query or of a predicate's relative path, is
+//! answered from the document's [`DocIndex`]: a range scan over the
+//! step's tag list inside the context's region, with each node's
+//! existence event read off its chain of enclosing choices up to the
+//! context. A hoisted equality predicate first narrows the step to the
+//! index's value candidates. Nothing walks the tree.
+//!
+//! The per-execution `Evaluator` context also memoizes each node's
+//! `value_events` so predicates and amalgamation never recompute the
+//! value distribution of the same subtree twice. [`crate::QueryPlan`]
+//! drives it over a normalized step chain; the one-shot [`eval_px`] and
+//! [`answer_events`] are thin wrappers that compile a plan and run it.
 
 use crate::answer::RankedAnswers;
 use crate::ast::{Axis, Expr, NodeTest, Query, RelPath};
 use crate::event::{ChoiceAtom, Event};
+use crate::index::{single_text, DocIndex};
 use crate::plan::QueryPlan;
 use imprecise_pxml::{PxDoc, PxNodeId, PxNodeKind};
 use std::collections::HashMap;
@@ -39,6 +46,14 @@ pub enum EvalError {
         /// The cap that was exceeded.
         cap: usize,
     },
+    /// A [`DocIndex`] was handed in with a document it was not built
+    /// from (their arena sizes differ).
+    IndexMismatch {
+        /// Arena size of the indexed document.
+        indexed: usize,
+        /// Arena size of the queried document.
+        document: usize,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -47,6 +62,11 @@ impl fmt::Display for EvalError {
             EvalError::TooManyValueVariants { cap } => {
                 write!(f, "an element's value takes more than {cap} distinct forms")
             }
+            EvalError::IndexMismatch { indexed, document } => write!(
+                f,
+                "the document index describes a {indexed}-slot arena, the document has \
+                 {document} slots"
+            ),
         }
     }
 }
@@ -57,13 +77,24 @@ impl std::error::Error for EvalError {}
 /// value cannot occur in any world. Used by the feedback layer to
 /// condition a document on user confirmation/rejection of an answer.
 pub fn answer_event(doc: &PxDoc, query: &Query, value: &str) -> Result<Option<Event>, EvalError> {
-    let events = answer_events(doc, query)?;
+    answer_event_indexed(doc, &DocIndex::build(doc), query, value)
+}
+
+/// [`answer_event`] on a document whose [`DocIndex`] the caller already
+/// holds (for callers that query one document many times).
+pub fn answer_event_indexed(
+    doc: &PxDoc,
+    index: &DocIndex,
+    query: &Query,
+    value: &str,
+) -> Result<Option<Event>, EvalError> {
+    let events = QueryPlan::compile(query).answer_events(doc, index)?;
     Ok(events.into_iter().find(|(v, _)| v == value).map(|(_, e)| e))
 }
 
 /// The events of all possible answer values (unranked, document order).
 pub fn answer_events(doc: &PxDoc, query: &Query) -> Result<Vec<(String, Event)>, EvalError> {
-    QueryPlan::compile(query).answer_events(doc)
+    QueryPlan::compile(query).answer_events(doc, &DocIndex::build(doc))
 }
 
 /// Evaluate a query over a probabilistic document; returns ranked answers.
@@ -100,13 +131,17 @@ impl StepPredicate for Expr {
 /// contexts.
 pub(crate) struct Evaluator<'d> {
     doc: &'d PxDoc,
+    index: &'d DocIndex,
     values: HashMap<PxNodeId, Rc<Vec<(String, Event)>>>,
 }
 
 impl<'d> Evaluator<'d> {
-    pub(crate) fn new(doc: &'d PxDoc) -> Self {
+    /// An execution over `doc`, whose index `index` is (the caller
+    /// checked [`DocIndex::fits`]).
+    pub(crate) fn new(doc: &'d PxDoc, index: &'d DocIndex) -> Self {
         Evaluator {
             doc,
+            index,
             values: HashMap::new(),
         }
     }
@@ -117,12 +152,15 @@ impl<'d> Evaluator<'d> {
     /// occurrence.
     pub(crate) fn amalgamate(
         &mut self,
-        contexts: Vec<(Option<PxNodeId>, Event)>,
+        contexts: Vec<(PxNodeId, Event)>,
     ) -> Result<Vec<(String, Event)>, EvalError> {
         let mut disjuncts = KeyedDisjuncts::new();
         for (node, ctx_event) in contexts {
-            // lint:allow(expect-in-lib, holds by construction: after ≥1 steps contexts are real nodes)
-            let node = node.expect("after ≥1 steps contexts are real nodes");
+            // One text child: one value, under no further condition.
+            if let Some(text) = single_text(self.doc, node) {
+                disjuncts.add(text.to_string(), ctx_event);
+                continue;
+            }
             for (value, val_event) in self.value_events(node)?.iter() {
                 disjuncts.add(
                     value.clone(),
@@ -133,22 +171,58 @@ impl<'d> Evaluator<'d> {
         Ok(disjuncts.into_events())
     }
 
-    /// Apply one step — axis scan, node test, predicates — from a
+    /// Apply one step from every context, merging the events of a node
+    /// reached from several contexts ([`KeyedDisjuncts`]). A child step,
+    /// or a step from one context, reaches no node twice — an element has
+    /// one element parent, and a scan yields each node once — so its
+    /// results are concatenated as they come, which is exactly what the
+    /// merge would return.
+    ///
+    /// `within` restricts the step to a value lookup's candidates for
+    /// the first predicate (see [`DocIndex::value_candidates`]): at any
+    /// other node that predicate's event is `False`, so the node would be
+    /// dropped, and no later predicate would have run on it.
+    pub(crate) fn step_all<C: Into<Option<PxNodeId>>, P: StepPredicate>(
+        &mut self,
+        contexts: Vec<(C, Event)>,
+        axis: Axis,
+        test: &NodeTest,
+        preds: &[P],
+        within: Option<&[u32]>,
+    ) -> Result<Vec<(PxNodeId, Event)>, EvalError> {
+        let index = self.index;
+        let list = within.unwrap_or_else(|| index.tagged(test));
+        if axis == Axis::Child || contexts.len() <= 1 {
+            let mut out = Vec::new();
+            for (ctx, ctx_event) in contexts {
+                out.extend(self.apply_step(ctx.into(), &ctx_event, axis, list, preds)?);
+            }
+            return Ok(out);
+        }
+        let mut merger = KeyedDisjuncts::new();
+        for (ctx, ctx_event) in contexts {
+            for (node, ev) in self.apply_step(ctx.into(), &ctx_event, axis, list, preds)? {
+                merger.add(node, ev);
+            }
+        }
+        Ok(merger.into_events())
+    }
+
+    /// Apply one step — axis scan over `list`, predicates — from a
     /// context node (None = virtual document node): every selected node
     /// carries the conjunction of the context's event, its own existence
     /// event and its predicates' events. The one step function absolute
     /// (planned) and relative (predicate) paths share.
-    pub(crate) fn apply_step<P: StepPredicate>(
+    fn apply_step<P: StepPredicate>(
         &mut self,
         ctx: Option<PxNodeId>,
         ctx_event: &Event,
         axis: Axis,
-        test: &NodeTest,
+        list: &[u32],
         preds: &[P],
     ) -> Result<Vec<(PxNodeId, Event)>, EvalError> {
-        let found = self.collect_step_nodes(ctx, axis, test);
-        let mut out = Vec::with_capacity(found.len());
-        for (node, local_event) in found {
+        let mut out = Vec::new();
+        for (node, local_event) in self.index.step(ctx, axis, list) {
             let mut ev = Event::and(ctx_event.clone(), local_event);
             for pred in preds {
                 if matches!(ev, Event::False) {
@@ -162,58 +236,6 @@ impl<'d> Evaluator<'d> {
             }
         }
         Ok(out)
-    }
-
-    /// The axis/test part of one step: nodes selected from a context
-    /// (None = virtual document node) with their local existence events,
-    /// before any context event or predicate is applied.
-    fn collect_step_nodes(
-        &self,
-        ctx: Option<PxNodeId>,
-        axis: Axis,
-        test: &NodeTest,
-    ) -> Vec<(PxNodeId, Event)> {
-        let doc = self.doc;
-        let mut found: Vec<(PxNodeId, Event)> = Vec::new();
-        match ctx {
-            None => match axis {
-                Axis::Child => {
-                    collect_top_elems(doc, doc.root(), Event::True, &mut |n, e| {
-                        if test_matches(doc, n, test) {
-                            found.push((n, e));
-                        }
-                    });
-                }
-                Axis::Descendant => {
-                    collect_descendant_elems(doc, doc.root(), Event::True, &mut |n, e| {
-                        if test_matches(doc, n, test) {
-                            found.push((n, e));
-                        }
-                    });
-                }
-            },
-            Some(e) => match axis {
-                Axis::Child => {
-                    for &c in doc.children(e) {
-                        collect_items(doc, c, Event::True, &mut |n, ev| {
-                            if doc.is_elem(n) && test_matches(doc, n, test) {
-                                found.push((n, ev));
-                            }
-                        });
-                    }
-                }
-                Axis::Descendant => {
-                    for &c in doc.children(e) {
-                        collect_descendant_elems(doc, c, Event::True, &mut |n, ev| {
-                            if test_matches(doc, n, test) {
-                                found.push((n, ev));
-                            }
-                        });
-                    }
-                }
-            },
-        }
-        found
     }
 
     /// Evaluate a predicate to the event "the predicate holds", with
@@ -287,15 +309,7 @@ impl<'d> Evaluator<'d> {
     ) -> Result<Vec<(PxNodeId, Event)>, EvalError> {
         let mut current: Vec<(PxNodeId, Event)> = vec![(ctx, Event::True)];
         for step in &path.steps {
-            let mut merger = KeyedDisjuncts::new();
-            for (c, ce) in current {
-                for (node, ev) in
-                    self.apply_step(Some(c), &ce, step.axis, &step.test, &step.predicates)?
-                {
-                    merger.add(node, ev);
-                }
-            }
-            current = merger.into_events();
+            current = self.step_all(current, step.axis, &step.test, &step.predicates, None)?;
         }
         Ok(current)
     }
@@ -306,6 +320,13 @@ impl<'d> Evaluator<'d> {
         node: PxNodeId,
         test: impl Fn(&str) -> bool,
     ) -> Result<Event, EvalError> {
+        if let Some(text) = single_text(self.doc, node) {
+            return Ok(if test(text) {
+                Event::True
+            } else {
+                Event::False
+            });
+        }
         let variants = self.value_events(node)?;
         Ok(Event::any(
             variants
@@ -389,13 +410,6 @@ impl<K: Clone + Eq + std::hash::Hash> KeyedDisjuncts<K> {
     }
 }
 
-fn test_matches(doc: &PxDoc, node: PxNodeId, test: &NodeTest) -> bool {
-    match test {
-        NodeTest::Any => true,
-        NodeTest::Tag(t) => doc.tag(node) == Some(t.as_str()),
-    }
-}
-
 /// The atom for choosing possibility `idx` of `prob` — or `True` when the
 /// choice point has a single possibility (a certain choice contributes no
 /// uncertainty, and keeping it out of events preserves their
@@ -411,83 +425,17 @@ fn atom_for(doc: &PxDoc, prob: PxNodeId, idx: usize) -> Event {
     }
 }
 
-/// Visit the top-level *items* reachable from `node` without descending
-/// into elements: the node itself if regular, or — for a choice point —
-/// the top-level items of each possibility (with the atom conjoined).
-fn collect_items(
-    doc: &PxDoc,
-    node: PxNodeId,
-    event: Event,
-    visit: &mut impl FnMut(PxNodeId, Event),
-) {
-    match doc.kind(node) {
-        PxNodeKind::Prob => {
-            for (idx, &poss) in doc.children(node).iter().enumerate() {
-                let atom = atom_for(doc, node, idx);
-                let ev = Event::and(event.clone(), atom);
-                for &c in doc.children(poss) {
-                    collect_items(doc, c, ev.clone(), visit);
-                }
-            }
-        }
-        // lint:allow(panic-in-lib, statically unreachable: poss visited outside its prob)
-        PxNodeKind::Poss(_) => unreachable!("poss visited outside its prob"),
-        _ => visit(node, event),
-    }
-}
-
-/// Visit the top-level *element* items of a probability node (used for the
-/// virtual document's children: the root choice's alternatives).
-fn collect_top_elems(
-    doc: &PxDoc,
-    prob: PxNodeId,
-    event: Event,
-    visit: &mut impl FnMut(PxNodeId, Event),
-) {
-    collect_items(doc, prob, event, &mut |n, e| {
-        if doc.is_elem(n) {
-            visit(n, e);
-        }
-    });
-}
-
-/// Visit every descendant element below `node` (including `node` itself if
-/// it is an element reached through choices), with existence events.
-fn collect_descendant_elems(
-    doc: &PxDoc,
-    node: PxNodeId,
-    event: Event,
-    visit: &mut impl FnMut(PxNodeId, Event),
-) {
-    match doc.kind(node) {
-        PxNodeKind::Prob => {
-            for (idx, &poss) in doc.children(node).iter().enumerate() {
-                let atom = atom_for(doc, node, idx);
-                let ev = Event::and(event.clone(), atom);
-                for &c in doc.children(poss) {
-                    collect_descendant_elems(doc, c, ev.clone(), visit);
-                }
-            }
-        }
-        // lint:allow(panic-in-lib, statically unreachable: poss visited outside its prob)
-        PxNodeKind::Poss(_) => unreachable!("poss visited outside its prob"),
-        PxNodeKind::Elem { .. } => {
-            visit(node, event.clone());
-            for &c in doc.children(node) {
-                collect_descendant_elems(doc, c, event.clone(), visit);
-            }
-        }
-        PxNodeKind::Text(_) => {}
-    }
-}
-
 /// All possible string values of `node` with the events selecting them.
 ///
 /// Values are grouped (equal values' events are disjoined), so the result
 /// has one entry per distinct possible value.
 pub fn value_events(doc: &PxDoc, node: PxNodeId) -> Result<Vec<(String, Event)>, EvalError> {
+    let variants = node_value_events(doc, node)?;
+    if variants.len() <= 1 {
+        return Ok(variants);
+    }
     let mut disjuncts = KeyedDisjuncts::new();
-    for (v, e) in node_value_events(doc, node)? {
+    for (v, e) in variants {
         disjuncts.add(v, e);
     }
     Ok(disjuncts.into_events())
@@ -749,7 +697,8 @@ mod tests {
         let cat = px.add_elem(w, "catalog");
         let m = px.add_elem(cat, "movie");
         let t = px.add_text_elem(m, "title", "Jaws");
-        let mut eval = Evaluator::new(&px);
+        let index = DocIndex::build(&px);
+        let mut eval = Evaluator::new(&px, &index);
         let first = eval.value_events(t).unwrap();
         let second = eval.value_events(t).unwrap();
         assert!(Rc::ptr_eq(&first, &second), "second lookup hits the memo");

@@ -126,7 +126,7 @@ pub struct Answer {
 /// reference it was built from.
 #[derive(Debug)]
 pub struct AnswerStream {
-    weights: ChoiceWeights,
+    weights: Arc<ChoiceWeights>,
     pending: std::vec::IntoIter<(String, Event)>,
     memo: ProbMemo,
     min_probability: f64,
@@ -136,7 +136,7 @@ pub struct AnswerStream {
 
 impl AnswerStream {
     pub(crate) fn new(
-        weights: ChoiceWeights,
+        weights: Arc<ChoiceWeights>,
         events: Vec<(String, Event)>,
         min_probability: f64,
     ) -> Self {

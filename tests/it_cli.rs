@@ -127,9 +127,13 @@ fn explain_prints_the_compiled_plan() {
         text.contains("plan for //person[./nm=\"John\"]/tel"),
         "{text}"
     );
-    assert!(text.contains("SubtreeScan(person)"), "{text}");
+    assert!(text.contains("TagRangeScan(//person)"), "{text}");
+    assert!(
+        text.contains("ValueLookup(./nm = \"John\") \u{222a} uncertain(nm)"),
+        "{text}"
+    );
     assert!(text.contains("ValueScan"), "{text}");
-    assert!(text.contains("ChildScan(tel)"), "{text}");
+    assert!(text.contains("TagRangeScan(/tel)"), "{text}");
     assert!(text.contains("Amalgamate"), "{text}");
 
     let out = imprecise(&["explain", "//person/tel", "--threshold", "0.5"]);

@@ -236,6 +236,94 @@ fn pay_as_you_go_refinement_cycle() {
         .any(|ans| (ans.probability - after.probability_of(&ans.value)).abs() > 1e-12));
 }
 
+/// The engine caches one query index per published version. After a
+/// refine step and after feedback, the next query must run on the new
+/// version's index, never on the previous one: every answer (value,
+/// probability bits and event) equals a bare evaluation of the same
+/// version, which indexes the document afresh.
+#[test]
+fn query_index_follows_every_published_version() {
+    use imprecise::integrate::{IntegrationOptions, RefineOptions};
+    use imprecise::query::Answer;
+    use imprecise::DocSnapshot;
+    let scenario = scenarios::confusable(4);
+    let engine = Engine::builder()
+        .oracle(movie_oracle(MovieOracleConfig {
+            title_rule: false,
+            ..MovieOracleConfig::default()
+        }))
+        .schema(scenario.schema)
+        .options(IntegrationOptions {
+            max_matchings_per_component: 8,
+            ..IntegrationOptions::default()
+        })
+        .build();
+    let a = engine
+        .load_xml("a", &to_string(&scenario.mpeg7))
+        .expect("loads");
+    let b = engine
+        .load_xml("b", &to_string(&scenario.imdb))
+        .expect("loads");
+    let (db, _) = engine.integrate(&a, &b, "db").expect("integrates");
+    let query = engine.prepare("//movie/title").expect("parses");
+    let checked = |label: &str| -> DocSnapshot {
+        let snapshot = engine.snapshot(&db).expect("exists");
+        let cached: Vec<Answer> = query.stream(&snapshot, None).expect("evaluates").collect();
+        let bare: Vec<Answer> = query
+            .plan()
+            .execute(snapshot.doc())
+            .expect("evaluates")
+            .collect();
+        assert!(!cached.is_empty(), "{label}");
+        assert_eq!(cached, bare, "{label}");
+        let index = snapshot.index();
+        assert!(index.fits(snapshot.doc()), "{label}");
+        assert_eq!(
+            index.node_count(),
+            snapshot.doc().reachable_count(),
+            "{label}"
+        );
+        snapshot
+    };
+
+    let integrated = checked("integrated");
+    let again = engine.snapshot(&db).expect("exists");
+    assert!(
+        std::ptr::eq(integrated.index(), again.index()),
+        "snapshots of one version share its index"
+    );
+
+    let step = engine
+        .refine(
+            &db,
+            &RefineOptions {
+                extra_matchings: 8,
+                ..RefineOptions::default()
+            },
+        )
+        .expect("refines");
+    assert!(step.emitted_nodes > 0, "the step changed the document");
+    let refined = checked("refined");
+    assert_eq!(refined.version(), integrated.version() + 1);
+    assert!(!std::ptr::eq(integrated.index(), refined.index()));
+
+    let uncertain = query
+        .run(&refined)
+        .expect("evaluates")
+        .items
+        .into_iter()
+        .find(|a| a.probability < 1.0)
+        .expect("an uncertain title");
+    engine
+        .feedback(&db, &query, &uncertain.value, false)
+        .expect("feedback applies");
+    let conditioned = checked("after feedback");
+    assert_eq!(conditioned.version(), refined.version() + 1);
+    assert!(!std::ptr::eq(refined.index(), conditioned.index()));
+    let after = query.run(&conditioned).expect("evaluates");
+    assert_eq!(after.probability_of(&uncertain.value), 0.0);
+}
+
 #[test]
 fn staged_refinement_emits_deltas_and_keeps_the_arena_clean() {
     use imprecise::integrate::{IntegrationOptions, RefineOptions};
