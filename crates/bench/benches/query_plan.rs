@@ -32,8 +32,8 @@
 //! The `query_plan_catalog` group runs the end-to-end benchmark's
 //! `ingest-catalog` queries on the integrated `large_source(10_000)`
 //! (317 754 nodes): the [`DocIndex`] build, and each query shape with a
-//! warm index (the engine's per-version cache) and cold (a bare
-//! `QueryPlan::execute`, which builds a transient index). Under
+//! warm index (kept in the document by its first query; a cold query
+//! costs the build plus the warm one). Under
 //! `--bench` the harness ends with a scaling gate: with a warm index,
 //! `//movie[year="1955"]/title` (168 answers) must cost at most
 //! [`CATALOG_QUERY_GATE_CEILING`] of `//movie/title` (17 500 answers) —
@@ -216,7 +216,7 @@ fn bench_query_plan(c: &mut Criterion) {
 fn bench_catalog(c: &mut Criterion) {
     let n = if bench_mode() { 10_000 } else { 300 };
     let db = catalog_query_db(n);
-    let index = DocIndex::build(&db);
+    DocIndex::of(&db);
     let mut group = c.benchmark_group("query_plan_catalog");
     group.sample_size(10);
     group.bench_function(format!("n={n}/index-build"), |b| {
@@ -233,9 +233,6 @@ fn bench_catalog(c: &mut Criterion) {
     ] {
         let plan = QueryPlan::parse(query).expect("bench query parses");
         group.bench_function(format!("n={n}/{shape}-warm"), |b| {
-            b.iter(|| black_box(plan.collect_indexed(black_box(&db), &index)))
-        });
-        group.bench_function(format!("n={n}/{shape}-cold"), |b| {
             b.iter(|| black_box(plan.collect(black_box(&db))))
         });
     }
@@ -255,8 +252,7 @@ fn catalog_query_gate() {
         return;
     }
     let db = catalog_query_db(10_000);
-    let index = DocIndex::build(&db);
-    let m = measure_catalog_query_ratio(&db, &index);
+    let m = measure_catalog_query_ratio(&db);
     let ratio = m.ratio();
     println!(
         "gate: warm year query {:?} / title query {:?} = {ratio:.3} (ceiling \

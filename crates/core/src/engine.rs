@@ -19,8 +19,9 @@
 //!   [`PreparedQuery`] that owns a compiled [`QueryPlan`], re-binds it
 //!   per snapshot (the last run is cached keyed by document version) and
 //!   can be evaluated against any number of snapshots from any thread.
-//!   Each version's query index ([`DocIndex`]) is built by the first
-//!   query of that version and shared by every later one;
+//!   Each version's query index ([`DocIndex`](imprecise_query::DocIndex)) lives in its immutable
+//!   document: the first query of the version builds it, and every later
+//!   query and feedback round on that version reuses it;
 //!   [`Engine::query_many`] runs a batch against one consistent
 //!   snapshot, and [`Engine::query_stream`] / [`PreparedQuery::stream`]
 //!   yield answers lazily with a probability threshold pushed down into
@@ -56,20 +57,20 @@
 //! ```
 
 use crate::error::ImpreciseError;
-use imprecise_feedback::{apply_feedback_indexed, FeedbackReport};
+use imprecise_feedback::{apply_feedback, FeedbackReport};
 use imprecise_integrate::{
     integrate_many_px, integrate_px_shared, IntegrateError, IntegrationOptions, IntegrationOutcome,
     IntegrationStats, InvariantViolation, RefineOptions, RefineState, RefineStep,
 };
 use imprecise_oracle::Oracle;
 use imprecise_pxml::{parse_annotated, to_annotated_xml, NodeBreakdown, PxDoc};
-use imprecise_query::{parse_query, AnswerStream, DocIndex, Query, QueryPlan, RankedAnswers};
+use imprecise_query::{parse_query, AnswerStream, Query, QueryPlan, RankedAnswers};
 use imprecise_store::{Durability, Store};
 use imprecise_xmlkit::{parse, to_string, Schema};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Size/uncertainty statistics of one document version.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,9 +153,6 @@ pub struct DocSnapshot {
     handle: DocHandle,
     version: u64,
     doc: Arc<PxDoc>,
-    /// The version's query index, shared with its slot and every other
-    /// snapshot of the version.
-    index: Arc<OnceLock<DocIndex>>,
 }
 
 impl DocSnapshot {
@@ -177,14 +175,6 @@ impl DocSnapshot {
     /// A shared reference to the document, for handing to other threads.
     pub fn doc_arc(&self) -> Arc<PxDoc> {
         Arc::clone(&self.doc)
-    }
-
-    /// The query index of this version: built by the first query of the
-    /// version (from any snapshot of it), then shared by every later
-    /// one. Publishing never builds it, so integration, refinement and
-    /// feedback do not pay for it.
-    pub fn index(&self) -> &DocIndex {
-        self.index.get_or_init(|| DocIndex::build(&self.doc))
     }
 
     /// Size/uncertainty statistics of this version.
@@ -301,9 +291,7 @@ impl PreparedQuery {
             }
         }
         // Evaluate outside the lock; a racing clone at worst recomputes.
-        let ranked = self
-            .plan
-            .collect_indexed(snapshot.doc(), snapshot.index())?;
+        let ranked = self.plan.collect(snapshot.doc())?;
         let mut cache = self
             .cache
             .lock()
@@ -347,15 +335,12 @@ impl PreparedQuery {
         snapshot: &DocSnapshot,
         min_probability: Option<f64>,
     ) -> Result<AnswerStream, ImpreciseError> {
-        let threshold = min_probability.unwrap_or(self.plan.min_probability());
-        Ok(self
-            .plan
-            .execute_indexed(snapshot.doc(), snapshot.index(), threshold)?)
+        self.stream_doc(snapshot.doc(), min_probability)
     }
 
-    /// Evaluate against a bare probabilistic document (no cache: a bare
-    /// document has no version identity, so every call builds a
-    /// transient index).
+    /// Evaluate against a bare probabilistic document (no answer cache: a
+    /// bare document has no version identity; its index is still built
+    /// once, see [`DocIndex::of`](imprecise_query::DocIndex::of)).
     pub fn run_doc(&self, doc: &PxDoc) -> Result<RankedAnswers, ImpreciseError> {
         Ok(self.plan.collect(doc)?)
     }
@@ -402,9 +387,6 @@ struct Slot {
     name: Arc<str>,
     version: u64,
     doc: Arc<PxDoc>,
-    /// The query index of `doc`, built lazily by the first query of this
-    /// version and replaced (empty) by every publish.
-    index: Arc<OnceLock<DocIndex>>,
     refine: Option<Arc<RefineState>>,
     /// `Some(version)` while the slot's content is exactly what
     /// [`Engine::open`] recovered from the durable store (tagged with
@@ -416,19 +398,13 @@ struct Slot {
 }
 
 impl Slot {
-    /// Install the next version: `doc` with its (not yet built) index
-    /// and the refinable state belonging to it.
+    /// Install the next version: `doc` with the refinable state
+    /// belonging to it.
     fn publish(&mut self, doc: Arc<PxDoc>, refine: Option<Arc<RefineState>>) {
         self.version += 1;
         self.doc = doc;
-        self.index = Arc::default();
         self.refine = refine;
         self.recovered_at = None;
-    }
-
-    /// The current version's index, built now if no query built it yet.
-    fn index(&self) -> &DocIndex {
-        self.index.get_or_init(|| DocIndex::build(&self.doc))
     }
 }
 
@@ -495,7 +471,6 @@ impl Catalog {
                 name: Arc::clone(&name),
                 version: 1,
                 doc,
-                index: Arc::default(),
                 refine,
                 recovered_at: None,
             },
@@ -539,7 +514,6 @@ impl Catalog {
                 name: Arc::clone(&name),
                 version,
                 doc,
-                index: Arc::default(),
                 refine,
                 recovered_at: Some(version),
             },
@@ -944,7 +918,6 @@ impl Engine {
             handle: handle.clone(),
             version: slot.version,
             doc: Arc::clone(&slot.doc),
-            index: Arc::clone(&slot.index),
         })
     }
 
@@ -1374,10 +1347,9 @@ impl Engine {
         value: &str,
         correct: bool,
     ) -> Result<FeedbackReport, ImpreciseError> {
-        let condition = |doc: &PxDoc, index: &DocIndex| {
-            let result = apply_feedback_indexed(
+        let condition = |doc: &PxDoc| {
+            let result = apply_feedback(
                 doc,
-                index,
                 query.ast(),
                 value,
                 correct,
@@ -1391,7 +1363,7 @@ impl Engine {
         };
         for _ in 0..OPTIMISTIC_ROUNDS {
             let snapshot = self.snapshot(handle)?;
-            let (conditioned, report) = condition(snapshot.doc(), snapshot.index())?;
+            let (conditioned, report) = condition(snapshot.doc())?;
             let mut catalog = self.shared.catalog_write();
             let slot = catalog.slot_mut_of(handle)?;
             if slot.version == snapshot.version() {
@@ -1408,7 +1380,7 @@ impl Engine {
         // Contended slot: condition under the write lock so nothing races.
         let mut catalog = self.shared.catalog_write();
         let slot = catalog.slot_mut_of(handle)?;
-        let (conditioned, report) = condition(&slot.doc, slot.index())?;
+        let (conditioned, report) = condition(&slot.doc)?;
         let conditioned = Arc::new(conditioned);
         self.persist(&slot.name, slot.version + 1, &conditioned, None)?;
         slot.publish(conditioned, None);

@@ -36,7 +36,7 @@
 use imprecise_pxml::{PxDoc, PxNodeId, PxNodeKind, TooManyWorlds};
 use imprecise_query::event::satisfying_assignments;
 use imprecise_query::xml_eval::eval_xml_values;
-use imprecise_query::{answer_event_indexed, DocIndex, EvalError, Event, Query};
+use imprecise_query::{answer_event, EvalError, Event, Query};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -125,24 +125,9 @@ pub fn apply_feedback(
     correct: bool,
     world_cap: usize,
 ) -> Result<(PxDoc, FeedbackReport), FeedbackError> {
-    apply_feedback_indexed(doc, &DocIndex::build(doc), query, value, correct, world_cap)
-}
-
-/// [`apply_feedback`] on a document whose query index the caller
-/// already holds — the engine passes the index its queries of the same
-/// version built, so conditioning does not index the document again.
-/// `index` must have been built from `doc`.
-pub fn apply_feedback_indexed(
-    doc: &PxDoc,
-    index: &DocIndex,
-    query: &Query,
-    value: &str,
-    correct: bool,
-    world_cap: usize,
-) -> Result<(PxDoc, FeedbackReport), FeedbackError> {
     let worlds_before = doc.world_count_f64();
     let nodes_before = doc.reachable_count();
-    let event = answer_event_indexed(doc, index, query, value)?.unwrap_or(Event::False);
+    let event = answer_event(doc, query, value)?.unwrap_or(Event::False);
     let target = if correct { event } else { Event::not(event) };
     let p_event = imprecise_query::event::probability(doc, &target);
     if p_event <= 0.0 {
@@ -424,7 +409,7 @@ fn rebuild_from_worlds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imprecise_query::{answer_event, eval_px, parse_query, ChoiceAtom};
+    use imprecise_query::{eval_px, parse_query, ChoiceAtom};
 
     /// Fig. 2: John with phone 1111 or 2222, or two Johns.
     fn fig2() -> PxDoc {

@@ -307,13 +307,13 @@ pub fn apply_doc_delta(doc: &mut PxDoc, r: &mut Reader<'_>) -> Result<(), CodecE
         }
         let node = decode_node(r, len)?;
         detached |= id != root && node.parent.is_none();
-        doc.nodes[id.index()] = node;
+        doc.nodes_mut()[id.index()] = node;
     }
-    doc.nodes.reserve((len - base_len).min(1 << 20));
+    doc.nodes_mut().reserve((len - base_len).min(1 << 20));
     for _ in base_len..len {
         let node = decode_node(r, len)?;
         detached |= node.parent.is_none();
-        doc.nodes.push(node);
+        doc.nodes_mut().push(node);
     }
     doc.maybe_detached |= detached;
     Ok(())
@@ -440,6 +440,7 @@ pub fn decode_doc(r: &mut Reader<'_>) -> Result<PxDoc, CodecError> {
         nodes,
         root: PxNodeId(root_raw),
         maybe_detached,
+        derived: Default::default(),
     })
 }
 

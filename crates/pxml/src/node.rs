@@ -1,6 +1,9 @@
 //! Arena representation of probabilistic XML trees.
 
 use imprecise_xmlkit::{Attr, NodeId as XmlNodeId, NodeKind as XmlNodeKind, XmlDoc};
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a node inside a [`PxDoc`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,6 +61,9 @@ pub(crate) struct PxNodeData {
 /// assembles a result; [`PxDoc::reachable_count`] and the counters in
 /// [`crate::count`] only consider nodes reachable from the root.
 /// [`PxDoc::compact`] reclaims detached slots when they accumulate.
+///
+/// A document also keeps one value derived from it by a higher layer
+/// (the query crate's index), see [`PxDoc::derived`].
 #[derive(Debug, Clone)]
 pub struct PxDoc {
     pub(crate) nodes: Vec<PxNodeData>,
@@ -71,6 +77,27 @@ pub struct PxDoc {
     /// [`compact`](PxDoc::compact). `true` only means a detach *may*
     /// have left garbage — the slow count remains the authority.
     pub(crate) maybe_detached: bool,
+    /// The value [`derived`](PxDoc::derived) built, dropped by every
+    /// mutation: all of them reach the arena through
+    /// [`nodes_mut`](PxDoc::nodes_mut).
+    pub(crate) derived: Derived,
+}
+
+/// The slot behind [`PxDoc::derived`]: empty, or the one value built
+/// from the document as it is now. Clones share it (a clone is the same
+/// document until one of them changes).
+#[derive(Clone, Default)]
+pub(crate) struct Derived(OnceLock<Arc<dyn Any + Send + Sync>>);
+
+impl fmt::Debug for Derived {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = if self.0.get().is_some() {
+            "built"
+        } else {
+            "empty"
+        };
+        write!(f, "Derived({state})")
+    }
 }
 
 /// Arena occupancy of a [`PxDoc`]: how many slots are reachable from the
@@ -168,6 +195,7 @@ impl PxDoc {
             }],
             root: PxNodeId(0),
             maybe_detached: false,
+            derived: Derived::default(),
         }
     }
 
@@ -188,9 +216,45 @@ impl PxDoc {
         &self.nodes[id.index()]
     }
 
+    /// The arena, for a mutation: drops the [`derived`](Self::derived)
+    /// value, which described the document before it. Every mutation
+    /// goes through here.
+    #[inline]
+    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<PxNodeData> {
+        self.derived.0.take();
+        &mut self.nodes
+    }
+
     #[inline]
     fn node_mut(&mut self, id: PxNodeId) -> &mut PxNodeData {
-        &mut self.nodes[id.index()]
+        &mut self.nodes_mut()[id.index()]
+    }
+
+    /// The value `build` derives from this document: built by the first
+    /// call, then shared by every later one until the document is next
+    /// modified — every mutation drops it. The query crate keeps
+    /// its index here, so a document queried many times is indexed once,
+    /// and never while it is being built or refined. A document keeps one
+    /// derived value; asking for a second type builds it without keeping
+    /// it.
+    ///
+    /// ```
+    /// use imprecise_pxml::PxDoc;
+    /// use std::sync::Arc;
+    ///
+    /// let mut px = PxDoc::new();
+    /// let w = px.add_poss(px.root(), 1.0);
+    /// px.add_elem(w, "doc");
+    /// let first = px.derived(PxDoc::reachable_count);
+    /// assert!(Arc::ptr_eq(&first, &px.derived(PxDoc::reachable_count)));
+    /// px.add_elem(w, "more");
+    /// assert_eq!(*px.derived(PxDoc::reachable_count), 4);
+    /// ```
+    pub fn derived<T: Any + Send + Sync>(&self, build: fn(&PxDoc) -> T) -> Arc<T> {
+        let held = self.derived.0.get_or_init(|| Arc::new(build(self)));
+        Arc::clone(held)
+            .downcast::<T>()
+            .unwrap_or_else(|_| Arc::new(build(self)))
     }
 
     /// The node payload.
@@ -312,7 +376,7 @@ impl PxDoc {
 
     fn push(&mut self, parent: PxNodeId, kind: PxNodeKind) -> PxNodeId {
         let id = PxNodeId(self.nodes.len() as u32);
-        self.nodes.push(PxNodeData {
+        self.nodes_mut().push(PxNodeData {
             kind,
             parent: Some(parent),
             children: Vec::new(),
@@ -445,7 +509,7 @@ impl PxDoc {
         let map = SpliceMap {
             base: self.nodes.len(),
         };
-        self.nodes.reserve(src.nodes.len() - 1);
+        self.nodes_mut().reserve(src.nodes.len() - 1);
         let mut slots = src.nodes.into_iter();
         // lint:allow(expect-in-lib, holds by construction: scratch has a root)
         let root = slots.next().expect("scratch has a root");
@@ -460,7 +524,7 @@ impl PxDoc {
             for c in &mut node.children {
                 *c = map.remap(*c);
             }
-            self.nodes.push(node);
+            self.nodes_mut().push(node);
         }
         self.node_mut(parent).children.extend_from_slice(&attached);
         (attached, map)
@@ -526,7 +590,7 @@ impl PxDoc {
                 "surviving node references a truncated one"
             );
         }
-        self.nodes.truncate(mark);
+        self.nodes_mut().truncate(mark);
     }
 
     /// Replace `old` in its parent's child list with `replacements`
@@ -618,7 +682,7 @@ impl PxDoc {
         if dropped == 0 {
             return CompactMap { map, dropped };
         }
-        let old = std::mem::take(&mut self.nodes);
+        let old = std::mem::take(self.nodes_mut());
         self.nodes = old
             .into_iter()
             .enumerate()
@@ -965,7 +1029,9 @@ pub(crate) mod tests {
     /// expansion workers race inside a component's search, so every
     /// arena type must be free of interior mutability (`Send + Sync`
     /// by plain data, not by locking). A `Cell`/`RefCell` smuggled into
-    /// a node payload would fail this at compile time.
+    /// a node payload would fail this at compile time. The one exception
+    /// is the document's derived-value slot, a `OnceLock` outside the
+    /// arena that only queries fill.
     #[test]
     fn arena_types_are_plain_shared_data() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -975,6 +1041,100 @@ pub(crate) mod tests {
         assert_send_sync::<ArenaStats>();
         assert_send_sync::<CompactMap>();
         assert_send_sync::<SpliceMap>();
+    }
+
+    /// The derived value is shared until the document changes: every
+    /// kind of mutation drops it, including those that keep the arena
+    /// size (reweighting, detaching, pruning).
+    #[test]
+    fn every_mutation_drops_the_derived_value() {
+        type Mutation = (&'static str, fn(&mut PxDoc));
+        let mutations: [Mutation; 12] = [
+            ("set_poss_prob", |px| {
+                px.set_poss_prob(px.children(px.root())[0], 0.4)
+            }),
+            ("set_attr", |px| {
+                let book = px.children(px.children(px.root())[0])[0];
+                px.set_attr(book, "id", "1");
+            }),
+            ("add_elem", |px| {
+                px.add_elem(px.children(px.root())[0], "extra");
+            }),
+            ("detach", |px| px.detach(px.children(px.root())[1])),
+            ("reset_children", |px| {
+                let kids = px.children(px.root()).to_vec();
+                px.reset_children(px.root(), kids[..1].to_vec());
+            }),
+            ("splice", |px| {
+                let w = px.children(px.root())[0];
+                let book = px.children(w)[0];
+                px.splice(book, &[]);
+            }),
+            ("truncate_arena", |px| {
+                let mark = px.arena_len();
+                let w = px.children(px.root())[0];
+                let extra = px.add_elem(w, "extra");
+                px.detach(extra);
+                let _ = px.derived(PxDoc::reachable_count);
+                px.truncate_arena(mark);
+            }),
+            ("compact", |px| {
+                px.detach(px.children(px.root())[1]);
+                let _ = px.derived(PxDoc::reachable_count);
+                px.compact();
+            }),
+            ("prune_below", |px| {
+                px.prune_below(0.6);
+            }),
+            ("simplify", |px| {
+                let w = px.children(px.root())[0];
+                let c = px.add_prob(w);
+                px.add_poss(c, 1.0);
+                let _ = px.derived(PxDoc::reachable_count);
+                px.simplify();
+            }),
+            ("splice_scratch", |px| {
+                let mut scratch = PxDoc::new();
+                scratch.add_poss(scratch.root(), 1.0);
+                px.splice_scratch(px.root(), scratch);
+            }),
+            ("apply_doc_delta", |px| {
+                let mut grown = px.clone();
+                let w = grown.children(grown.root())[0];
+                grown.add_elem(w, "extra");
+                let mut bytes = Vec::new();
+                crate::codec::encode_doc_delta(&grown, px.arena_len(), &[w], &mut bytes);
+                crate::codec::apply_doc_delta(px, &mut crate::codec::Reader::new(&bytes))
+                    .expect("delta applies");
+            }),
+        ];
+        for (name, mutate) in mutations {
+            let mut px = fig2();
+            let before = px.derived(PxDoc::reachable_count);
+            assert!(Arc::ptr_eq(&before, &px.derived(PxDoc::reachable_count)));
+            assert!(
+                Arc::ptr_eq(&before, &px.clone().derived(PxDoc::reachable_count)),
+                "a clone shares it"
+            );
+            let kept = px.clone();
+            mutate(&mut px);
+            let after = px.derived(PxDoc::reachable_count);
+            assert!(!Arc::ptr_eq(&before, &after), "{name}");
+            assert_eq!(*after, px.reachable_count(), "{name}");
+            assert!(
+                Arc::ptr_eq(&before, &kept.derived(PxDoc::reachable_count)),
+                "{name}: the unchanged clone keeps it"
+            );
+        }
+        let px = fig2();
+        let count = px.derived(PxDoc::reachable_count);
+        let other = px.derived(|px| px.arena_len() as u32);
+        assert_eq!(*other, px.arena_len() as u32);
+        assert!(
+            !Arc::ptr_eq(&other, &px.derived(|px| px.arena_len() as u32)),
+            "a second type is built, not kept"
+        );
+        assert!(Arc::ptr_eq(&count, &px.derived(PxDoc::reachable_count)));
     }
 
     #[test]

@@ -52,45 +52,6 @@ impl ChoiceWeights {
             _ => &[],
         }
     }
-
-    /// Assemble the table of a document with `arena_len` slots from its
-    /// choice points, listed in any order, each once: `choices` holds
-    /// every probability node with its number of possibilities, and
-    /// `weights` their possibility weights, concatenated in the same
-    /// order. Equal to [`PxDoc::choice_weights`] on every listed node;
-    /// lets a caller that walks the document anyway (the query index)
-    /// skip a second pass over the arena. Entries outside the arena are
-    /// ignored, and the listing stops where `weights` runs out.
-    pub fn from_choices(
-        arena_len: usize,
-        choices: &[(PxNodeId, u32)],
-        weights: &[f64],
-    ) -> ChoiceWeights {
-        let mut offsets = vec![0u32; arena_len + 1];
-        for &(prob, count) in choices {
-            if let Some(slot) = offsets.get_mut(prob.index() + 1) {
-                *slot = count;
-            }
-        }
-        for i in 0..arena_len {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut values = vec![0.0; offsets[arena_len] as usize];
-        let mut at = 0usize;
-        for &(prob, count) in choices {
-            let count = count as usize;
-            let (Some(&start), Some(src)) =
-                (offsets.get(prob.index()), weights.get(at..at + count))
-            else {
-                break;
-            };
-            if let Some(dst) = values.get_mut(start as usize..start as usize + count) {
-                dst.copy_from_slice(src);
-            }
-            at += count;
-        }
-        ChoiceWeights { offsets, values }
-    }
 }
 
 impl PxDoc {
@@ -118,30 +79,6 @@ impl PxDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_choices_equals_the_arena_pass() {
-        let mut px = PxDoc::new();
-        let w = px.add_poss(px.root(), 1.0);
-        let e = px.add_elem(w, "doc");
-        let c1 = px.add_prob(e);
-        px.add_poss(c1, 0.25);
-        px.add_poss(c1, 0.75);
-        let c2 = px.add_prob(e);
-        px.add_poss(c2, 0.1);
-        px.add_poss(c2, 0.2);
-        px.add_poss(c2, 0.7);
-        let full = px.choice_weights();
-        let root = px.root();
-        let assembled = ChoiceWeights::from_choices(
-            px.arena_len(),
-            &[(c2, 3), (root, 1), (c1, 2)],
-            &[0.1, 0.2, 0.7, 1.0, 0.25, 0.75],
-        );
-        for id in [root, w, e, c1, c2] {
-            assert_eq!(assembled.of(id), full.of(id));
-        }
-    }
 
     #[test]
     fn table_mirrors_possibilities() {

@@ -26,12 +26,14 @@
 //! on its first lookup.
 //!
 //! The index is built in one iterative pass (no recursion, so document
-//! depth is bounded by memory, not by the stack), which also gathers the
-//! document's choice-weight table for the answer streams. It never
-//! changes: it describes one immutable document. The engine builds it
-//! lazily, on the first query of a published version, and shares it
-//! between every query of that version; a bare
-//! [`crate::QueryPlan::execute`] builds a transient one.
+//! depth is bounded by memory, not by the stack) and never changes: it
+//! describes the document as it was. [`DocIndex::of`] keeps it in the
+//! document itself ([`PxDoc::derived`]), built by the document's first
+//! query and shared by every later one, and every mutation of the
+//! document drops it. So integration and refinement never pay for an
+//! index, an engine version (an immutable `Arc<PxDoc>`) is indexed once
+//! however many snapshots, prepared queries and feedback rounds read it,
+//! and no query can run on an index of an older state of its document.
 
 use crate::ast::{Axis, NodeTest, RelPath};
 use crate::event::{ChoiceAtom, Event};
@@ -58,29 +60,24 @@ struct ChoiceLink {
 
 /// A per-document region/tag/value index; see the [module docs](self).
 ///
-/// Built from one document and valid for that document only, as long as
-/// it is not modified. Query entry points that take an index check that
-/// its arena size matches the document's.
-///
 /// ```
 /// use imprecise_query::{DocIndex, QueryPlan};
 /// use imprecise_pxml::from_xml;
 /// use imprecise_xmlkit::parse;
+/// use std::sync::Arc;
 ///
 /// let doc = from_xml(&parse(
 ///     "<catalog><movie><title>Jaws</title><year>1975</year></movie>\
 ///      <movie><title>Heat</title><year>1995</year></movie></catalog>",
 /// ).unwrap());
-/// let index = DocIndex::build(&doc);
 /// let plan = QueryPlan::parse("//movie[year=\"1995\"]/title").unwrap();
-/// // Build once, query many times.
-/// let answers = plan.collect_indexed(&doc, &index).unwrap();
+/// // The first query indexes the document, later ones reuse the index.
+/// let answers = plan.collect(&doc).unwrap();
 /// assert_eq!(answers.items[0].value, "Heat");
+/// assert!(Arc::ptr_eq(&DocIndex::of(&doc), &DocIndex::of(&doc)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DocIndex {
-    /// Arena size of the indexed document.
-    arena_len: usize,
     /// The document's choice weights, shared by every answer stream.
     weights: Arc<ChoiceWeights>,
     /// Rank of every arena slot (`NONE` for a detached slot).
@@ -178,15 +175,10 @@ impl DocIndex {
         let mut element_parents: Vec<u32> = Vec::new();
         let mut kid_start = vec![0u32; arena_len + 1];
         let mut top: Vec<u32> = Vec::new();
-        let mut tag_names: Vec<&str> = Vec::new();
         let mut tag_of: HashMap<&str, u32> = HashMap::new();
         let mut by_tag: Vec<Vec<u32>> = Vec::new();
         let mut settled: Vec<Vec<(u64, u32)>> = Vec::new();
         let mut unsettled: Vec<Vec<u32>> = Vec::new();
-        // Every choice point with its possibility count, and their
-        // weights: the answer streams' weight table, gathered on the way.
-        let mut choices: Vec<(PxNodeId, u32)> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
         // The ranks on the path to the node being visited, whose
         // subtrees are still open.
         let mut open: Vec<u32> = Vec::new();
@@ -237,19 +229,12 @@ impl DocIndex {
             let children = doc.children(v.node);
             let (elem, multi) = match doc.kind(v.node) {
                 PxNodeKind::Elem { tag, .. } => {
-                    // Documents use few distinct tags: comparing with the
-                    // first eight costs less than hashing; the map keeps
-                    // documents with many tags linear.
-                    let known = tag_names.iter().take(8).position(|&n| n == tag.as_str());
-                    let t = known.unwrap_or_else(|| {
-                        *tag_of.entry(tag.as_str()).or_insert_with(|| {
-                            tag_names.push(tag.as_str());
-                            by_tag.push(Vec::new());
-                            settled.push(Vec::new());
-                            unsettled.push(Vec::new());
-                            (tag_names.len() - 1) as u32
-                        }) as usize
-                    });
+                    let t = *tag_of.entry(tag.as_str()).or_insert_with(|| {
+                        by_tag.push(Vec::new());
+                        settled.push(Vec::new());
+                        unsettled.push(Vec::new());
+                        (by_tag.len() - 1) as u32
+                    }) as usize;
                     elements.push(rank);
                     element_parents.push(v.elem);
                     match v.elem {
@@ -263,11 +248,7 @@ impl DocIndex {
                     }
                     (rank, false)
                 }
-                PxNodeKind::Prob => {
-                    choices.push((v.node, children.len() as u32));
-                    weights.extend(children.iter().map(|&c| doc.poss_prob(c).unwrap_or(0.0)));
-                    (v.elem, children.len() > 1)
-                }
+                PxNodeKind::Prob => (v.elem, children.len() > 1),
                 PxNodeKind::Poss(_) | PxNodeKind::Text(_) => (v.elem, false),
             };
             for (i, &c) in children.iter().enumerate().rev() {
@@ -296,14 +277,12 @@ impl DocIndex {
                 *at += 1;
             }
         }
-        let tag_ids = tag_names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.to_string(), i as u32))
+        let tag_ids = tag_of
+            .into_iter()
+            .map(|(name, t)| (name.to_string(), t))
             .collect();
         DocIndex {
-            arena_len,
-            weights: Arc::new(ChoiceWeights::from_choices(arena_len, &choices, &weights)),
+            weights: Arc::new(doc.choice_weights()),
             rank_of,
             ranks,
             links,
@@ -319,27 +298,21 @@ impl DocIndex {
         }
     }
 
+    /// The index of `doc` as it is now: built by the first call (or
+    /// query) on the document, shared by every later one until the
+    /// document is modified (see [`PxDoc::derived`]).
+    pub fn of(doc: &PxDoc) -> Arc<DocIndex> {
+        doc.derived(DocIndex::build)
+    }
+
     /// The document's choice weights.
     pub(crate) fn weights(&self) -> Arc<ChoiceWeights> {
         Arc::clone(&self.weights)
     }
 
-    /// Arena size of the indexed document.
-    pub(crate) fn arena_len(&self) -> usize {
-        self.arena_len
-    }
-
     /// Reachable nodes indexed.
     pub fn node_count(&self) -> usize {
         self.ranks.len()
-    }
-
-    /// True when this index can describe `doc`: it was built from a
-    /// document with the same arena size. (An index is only *valid* for
-    /// the unmodified document it was built from; the size check catches
-    /// the common misuse of querying a grown document with a stale one.)
-    pub fn fits(&self, doc: &PxDoc) -> bool {
-        self.arena_len == doc.arena_len()
     }
 
     /// Rank of a node, `NONE` when it is not indexed.
@@ -666,13 +639,10 @@ mod tests {
             node = px.add_elem(node, "b");
         }
         px.add_text_elem(node, "leaf", "found");
-        let index = DocIndex::build(&px);
+        let index = DocIndex::of(&px);
         assert_eq!(index.elements.len(), DEPTH);
         for query in ["//leaf", "/a//leaf", "//b/b/leaf"] {
-            let answers = QueryPlan::parse(query)
-                .unwrap()
-                .collect_indexed(&px, &index)
-                .unwrap();
+            let answers = QueryPlan::parse(query).unwrap().collect(&px).unwrap();
             assert_eq!(answers.len(), 1, "{query}");
             assert_eq!(answers.items[0].value, "found");
             assert_eq!(answers.items[0].probability, 1.0);

@@ -35,11 +35,11 @@
 //!   is read off its chain of enclosing choices, and an equality
 //!   predicate like `[year="1955"]` first narrows the step to the
 //!   ancestors of the elements whose value can match, so a selective
-//!   query costs what its answers cost. The engine builds the index
-//!   lazily, once per published document version, on the first query of
-//!   that version; a bare [`QueryPlan::execute`] builds a transient one,
-//!   and callers that query one document many times build it once and
-//!   use [`QueryPlan::execute_indexed`];
+//!   query costs what its answers cost. The index lives in the document
+//!   ([`DocIndex::of`]): the document's first query builds it, later
+//!   queries reuse it, and any mutation drops it — so integration and
+//!   refinement never build one, and each published engine version is
+//!   indexed at most once;
 //! * a naive all-worlds evaluator ([`eval_px_naive`]) used as a semantic
 //!   oracle in tests (`eval_px` ≡ `eval_px_naive` on every document).
 //!
@@ -93,6 +93,6 @@ pub use index::DocIndex;
 pub use naive::eval_px_naive;
 pub use parse::{parse_query, QueryParseError};
 pub use plan::QueryPlan;
-pub use px_eval::{answer_event, answer_event_indexed, answer_events, eval_px, EvalError};
+pub use px_eval::{answer_event, answer_events, eval_px, EvalError};
 pub use stream::{Answer, AnswerStream, AnswerValue};
 pub use xml_eval::eval_xml;

@@ -288,9 +288,9 @@ impl QueryPlan {
     /// probability computations. The stream owns everything it needs — it does
     /// not borrow the document.
     ///
-    /// Builds a transient [`DocIndex`] of `doc`; to run several queries
-    /// on one document, build the index once and use
-    /// [`execute_indexed`](Self::execute_indexed).
+    /// Runs on the document's [`DocIndex`], which the first query of
+    /// `doc` builds and later ones reuse until `doc` is modified
+    /// ([`DocIndex::of`]).
     pub fn execute(&self, doc: &PxDoc) -> Result<AnswerStream, EvalError> {
         self.execute_at(doc, self.min_probability)
     }
@@ -301,20 +301,8 @@ impl QueryPlan {
     /// callers that reuse one compiled plan across many thresholds
     /// without cloning it.
     pub fn execute_at(&self, doc: &PxDoc, min_probability: f64) -> Result<AnswerStream, EvalError> {
-        self.execute_indexed(doc, &DocIndex::build(doc), min_probability)
-    }
-
-    /// [`execute_at`](Self::execute_at) on a document whose index the
-    /// caller holds. `index` must have been built from `doc`, unmodified
-    /// since; an index of a different-size arena is an
-    /// [`EvalError::IndexMismatch`].
-    pub fn execute_indexed(
-        &self,
-        doc: &PxDoc,
-        index: &DocIndex,
-        min_probability: f64,
-    ) -> Result<AnswerStream, EvalError> {
-        let events = self.answer_events(doc, index)?;
+        let index = DocIndex::of(doc);
+        let events = self.answer_events(doc, &index)?;
         Ok(AnswerStream::new(
             index.weights(),
             events,
@@ -328,31 +316,14 @@ impl QueryPlan {
         Ok(self.execute(doc)?.into_ranked())
     }
 
-    /// [`collect`](Self::collect) on a document whose index the caller
-    /// holds (same contract as [`execute_indexed`](Self::execute_indexed)).
-    pub fn collect_indexed(
-        &self,
-        doc: &PxDoc,
-        index: &DocIndex,
-    ) -> Result<RankedAnswers, EvalError> {
-        Ok(self
-            .execute_indexed(doc, index, self.min_probability)?
-            .into_ranked())
-    }
-
-    /// The amalgamated (value, event) pairs of this plan on `doc`, in
-    /// document order — the input the stream ranks and filters.
+    /// The amalgamated (value, event) pairs of this plan on `doc`, whose
+    /// index `index` is, in document order — the input the stream ranks
+    /// and filters.
     pub(crate) fn answer_events(
         &self,
         doc: &PxDoc,
         index: &DocIndex,
     ) -> Result<Vec<(String, Event)>, EvalError> {
-        if !index.fits(doc) {
-            return Err(EvalError::IndexMismatch {
-                indexed: index.arena_len(),
-                document: doc.arena_len(),
-            });
-        }
         let mut eval = Evaluator::new(doc, index);
         let mut current: Vec<(PxNodeId, Event)> = Vec::new();
         for (i, op) in self.ops.iter().enumerate() {
@@ -475,6 +446,7 @@ impl fmt::Display for QueryPlan {
 mod tests {
     use super::*;
     use crate::naive::eval_px_naive;
+    use std::sync::Arc;
 
     fn movie_doc() -> PxDoc {
         let mut px = PxDoc::new();
@@ -593,16 +565,19 @@ mod tests {
         );
     }
 
-    /// A bare document is indexed afresh by every execution, so a
-    /// mutation between two runs is always seen; an index held across
-    /// the mutation is refused.
+    /// A document keeps the index its first query built until it is
+    /// modified; every later query runs on the document as it is, also
+    /// after mutations that keep the arena's size (a reweighted choice,
+    /// a detached movie).
     #[test]
-    fn a_bare_document_is_reindexed_on_every_execution() {
+    fn a_document_keeps_its_index_until_it_is_modified() {
         let mut px = movie_doc();
         let plan = QueryPlan::parse("//movie[genre=\"Horror\"]/title").unwrap();
         let before = plan.collect(&px).unwrap();
         assert_eq!(before.len(), 2);
-        let stale = DocIndex::build(&px);
+        let held = DocIndex::of(&px);
+        plan.collect(&px).unwrap();
+        assert!(Arc::ptr_eq(&held, &DocIndex::of(&px)), "built once");
         let cat = px.children(px.children(px.root())[0])[0];
         let m3 = px.add_elem(cat, "movie");
         px.add_text_elem(m3, "title", "Alien");
@@ -610,17 +585,23 @@ mod tests {
         let after = plan.collect(&px).unwrap();
         assert_eq!(after.len(), 3);
         assert_eq!(after.probability_of("Alien"), 1.0);
-        assert!(matches!(
-            plan.collect_indexed(&px, &stale),
-            Err(EvalError::IndexMismatch { .. })
-        ));
-        // A probability change keeps the arena's size: still seen.
-        let jaws2 = px.children(px.children(cat)[1])[0];
-        px.set_poss_prob(jaws2, 0.6);
-        let sibling = px.children(px.children(cat)[1])[1];
-        px.set_poss_prob(sibling, 0.4);
+        assert!(!Arc::ptr_eq(&held, &DocIndex::of(&px)));
+        let arena = px.arena_len();
+        let choice = px.children(cat)[1];
+        let (yes, no) = (px.children(choice)[0], px.children(choice)[1]);
+        px.set_poss_prob(yes, 0.6);
+        px.set_poss_prob(no, 0.4);
         let reweighted = plan.collect(&px).unwrap();
         assert!((reweighted.probability_of("Jaws 2") - 0.6).abs() < 1e-12);
+        px.detach(m3);
+        assert_eq!(px.arena_len(), arena);
+        let detached = plan.collect(&px).unwrap();
+        assert_eq!(detached.probability_of("Alien"), 0.0);
+        assert_eq!(detached.len(), 2);
+        assert_eq!(
+            plan.answer_events(&px, &DocIndex::of(&px)).unwrap(),
+            plan.answer_events(&px, &DocIndex::build(&px)).unwrap()
+        );
     }
 
     #[test]

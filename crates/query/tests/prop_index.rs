@@ -513,13 +513,13 @@ proptest! {
         let reference = walk::answer_events(&px, &query);
         let indexed = answer_events(&px, &query).expect("evaluates");
         prop_assert_eq!(&indexed, &reference, "query {}", text);
-        let index = DocIndex::build(&px);
         let plan = QueryPlan::compile(&query);
         for t in [0.0, 0.5] {
             let want = reference_answers(&px, &reference, t);
+            // The index `answer_events` left in `px`, and a new one.
             for stream in [
                 plan.execute_at(&px, t).expect("evaluates"),
-                plan.execute_indexed(&px, &index, t).expect("evaluates"),
+                plan.execute_at(&build_doc(&spec), t).expect("evaluates"),
             ] {
                 let got: Vec<(String, u64, Event)> = stream
                     .map(|a| (a.value.as_str().to_string(), a.probability.to_bits(), a.event))
