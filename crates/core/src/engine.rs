@@ -11,8 +11,17 @@
 //! * **Documents are versioned snapshots.** The catalog stores
 //!   [`Arc<PxDoc>`] per document; readers take a cheap [`DocSnapshot`]
 //!   and keep querying it for as long as they like, while writers
-//!   (integrate / feedback) publish a *new* version instead of mutating
-//!   in place. A reader can never observe a half-conditioned document.
+//!   (integrate / refine / feedback) publish a *new* version instead of
+//!   mutating in place. A reader can never observe a half-conditioned
+//!   document.
+//! * **Writers share one protocol.** Every publish pins all of its
+//!   inputs together under one read lock and computes outside any
+//!   lock. Under the write lock it retries only when the output slot is
+//!   one of its inputs and has moved since the pin, so no update is
+//!   lost; otherwise it appends to the durable store and only then
+//!   installs the version (durable before visible). After a few lost
+//!   races it pins and computes under the write lock, so sustained
+//!   writer traffic cannot starve it.
 //! * **Documents are addressed by typed [`DocHandle`]s**, returned by
 //!   [`Engine::load_xml`] / [`Engine::integrate`], not by bare strings.
 //! * **Queries compile once.** [`Engine::prepare`] returns a
@@ -359,10 +368,10 @@ impl PreparedQuery {
     }
 }
 
-/// How many optimistic snapshot–compute–publish rounds a writer attempts
-/// before falling back to computing under the write lock. The fallback
-/// bounds worst-case work under contention: optimistic rounds never block
-/// readers, but a slot receiving publishes faster than one conditioning
+/// How many optimistic pin–compute–install rounds [`Engine::write`]
+/// attempts before falling back to computing under the write lock. The
+/// fallback bounds worst-case work under contention: optimistic rounds
+/// never block readers, but a slot receiving publishes faster than one
 /// recompute would otherwise starve the writer indefinitely.
 const OPTIMISTIC_ROUNDS: usize = 8;
 
@@ -446,8 +455,6 @@ impl Catalog {
         doc: Arc<PxDoc>,
         refine: Option<Arc<RefineState>>,
     ) -> DocHandle {
-        #[cfg(feature = "strict-invariants")]
-        imprecise_integrate::verify::shadow_check_state(&doc, refine.as_deref(), "publish");
         if let Some(&id) = self.by_name.get(name) {
             // The two indices are updated together, so the slot is
             // always present; if they ever diverged we self-heal by
@@ -521,22 +528,63 @@ impl Catalog {
         self.by_name.insert(name, id);
     }
 
-    /// The slot a foreign-checked handle points at, if it is ours.
-    fn slot_of(&self, handle: &DocHandle) -> Option<&Slot> {
+    /// The slot of a handle issued by this engine, or the
+    /// `NoSuchDocument` error every operation reports for foreign or
+    /// unknown handles.
+    fn slot_of(&self, handle: &DocHandle) -> Result<&Slot, ImpreciseError> {
         (handle.engine_id == self.engine_id)
             .then(|| self.slots.get(&handle.id))
             .flatten()
+            .ok_or_else(|| ImpreciseError::NoSuchDocument(handle.name.to_string()))
     }
 
-    /// Write-side counterpart of [`slot_of`](Self::slot_of): the
-    /// mutable slot of a handle issued by this engine, or the
-    /// `NoSuchDocument` error every write path reports for foreign or
-    /// unknown handles.
-    fn slot_mut_of(&mut self, handle: &DocHandle) -> Result<&mut Slot, ImpreciseError> {
-        (handle.engine_id == self.engine_id)
-            .then(|| self.slots.get_mut(&handle.id))
-            .flatten()
-            .ok_or_else(|| ImpreciseError::NoSuchDocument(handle.name.to_string()))
+    /// Pin the current version of every input of a write.
+    fn pin(&self, inputs: &[&DocHandle]) -> Result<Vec<Pinned>, ImpreciseError> {
+        inputs
+            .iter()
+            .map(|handle| {
+                let slot = self.slot_of(handle)?;
+                Ok(Pinned {
+                    slot: handle.id,
+                    version: slot.version,
+                    doc: Arc::clone(&slot.doc),
+                    refine: slot.refine.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// True when `out` names one of the `pinned` slots and that slot
+    /// has published since the pin: installing now would lose that
+    /// update. Publishing into a slot that was not read is plain
+    /// replacement.
+    fn moved(&self, out: &str, pinned: &[Pinned]) -> bool {
+        self.by_name.get(out).is_some_and(|&out_id| {
+            pinned.iter().any(|p| {
+                p.slot == out_id && self.slots.get(&out_id).map(|s| s.version) != Some(p.version)
+            })
+        })
+    }
+}
+
+/// One input of a write, pinned under the same read lock as the
+/// write's other inputs.
+struct Pinned {
+    slot: u64,
+    version: u64,
+    doc: Arc<PxDoc>,
+    refine: Option<Arc<RefineState>>,
+}
+
+/// The version a write installs: the document and the refinable state
+/// belonging to it.
+struct Publish(Arc<PxDoc>, Option<RefineState>);
+
+impl Publish {
+    /// An integration outcome as a publish, plus its statistics.
+    fn outcome(mut outcome: IntegrationOutcome) -> (Publish, IntegrationStats) {
+        let refine = outcome.detach_refine_state();
+        (Publish(Arc::new(outcome.doc), refine), outcome.stats)
     }
 }
 
@@ -815,28 +863,74 @@ impl Engine {
         Ok(())
     }
 
-    /// Durably append one publish *before* the in-memory catalog
-    /// mutation that makes it visible (no-op without a store). Called
-    /// with the catalog write lock held — see [`Shared::store`] for the
-    /// lock order — so an `Err` return means the catalog was **not**
+    /// The one write path: pin `inputs` together, run `compute` on them
+    /// outside any lock, and install what it returns as the next
+    /// version of `out`. `label` names the writer in strict-invariants
+    /// panics.
+    ///
+    /// The install is abandoned and `compute` rerun on fresh pins only
+    /// when `out` is one of the inputs and has moved since the pin (see
+    /// [`Catalog::moved`]). After [`OPTIMISTIC_ROUNDS`] lost races the
+    /// pin and `compute` run under the write lock, so nothing can race
+    /// them. A `compute` that returns no [`Publish`] publishes and
+    /// persists nothing; the handle is then `None`.
+    fn write<T>(
+        &self,
+        label: &'static str,
+        inputs: &[&DocHandle],
+        out: &str,
+        mut compute: impl FnMut(&[Pinned]) -> Result<(Option<Publish>, T), ImpreciseError>,
+    ) -> Result<(Option<DocHandle>, T), ImpreciseError> {
+        for _ in 0..OPTIMISTIC_ROUNDS {
+            let pinned = self.shared.catalog_read().pin(inputs)?;
+            let (publish, value) = compute(&pinned)?;
+            let Some(publish) = publish else {
+                return Ok((None, value));
+            };
+            let mut catalog = self.shared.catalog_write();
+            if !catalog.moved(out, &pinned) {
+                let handle = self.install(&mut catalog, label, out, publish)?;
+                return Ok((Some(handle), value));
+            }
+            // The slot we republish moved; retry on its new version.
+        }
+        // Contended slot: compute under the write lock so nothing races.
+        let mut catalog = self.shared.catalog_write();
+        let pinned = catalog.pin(inputs)?;
+        let (publish, value) = compute(&pinned)?;
+        let handle = publish
+            .map(|publish| self.install(&mut catalog, label, out, publish))
+            .transpose()?;
+        Ok((handle, value))
+    }
+
+    /// Install a publish as the next version of `out`: shadow-check it
+    /// (strict-invariants only), durably append it to the store (when
+    /// attached), and only then make it visible. Called with the
+    /// catalog write lock held — see [`Shared::store`] for the lock
+    /// order — so an `Err` return means the catalog was **not**
     /// mutated: the slot still shows the previous version, and the
     /// at-most-one stray record a failed append may have left behind is
     /// superseded by the next successful publish of the same version
     /// number (recovery keeps the last record per name).
-    fn persist(
+    fn install(
         &self,
-        name: &str,
-        version: u64,
-        doc: &PxDoc,
-        refine: Option<&RefineState>,
-    ) -> Result<(), ImpreciseError> {
+        catalog: &mut Catalog,
+        label: &'static str,
+        out: &str,
+        Publish(doc, refine): Publish,
+    ) -> Result<DocHandle, ImpreciseError> {
+        #[cfg(feature = "strict-invariants")]
+        imprecise_integrate::verify::shadow_check_state(&doc, refine.as_ref(), label);
+        #[cfg(not(feature = "strict-invariants"))]
+        let _ = label;
         if let Some(store) = &self.shared.store {
             let mut store = store
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            store.append_publish(name, version, doc, refine)?;
+            store.append_publish(out, catalog.next_version(out), &doc, refine.as_ref())?;
         }
-        Ok(())
+        Ok(catalog.publish(out, doc, refine.map(Arc::new)))
     }
 
     /// The configured Oracle.
@@ -878,7 +972,7 @@ impl Engine {
     pub fn load_xml(&self, name: &str, text: &str) -> Result<DocHandle, ImpreciseError> {
         let doc = parse(text)?;
         let px = parse_annotated(&doc)?;
-        self.publish_arc(name, Arc::new(px))
+        self.insert_arc(name, Arc::new(px))
     }
 
     /// Publish an already-built probabilistic document under `name`.
@@ -896,24 +990,16 @@ impl Engine {
     /// [`DocSnapshot::doc_arc`]). Fallible like
     /// [`insert`](Self::insert).
     pub fn insert_arc(&self, name: &str, doc: Arc<PxDoc>) -> Result<DocHandle, ImpreciseError> {
-        self.publish_arc(name, doc)
-    }
-
-    /// Durable-then-visible publish of a source document: append to the
-    /// store (when attached) under the catalog write lock, then install
-    /// in the in-memory catalog.
-    fn publish_arc(&self, name: &str, doc: Arc<PxDoc>) -> Result<DocHandle, ImpreciseError> {
-        let mut catalog = self.shared.catalog_write();
-        self.persist(name, catalog.next_version(name), &doc, None)?;
-        Ok(catalog.publish(name, doc, None))
+        let (handle, ()) = self.write("publish", &[], name, |_| {
+            Ok((Some(Publish(Arc::clone(&doc), None)), ()))
+        })?;
+        handle.ok_or_else(|| ImpreciseError::NoSuchDocument(name.to_string()))
     }
 
     /// Pin the current version of a document for reading.
     pub fn snapshot(&self, handle: &DocHandle) -> Result<DocSnapshot, ImpreciseError> {
         let catalog = self.shared.catalog_read();
-        let slot = catalog
-            .slot_of(handle)
-            .ok_or_else(|| ImpreciseError::NoSuchDocument(handle.name.to_string()))?;
+        let slot = catalog.slot_of(handle)?;
         Ok(DocSnapshot {
             handle: handle.clone(),
             version: slot.version,
@@ -923,8 +1009,9 @@ impl Engine {
 
     /// Integrate documents `a` and `b` and publish the probabilistic
     /// result under `out`, returning its handle and the integration
-    /// statistics. Runs on snapshots of `a` and `b`: the catalog lock is
-    /// not held during the integration itself.
+    /// statistics. `a` and `b` are pinned together, so the integration
+    /// combines two versions that coexisted; the catalog lock is not
+    /// held during the integration itself.
     ///
     /// If the configured budget truncated components, the published
     /// version carries their persisted enumeration frontiers:
@@ -946,47 +1033,18 @@ impl Engine {
         b: &DocHandle,
         out: &str,
     ) -> Result<(DocHandle, IntegrationStats), ImpreciseError> {
-        for _ in 0..OPTIMISTIC_ROUNDS {
-            let da = self.snapshot(a)?;
-            let db = self.snapshot(b)?;
-            let result = self.integrate_docs(&da.doc_arc(), &db.doc_arc())?;
-            let mut catalog = self.shared.catalog_write();
-            let stale = catalog.by_name.get(out).is_some_and(|&out_id| {
-                (out_id == a.id && catalog.slots[&a.id].version != da.version())
-                    || (out_id == b.id && catalog.slots[&b.id].version != db.version())
-            });
-            if !stale {
-                return self.publish_outcome(&mut catalog, out, result);
-            }
-            // An input we are republishing moved; retry on its new version.
-        }
-        // Contended slot: compute under the write lock so nothing can race.
-        let mut catalog = self.shared.catalog_write();
-        let slot = |h: &DocHandle| {
-            catalog
-                .slot_of(h)
-                .map(|s| Arc::clone(&s.doc))
-                .ok_or_else(|| ImpreciseError::NoSuchDocument(h.name.to_string()))
-        };
-        let (da, db) = (slot(a)?, slot(b)?);
-        let result = self.integrate_docs(&da, &db)?;
-        self.publish_outcome(&mut catalog, out, result)
-    }
-
-    /// Publish an integration outcome: the document and — for truncated
-    /// runs — the refinable state, versioned together, durably appended
-    /// to the store (when attached) before becoming visible.
-    fn publish_outcome(
-        &self,
-        catalog: &mut Catalog,
-        out: &str,
-        mut outcome: IntegrationOutcome,
-    ) -> Result<(DocHandle, IntegrationStats), ImpreciseError> {
-        let state = outcome.detach_refine_state();
-        let stats = outcome.stats;
-        let doc = Arc::new(outcome.doc);
-        self.persist(out, catalog.next_version(out), &doc, state.as_ref())?;
-        let handle = catalog.publish(out, doc, state.map(Arc::new));
+        let shared = &self.shared;
+        let (handle, stats) = self.write("integrate", &[a, b], out, |pinned| {
+            let (publish, stats) = Publish::outcome(integrate_px_shared(
+                &pinned[0].doc,
+                &pinned[1].doc,
+                &shared.oracle,
+                shared.schema.as_ref(),
+                &shared.options,
+            )?);
+            Ok((Some(publish), stats))
+        })?;
+        let handle = handle.ok_or_else(|| ImpreciseError::NoSuchDocument(out.to_string()))?;
         Ok((handle, stats))
     }
 
@@ -997,7 +1055,7 @@ impl Engine {
     /// loop; budgets ([`IntegrationOptions`]) apply per step, so an
     /// N-source fold degrades gracefully instead of exploding.
     ///
-    /// Runs on one consistent set of snapshots taken together; like
+    /// Runs on one consistent set of snapshots pinned together; like
     /// [`integrate`](Self::integrate), republishing one of the *inputs*
     /// gets lost-update protection (the fold is recomputed if that
     /// input moved mid-integration).
@@ -1010,51 +1068,20 @@ impl Engine {
             return Err(ImpreciseError::Integrate(IntegrateError::NoSources));
         }
         let shared = &self.shared;
-        for _ in 0..OPTIMISTIC_ROUNDS {
-            let snapshots: Vec<DocSnapshot> = sources
-                .iter()
-                .map(|h| self.snapshot(h))
-                .collect::<Result<_, _>>()?;
-            let docs: Vec<&PxDoc> = snapshots.iter().map(|s| s.doc()).collect();
+        let inputs: Vec<&DocHandle> = sources.iter().collect();
+        let (handle, steps) = self.write("integrate_many", &inputs, out, |pinned| {
+            let docs: Vec<&PxDoc> = pinned.iter().map(|p| p.doc.as_ref()).collect();
             let result = integrate_many_px(
                 &docs,
                 &shared.oracle,
                 shared.schema.as_ref(),
                 &shared.options,
             )?;
-            let mut catalog = shared.catalog_write();
-            let stale = catalog.by_name.get(out).is_some_and(|&out_id| {
-                sources
-                    .iter()
-                    .zip(&snapshots)
-                    .any(|(h, s)| out_id == h.id && catalog.slots[&h.id].version != s.version())
-            });
-            if !stale {
-                let (handle, _) = self.publish_outcome(&mut catalog, out, result.outcome)?;
-                return Ok((handle, result.steps));
-            }
-            // An input we are republishing moved; retry on its new version.
-        }
-        // Contended slot: compute under the write lock so nothing can race.
-        let mut catalog = shared.catalog_write();
-        let docs: Vec<Arc<PxDoc>> = sources
-            .iter()
-            .map(|h| {
-                catalog
-                    .slot_of(h)
-                    .map(|s| Arc::clone(&s.doc))
-                    .ok_or_else(|| ImpreciseError::NoSuchDocument(h.name.to_string()))
-            })
-            .collect::<Result<_, _>>()?;
-        let refs: Vec<&PxDoc> = docs.iter().map(Arc::as_ref).collect();
-        let result = integrate_many_px(
-            &refs,
-            &shared.oracle,
-            shared.schema.as_ref(),
-            &shared.options,
-        )?;
-        let (handle, _) = self.publish_outcome(&mut catalog, out, result.outcome)?;
-        Ok((handle, result.steps))
+            let (publish, _) = Publish::outcome(result.outcome);
+            Ok((Some(publish), result.steps))
+        })?;
+        let handle = handle.ok_or_else(|| ImpreciseError::NoSuchDocument(out.to_string()))?;
+        Ok((handle, steps))
     }
 
     /// The *incremental* mode of [`integrate_many`](Self::integrate_many):
@@ -1080,7 +1107,7 @@ impl Engine {
             .ok_or(ImpreciseError::Integrate(IntegrateError::NoSources))?;
         let seed = self.snapshot(first)?;
         seed.doc().validate().map_err(IntegrateError::from)?;
-        let mut handle = self.publish_arc(out, seed.doc_arc())?;
+        let mut handle = self.insert_arc(out, seed.doc_arc())?;
         let mut steps = Vec::with_capacity(rest.len());
         for source in rest {
             let (next, stats) = self.integrate(&handle, source, out)?;
@@ -1113,66 +1140,17 @@ impl Engine {
         handle: &DocHandle,
         options: &RefineOptions,
     ) -> Result<RefineStep, ImpreciseError> {
-        let shared = &self.shared;
-        for _ in 0..OPTIMISTIC_ROUNDS {
-            let (version, doc, state) = {
-                let catalog = shared.catalog_read();
-                let slot = catalog
-                    .slot_of(handle)
-                    .ok_or_else(|| ImpreciseError::NoSuchDocument(handle.name.to_string()))?;
-                (slot.version, Arc::clone(&slot.doc), slot.refine.clone())
-            };
-            let Some(state) = state else {
-                return Ok(Self::nothing_to_refine());
-            };
-            let (refined_doc, next_state, step) = self.refine_version(&doc, &state, options)?;
-            let mut catalog = shared.catalog_write();
-            let slot = catalog.slot_mut_of(handle)?;
-            if slot.version == version {
-                let refined_doc = Arc::new(refined_doc);
-                self.persist(&slot.name, version + 1, &refined_doc, next_state.as_ref())?;
-                slot.publish(refined_doc, next_state.map(Arc::new));
-                return Ok(step);
+        let (_, step) = self.write("refine", &[handle], handle.name(), |pinned| {
+            match &pinned[0].refine {
+                Some(state) => self.refine_version(&pinned[0].doc, state, options),
+                None => Ok((None, RefineStep::default())),
             }
-            // A writer raced us; retry against the published version.
-        }
-        // Contended slot: refine under the write lock so nothing races.
-        let mut catalog = shared.catalog_write();
-        let slot = catalog.slot_mut_of(handle)?;
-        let Some(state) = slot.refine.clone() else {
-            return Ok(Self::nothing_to_refine());
-        };
-        let doc = Arc::clone(&slot.doc);
-        let (refined_doc, next_state, step) = self.refine_version(&doc, &state, options)?;
-        let refined_doc = Arc::new(refined_doc);
-        self.persist(
-            &slot.name,
-            slot.version + 1,
-            &refined_doc,
-            next_state.as_ref(),
-        )?;
-        slot.publish(refined_doc, next_state.map(Arc::new));
+        })?;
         Ok(step)
     }
 
-    /// The step `refine` reports for a version with no refinable state.
-    fn nothing_to_refine() -> RefineStep {
-        RefineStep {
-            refined: Vec::new(),
-            remaining: 0,
-            max_discarded_mass: 0.0,
-            emitted_nodes: 0,
-            arena_live: 0,
-            arena_total: 0,
-            compacted: false,
-            search: Default::default(),
-        }
-    }
-
-    /// Refine one pinned (document, state) pair outside any lock,
-    /// returning the refined document, the state belonging to it, and
-    /// the step report. Shared by the optimistic rounds and the
-    /// write-lock fallback so the two paths cannot drift apart.
+    /// Refine one pinned (document, state) pair, returning the refined
+    /// document with the state belonging to it, and the step report.
     ///
     /// When detached garbage crosses the compaction thresholds, the
     /// arena is compacted — frontiers re-anchored — before the document
@@ -1185,7 +1163,7 @@ impl Engine {
         doc: &Arc<PxDoc>,
         state: &Arc<RefineState>,
         options: &RefineOptions,
-    ) -> Result<(PxDoc, Option<RefineState>, RefineStep), ImpreciseError> {
+    ) -> Result<(Option<Publish>, RefineStep), ImpreciseError> {
         let shared = &self.shared;
         let mut outcome = IntegrationOutcome::with_refine_state((**doc).clone(), (**state).clone());
         let mut step = outcome.refine(&shared.oracle, shared.schema.as_ref(), options)?;
@@ -1199,14 +1177,8 @@ impl Engine {
             step.arena_total = arena.total;
             step.compacted = true;
         }
-        let next_state = outcome.detach_refine_state();
-        #[cfg(feature = "strict-invariants")]
-        imprecise_integrate::verify::shadow_check_state(
-            &outcome.doc,
-            next_state.as_ref(),
-            "engine refine",
-        );
-        Ok((outcome.doc, next_state, step))
+        let (publish, _) = Publish::outcome(outcome);
+        Ok((Some(publish), step))
     }
 
     /// The refinable state of the document's current version, if any:
@@ -1219,9 +1191,7 @@ impl Engine {
         handle: &DocHandle,
     ) -> Result<Option<RefineStateInfo>, ImpreciseError> {
         let catalog = self.shared.catalog_read();
-        let slot = catalog
-            .slot_of(handle)
-            .ok_or_else(|| ImpreciseError::NoSuchDocument(handle.name.to_string()))?;
+        let slot = catalog.slot_of(handle)?;
         Ok(slot.refine.as_ref().map(|s| RefineStateInfo {
             open_components: s.open_components(),
             max_discarded_mass: s.max_discarded_mass(),
@@ -1240,9 +1210,7 @@ impl Engine {
     pub fn check_invariants(&self, handle: &DocHandle) -> Result<(), ImpreciseError> {
         let (doc, state) = {
             let catalog = self.shared.catalog_read();
-            let slot = catalog
-                .slot_of(handle)
-                .ok_or_else(|| ImpreciseError::NoSuchDocument(handle.name.to_string()))?;
+            let slot = catalog.slot_of(handle)?;
             (Arc::clone(&slot.doc), slot.refine.clone())
         };
         match state {
@@ -1250,22 +1218,6 @@ impl Engine {
             None => doc.deep_check().map_err(InvariantViolation::from),
         }
         .map_err(ImpreciseError::from)
-    }
-
-    /// The configured integration of two pinned documents.
-    fn integrate_docs(
-        &self,
-        a: &Arc<PxDoc>,
-        b: &Arc<PxDoc>,
-    ) -> Result<IntegrationOutcome, ImpreciseError> {
-        let shared = &self.shared;
-        Ok(integrate_px_shared(
-            a,
-            b,
-            &shared.oracle,
-            shared.schema.as_ref(),
-            &shared.options,
-        )?)
     }
 
     /// Parse and compile `text` into a [`PreparedQuery`] (owning its
@@ -1347,43 +1299,19 @@ impl Engine {
         value: &str,
         correct: bool,
     ) -> Result<FeedbackReport, ImpreciseError> {
-        let condition = |doc: &PxDoc| {
-            let result = apply_feedback(
-                doc,
+        let (_, report) = self.write("feedback", &[handle], handle.name(), |pinned| {
+            let (conditioned, report) = apply_feedback(
+                &pinned[0].doc,
                 query.ast(),
                 value,
                 correct,
                 self.shared.feedback_world_cap,
-            );
-            #[cfg(feature = "strict-invariants")]
-            if let Ok((conditioned, _)) = &result {
-                imprecise_integrate::verify::shadow_check_state(conditioned, None, "feedback");
-            }
-            result
-        };
-        for _ in 0..OPTIMISTIC_ROUNDS {
-            let snapshot = self.snapshot(handle)?;
-            let (conditioned, report) = condition(snapshot.doc())?;
-            let mut catalog = self.shared.catalog_write();
-            let slot = catalog.slot_mut_of(handle)?;
-            if slot.version == snapshot.version() {
-                let conditioned = Arc::new(conditioned);
-                self.persist(&slot.name, slot.version + 1, &conditioned, None)?;
-                // Conditioning rebuilds the document: any persisted
-                // integration frontiers point into the old arena and are
-                // finalized here.
-                slot.publish(conditioned, None);
-                return Ok(report);
-            }
-            // A writer raced us; retry against the published version.
-        }
-        // Contended slot: condition under the write lock so nothing races.
-        let mut catalog = self.shared.catalog_write();
-        let slot = catalog.slot_mut_of(handle)?;
-        let (conditioned, report) = condition(&slot.doc)?;
-        let conditioned = Arc::new(conditioned);
-        self.persist(&slot.name, slot.version + 1, &conditioned, None)?;
-        slot.publish(conditioned, None);
+            )?;
+            // Conditioning rebuilds the document: any persisted
+            // integration frontiers point into the old arena and are
+            // finalized here.
+            Ok((Some(Publish(Arc::new(conditioned), None)), report))
+        })?;
         Ok(report)
     }
 
@@ -1970,5 +1898,100 @@ mod tests {
             engine.integrate_many_incremental(&[], "out"),
             Err(ImpreciseError::Integrate(IntegrateError::NoSources))
         ));
+    }
+
+    /// A competing writer: publish `<v>{value}</v>` into `name`.
+    fn race(engine: &Engine, name: &str, value: usize) {
+        engine.load_xml(name, &format!("<v>{value}</v>")).unwrap();
+    }
+
+    /// The publish a test write installs: the pinned input unchanged.
+    fn republish(pinned: &[Pinned]) -> Option<Publish> {
+        Some(Publish(Arc::clone(&pinned[0].doc), None))
+    }
+
+    #[test]
+    fn a_moved_output_slot_is_recomputed_not_overwritten() {
+        let engine = Engine::new();
+        let x = engine.load_xml("x", "<v>0</v>").unwrap();
+        let mut calls = 0;
+        let (handle, ()) = engine
+            .write("test", &[&x], "x", |pinned| {
+                calls += 1;
+                if calls <= 3 {
+                    race(&engine, "x", calls);
+                }
+                Ok((republish(pinned), ()))
+            })
+            .unwrap();
+        assert_eq!(calls, 4);
+        assert_eq!(handle, Some(x.clone()));
+        // One version per competitor, then ours, computed from the
+        // last competitor's version rather than over it.
+        let snapshot = engine.snapshot(&x).unwrap();
+        assert_eq!(snapshot.version(), 1 + 3 + 1);
+        assert!(snapshot.export().contains(">3<"), "{}", snapshot.export());
+    }
+
+    #[test]
+    fn sustained_races_fall_back_to_computing_under_the_write_lock() {
+        let engine = Engine::new();
+        let x = engine.load_xml("x", "<v>0</v>").unwrap();
+        let mut write_locked = Vec::new();
+        engine
+            .write("test", &[&x], "x", |pinned| {
+                write_locked.push(engine.shared.catalog.try_read().is_err());
+                // Racing from the fallback call would deadlock on the
+                // write lock it runs under; the protocol never needs to.
+                if write_locked.len() <= OPTIMISTIC_ROUNDS {
+                    race(&engine, "x", write_locked.len());
+                }
+                Ok((republish(pinned), ()))
+            })
+            .unwrap();
+        let mut expected = vec![false; OPTIMISTIC_ROUNDS];
+        expected.push(true);
+        assert_eq!(write_locked, expected);
+        let version = engine.snapshot(&x).unwrap().version();
+        assert_eq!(version, 1 + OPTIMISTIC_ROUNDS as u64 + 1);
+    }
+
+    #[test]
+    fn races_on_slots_outside_the_read_modify_write_cause_no_retry() {
+        let engine = Engine::new();
+        let a = engine.load_xml("a", "<v>a</v>").unwrap();
+        let x = engine.load_xml("x", "<v>0</v>").unwrap();
+        let mut calls = 0;
+        engine
+            .write("test", &[&a], "x", |pinned| {
+                calls += 1;
+                if calls == 1 {
+                    race(&engine, "x", calls); // the output, which was not read
+                    race(&engine, "a", calls); // an input, which is not the output
+                }
+                Ok((republish(pinned), ()))
+            })
+            .unwrap();
+        assert_eq!(calls, 1);
+        // Plain replacement: the racing publish into `x` is superseded.
+        let snapshot = engine.snapshot(&x).unwrap();
+        assert_eq!(snapshot.version(), 3);
+        assert!(snapshot.export().contains(">a<"), "{}", snapshot.export());
+    }
+
+    #[test]
+    fn a_write_without_a_publish_installs_and_persists_nothing() {
+        let scratch = ScratchStore::new("no-publish");
+        let engine = Engine::open(&scratch.0).unwrap();
+        let x = engine.load_xml("x", "<v>0</v>").unwrap();
+        let latest = || {
+            let store = engine.shared.store.as_ref().unwrap();
+            store.lock().unwrap().latest_version("x")
+        };
+        assert_eq!(latest(), Some(1));
+        let (handle, value) = engine.write("test", &[&x], "x", |_| Ok((None, 7))).unwrap();
+        assert_eq!((handle, value), (None, 7));
+        assert_eq!(engine.snapshot(&x).unwrap().version(), 1);
+        assert_eq!(latest(), Some(1));
     }
 }

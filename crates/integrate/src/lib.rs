@@ -529,7 +529,7 @@ pub struct RefinedComponent {
 }
 
 /// What one [`IntegrationOutcome::refine`] call did.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RefineStep {
     /// The components refined in this step, in refinement order
     /// (largest discarded mass first).

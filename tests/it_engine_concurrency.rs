@@ -8,6 +8,7 @@
 use imprecise::oracle::presets::addressbook_oracle;
 use imprecise::{DocHandle, DocSnapshot, Engine, EngineBuilder, ImpreciseError, PreparedQuery};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 /// The engine's whole public surface must be shareable across threads.
 #[test]
@@ -201,4 +202,54 @@ fn concurrent_feedback_converges() {
     assert!((answers.probability_of("1111") - 1.0).abs() < 1e-9);
     assert_eq!(answers.probability_of("2222"), 0.0);
     assert!(engine.stats(&merged).expect("exists").certain);
+}
+
+/// Incremental integration into its own input slot racing feedback on
+/// that slot. Both writers read the slot they publish into, so every
+/// successful write must land as its own version on top of the one it
+/// read (no lost update), and the final version must pass the deep
+/// invariant check.
+#[test]
+fn incremental_integration_races_feedback_without_lost_updates() {
+    const THREADS_PER_KIND: usize = 2;
+    const WRITES_PER_THREAD: usize = 6;
+
+    let (engine, a, b) = john_engine();
+    let (merged, _) = engine.integrate(&a, &b, "merged").expect("integrates");
+    let tel = engine.prepare("//person/tel").expect("query parses");
+    let start = Barrier::new(2 * THREADS_PER_KIND);
+    let writes = AtomicUsize::new(0);
+
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS_PER_KIND {
+            let (engine, merged, b, tel) = (&engine, &merged, &b, &tel);
+            let (start, writes) = (&start, &writes);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..WRITES_PER_THREAD {
+                    engine
+                        .integrate(merged, b, "merged")
+                        .expect("incremental integration applies");
+                    writes.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..WRITES_PER_THREAD {
+                    // "2222 is incorrect" is contradicted by no version
+                    // either writer can publish, so it always applies.
+                    engine
+                        .feedback(merged, tel, "2222", false)
+                        .expect("feedback applies");
+                    writes.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+    });
+
+    let version = engine.snapshot(&merged).expect("exists").version();
+    assert_eq!(version, 1 + writes.load(Ordering::SeqCst) as u64);
+    engine
+        .check_invariants(&merged)
+        .expect("final version is sound");
 }

@@ -352,6 +352,32 @@ fn strict_invariants_refuse_to_publish_corrupt_documents() {
     let _ = engine.insert("corrupt", corrupt_doc());
 }
 
+// The shadow check runs before the durable append, so a corrupt
+// document never reaches the segment either.
+#[cfg(feature = "strict-invariants")]
+#[test]
+fn strict_invariants_refuse_corrupt_documents_before_the_store_append() {
+    let path = std::env::temp_dir().join(format!(
+        "imprecise-it-strict-append-{}.seg",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    {
+        let engine = Engine::open(&path).expect("store opens");
+        engine
+            .load_xml("ok", "<v>1</v>")
+            .expect("a sound document publishes");
+        let insert = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.insert("corrupt", corrupt_doc())
+        }));
+        assert!(insert.is_err(), "the shadow check must abort the insert");
+    }
+    let reopened = Engine::open(&path).expect("store reopens");
+    assert_eq!(reopened.document_names(), vec!["ok"]);
+    drop(reopened);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[cfg(not(feature = "strict-invariants"))]
 #[test]
 fn check_invariants_reports_corrupt_documents() {
