@@ -73,8 +73,9 @@
 //! ([`pipeline::plan_budgets`]).
 //!
 //! Inputs may already be probabilistic (incremental integration): choice
-//! points encountered in a child list are locally enumerated (with a cap)
-//! and the alternatives integrated per combination.
+//! points encountered in a child list are locally enumerated (with a cap,
+//! by [`PxDoc::local_alternatives`]) and the alternatives integrated per
+//! combination.
 //!
 //! ## Example: the paper's Fig. 2
 //!
@@ -95,7 +96,6 @@
 //! ```
 
 pub mod codec;
-pub mod combos;
 pub mod matching;
 mod merge;
 pub mod pipeline;
@@ -113,8 +113,8 @@ use imprecise_pxml::{from_xml, PxDoc, PxInvariantError, PxNodeId};
 use imprecise_xmlkit::{Schema, XmlDoc};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How the matching budget is applied across the components of a tag
 /// group (the budget-planning knob of the pipeline).
@@ -1094,64 +1094,25 @@ fn prepare_components(
         .effective();
     let outer = total.min(order.len()).max(1);
     let inner = (total / outer).max(1);
+    let prepare = |k: usize| {
+        prepare_one(
+            frontiers,
+            order[k],
+            src_a,
+            src_b,
+            oracle,
+            schema,
+            reemit_options,
+            options,
+            arena_base,
+            inner,
+        )
+    };
     if outer <= 1 || order.len() < 2 {
-        return order
-            .iter()
-            .map(|&i| {
-                prepare_one(
-                    frontiers,
-                    i,
-                    src_a,
-                    src_b,
-                    oracle,
-                    schema,
-                    reemit_options,
-                    options,
-                    arena_base,
-                    inner,
-                )
-            })
-            .collect();
+        return (0..order.len()).map(prepare).collect();
     }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..outer {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= order.len() {
-                    break;
-                }
-                let result = prepare_one(
-                    frontiers,
-                    order[k],
-                    src_a,
-                    src_b,
-                    oracle,
-                    schema,
-                    reemit_options,
-                    options,
-                    arena_base,
-                    inner,
-                );
-                if tx.send((k, result)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<Result<PreparedComponent, IntegrateError>>> =
-        order.iter().map(|_| None).collect();
-    for (k, result) in rx {
-        slots[k] = Some(result);
-    }
-    slots
+    pipeline::fan_out(order.len(), outer, prepare)
         .into_iter()
-        // lint:allow(expect-in-lib, holds by construction: every selected component was prepared)
-        .map(|slot| slot.expect("every selected component was prepared"))
         .collect()
 }
 

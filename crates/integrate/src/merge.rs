@@ -1,28 +1,31 @@
 //! The merge stage of the integration pipeline: walks both sources in
-//! lockstep, consults the Oracle (stage 1: candidate generation), and
-//! assembles the output document from the per-component
-//! [`ComponentOutcome`]s the pipeline hands back (stages 2–3 live in
-//! [`crate::pipeline`]; this layer is agnostic to how — or on how many
-//! threads — the matchings were produced).
+//! lockstep, consults the Oracle (stage 1: candidate generation, judged
+//! row by row whether or not blocking pruned the rows), and assembles the
+//! output document from the per-component [`ComponentOutcome`]s the
+//! pipeline hands back (stages 2–3 live in [`crate::pipeline`]; this
+//! layer is agnostic to how — or on how many threads — the matchings
+//! were produced).
+//!
+//! A child list that holds choice points (an already-probabilistic
+//! input) is integrated once per local world, as enumerated by
+//! [`PxDoc::local_alternatives`].
 
-use crate::combos::{local_combos, prob_alternatives, LocalWorldsOverflow};
 use crate::matching::{Candidate, Component, Matching};
 use crate::pipeline::{self, CandidateSet, ComponentOutcome, DocFrontier};
-use crate::{IntegrateError, IntegrationOptions, IntegrationStats, TruncatedComponent};
+use crate::{
+    BlockingMode, IntegrateError, IntegrationOptions, IntegrationStats, TruncatedComponent,
+};
 use imprecise_oracle::{Decision, ElemRef, Judgment, Oracle};
-use imprecise_pxml::{px_deep_equal, PxDoc, PxNodeId};
+use imprecise_pxml::{px_deep_equal, PxDoc, PxNodeId, TooManyWorlds};
 use imprecise_xmlkit::{Attr, Schema};
 use std::collections::HashMap;
-
-impl From<LocalWorldsOverflow> for IntegrateError {
-    fn from(e: LocalWorldsOverflow) -> Self {
-        IntegrateError::TooManyLocalWorlds { cap: e.cap }
-    }
-}
 
 /// A tag group's identity for the blocking cache: the two sides'
 /// element lists in document order.
 type GroupKey = (Vec<PxNodeId>, Vec<PxNodeId>);
+
+/// The local alternatives of an item list, with their probabilities.
+type Alternatives = Vec<(Vec<PxNodeId>, f64)>;
 
 pub(crate) struct Builder<'a> {
     a: &'a PxDoc,
@@ -41,10 +44,10 @@ pub(crate) struct Builder<'a> {
     w_b: f64,
     /// Judgment cache: the same element pair is judged once even when it
     /// participates in thousands of enumerated matchings.
-    judgments: HashMap<(PxNodeId, PxNodeId), Judgment>,
+    judgments: HashMap<(PxNodeId, PxNodeId), Decision>,
     /// Blocking cache: one tag group is blocked once even though
-    /// `integrate_group` re-runs for it per enumerated world, so the
-    /// pruned/windowed counters tally unique pairs exactly like
+    /// `integrate_group` re-runs for it per enumerated local world, so
+    /// the pruned/windowed counters tally unique pairs exactly like
     /// `pairs_judged` tallies unique judgments.
     blocked_groups: HashMap<GroupKey, Vec<(usize, usize)>>,
     /// Element-tag stack from the root to the pair currently being
@@ -178,12 +181,7 @@ impl<'a> Builder<'a> {
     /// as the same real-world object (aligned schemas ⇒ the documents
     /// describe the same collection).
     pub(crate) fn integrate_roots(&mut self) -> Result<(), IntegrateError> {
-        let cap = self.opts.max_local_worlds;
-        let alts_a = prob_alternatives(self.a, self.a.root(), cap)?;
-        let alts_b = prob_alternatives(self.b, self.b.root(), cap)?;
-        if alts_a.len().saturating_mul(alts_b.len()) > cap {
-            return Err(IntegrateError::TooManyLocalWorlds { cap });
-        }
+        let (alts_a, alts_b) = self.local_alternatives(&[self.a.root()], &[self.b.root()])?;
         for (items_a, wa) in &alts_a {
             for (items_b, wb) in &alts_b {
                 // Validated documents guarantee exactly one root element
@@ -208,36 +206,65 @@ impl<'a> Builder<'a> {
         Ok(())
     }
 
-    /// Consult the Oracle (through the cache) about one cross-source pair.
-    fn judge(&mut self, an: PxNodeId, bn: PxNodeId) -> Judgment {
-        if let Some(j) = self.judgments.get(&(an, bn)) {
-            return j.clone();
+    /// The local alternatives of a list of each source, capped — each side
+    /// and their cross product — at `max_local_worlds`.
+    fn local_alternatives(
+        &self,
+        a_items: &[PxNodeId],
+        b_items: &[PxNodeId],
+    ) -> Result<(Alternatives, Alternatives), IntegrateError> {
+        let cap = self.opts.max_local_worlds;
+        let overflow = |_: TooManyWorlds| IntegrateError::TooManyLocalWorlds { cap };
+        let alts_a = self.a.local_alternatives(a_items, cap).map_err(overflow)?;
+        let alts_b = self.b.local_alternatives(b_items, cap).map_err(overflow)?;
+        if alts_a.len().saturating_mul(alts_b.len()) > cap {
+            return Err(IntegrateError::TooManyLocalWorlds { cap });
         }
-        let j = self.oracle.judge(
-            &ElemRef {
-                doc: self.a,
-                node: an,
-            },
-            &ElemRef {
-                doc: self.b,
-                node: bn,
-            },
-        );
-        self.note_judgment(an, bn, &j);
-        j
+        Ok((alts_a, alts_b))
     }
 
-    /// Consult the Oracle about one left element against many right
-    /// elements, through the cache. Bit-identical to calling
-    /// [`Builder::judge`] per pair (including every stats counter), but
-    /// uncached pairs go through [`Oracle::judge_row`] so rules amortise
-    /// their left-hand preprocessing across the row.
-    fn judge_row(&mut self, an: PxNodeId, bns: &[PxNodeId]) -> Vec<Judgment> {
-        let mut out: Vec<Option<Judgment>> = bns
-            .iter()
-            .map(|bn| self.judgments.get(&(an, *bn)).cloned())
-            .collect();
-        let missing: Vec<usize> = (0..bns.len()).filter(|&i| out[i].is_none()).collect();
+    /// Blocking's surviving pairs of a tag group, in row-major order. A
+    /// group is blocked once however many local worlds revisit it, so the
+    /// pruned/windowed counters tally unique pairs.
+    fn blocked_pairs(
+        &mut self,
+        ga: &[PxNodeId],
+        gb: &[PxNodeId],
+        tag: &str,
+    ) -> Vec<(usize, usize)> {
+        let key = (ga.to_vec(), gb.to_vec());
+        if let Some(pairs) = self.blocked_groups.get(&key) {
+            return pairs.clone();
+        }
+        let blocked = pipeline::block_candidates(
+            self.a,
+            ga,
+            self.b,
+            gb,
+            self.oracle,
+            tag,
+            self.opts.blocking,
+        );
+        self.stats.pairs_pruned += blocked.pruned;
+        self.stats.pairs_windowed_out += blocked.windowed_out;
+        self.blocked_groups.insert(key, blocked.pairs.clone());
+        blocked.pairs
+    }
+
+    /// The Oracle's decisions about one left element against many right
+    /// elements, through the judgment cache. Uncached pairs go through
+    /// [`Oracle::judge_row`] (bit-identical to judging them one by one)
+    /// so rules amortise their left-hand preprocessing across the row.
+    fn decide_row(&mut self, an: PxNodeId, bns: &[PxNodeId]) -> Vec<Decision> {
+        let mut out = Vec::with_capacity(bns.len());
+        let mut missing: Vec<usize> = Vec::new();
+        for (i, bn) in bns.iter().enumerate() {
+            // An uncached slot holds a placeholder until the row is judged.
+            out.push(self.judgments.get(&(an, *bn)).copied().unwrap_or_else(|| {
+                missing.push(i);
+                Decision::NonMatch
+            }));
+        }
         if !missing.is_empty() {
             let a_ref = ElemRef {
                 doc: self.a,
@@ -252,20 +279,15 @@ impl<'a> Builder<'a> {
                 .collect();
             let judged = self.oracle.judge_row(&a_ref, &b_refs);
             for (&i, j) in missing.iter().zip(judged) {
-                self.note_judgment(an, bns[i], &j);
-                out[i] = Some(j);
+                out[i] = j.decision;
+                self.note_judgment(an, bns[i], j);
             }
         }
-        out.into_iter()
-            .map(|j| {
-                // lint:allow(expect-in-lib, holds by construction: every empty slot was filled from the batch judgment above)
-                j.expect("judge_row filled every slot")
-            })
-            .collect()
+        out
     }
 
     /// Record one fresh judgment into the stats counters and the cache.
-    fn note_judgment(&mut self, an: PxNodeId, bn: PxNodeId, j: &Judgment) {
+    fn note_judgment(&mut self, an: PxNodeId, bn: PxNodeId, j: Judgment) {
         self.stats.pairs_judged += 1;
         match j.decision {
             Decision::Match => self.stats.judged_match += 1,
@@ -281,10 +303,10 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        if let Some(rule) = &j.rule {
-            *self.stats.rule_decisions.entry(rule.clone()).or_insert(0) += 1;
+        if let Some(rule) = j.rule {
+            *self.stats.rule_decisions.entry(rule).or_insert(0) += 1;
         }
-        self.judgments.insert((an, bn), j.clone());
+        self.judgments.insert((an, bn), j.decision);
     }
 
     fn guard_size(&self) -> Result<(), IntegrateError> {
@@ -381,12 +403,7 @@ impl<'a> Builder<'a> {
         if !has_choice {
             return self.integrate_lists(el_out, parent_tag, &a_items, &b_items);
         }
-        let cap = self.opts.max_local_worlds;
-        let combos_a = local_combos(self.a, &a_items, cap)?;
-        let combos_b = local_combos(self.b, &b_items, cap)?;
-        if combos_a.len().saturating_mul(combos_b.len()) > cap {
-            return Err(IntegrateError::TooManyLocalWorlds { cap });
-        }
+        let (combos_a, combos_b) = self.local_alternatives(&a_items, &b_items)?;
         if combos_a.len() == 1 && combos_b.len() == 1 {
             return self.integrate_lists(el_out, parent_tag, &combos_a[0].0, &combos_b[0].0);
         }
@@ -488,55 +505,34 @@ impl<'a> Builder<'a> {
         // prefilters — recall-safe pruning drops provable `NonMatch`es, so
         // it cannot change what lands in `forced_raw`/`possible`), then
         // make the forced set injective.
+        let survivors =
+            (self.opts.blocking != BlockingMode::Off).then(|| self.blocked_pairs(ga, gb, tag));
+        let mut rest: &[(usize, usize)] = survivors.as_deref().unwrap_or_default();
         let mut forced_raw: Vec<(usize, usize)> = Vec::new();
         let mut possible: Vec<Candidate> = Vec::new();
-        if self.opts.blocking == crate::BlockingMode::Off {
-            for (ai, &an) in ga.iter().enumerate() {
-                for (bi, &bn) in gb.iter().enumerate() {
-                    match self.judge(an, bn).decision {
-                        Decision::Match => forced_raw.push((ai, bi)),
-                        Decision::NonMatch => {}
-                        Decision::Possible(p) => possible.push(Candidate { a: ai, b: bi, p }),
-                    }
+        // Judge row by row — all of `gb`, or blocking's survivors
+        // (row-major) — so the oracle amortises per-row preprocessing.
+        for (ai, &an) in ga.iter().enumerate() {
+            let row = survivors.as_ref().map(|_| {
+                let len = rest.iter().take_while(|&&(a, _)| a == ai).count();
+                let (row, tail) = rest.split_at(len);
+                rest = tail;
+                row
+            });
+            let decisions = match row {
+                None => self.decide_row(an, gb),
+                Some(row) => {
+                    let bns: Vec<PxNodeId> = row.iter().map(|&(_, bi)| gb[bi]).collect();
+                    self.decide_row(an, &bns)
                 }
-            }
-        } else {
-            let key = (ga.to_vec(), gb.to_vec());
-            if !self.blocked_groups.contains_key(&key) {
-                let blocked = pipeline::block_candidates(
-                    self.a,
-                    ga,
-                    self.b,
-                    gb,
-                    self.oracle,
-                    tag,
-                    self.opts.blocking,
-                );
-                self.stats.pairs_pruned += blocked.pruned;
-                self.stats.pairs_windowed_out += blocked.windowed_out;
-                self.blocked_groups.insert(key.clone(), blocked.pairs);
-            }
-            let pairs = self.blocked_groups.get(&key).cloned().unwrap_or_default();
-            // Judge the survivors row by row (they are in row-major
-            // order) so the oracle amortises per-row preprocessing.
-            let mut start = 0;
-            while start < pairs.len() {
-                let ai = pairs[start].0;
-                let mut end = start;
-                while end < pairs.len() && pairs[end].0 == ai {
-                    end += 1;
+            };
+            for (k, decision) in decisions.into_iter().enumerate() {
+                let bi = row.map_or(k, |row| row[k].1);
+                match decision {
+                    Decision::Match => forced_raw.push((ai, bi)),
+                    Decision::NonMatch => {}
+                    Decision::Possible(p) => possible.push(Candidate { a: ai, b: bi, p }),
                 }
-                let row = &pairs[start..end];
-                let bns: Vec<PxNodeId> = row.iter().map(|&(_, bi)| gb[bi]).collect();
-                let judgments = self.judge_row(ga[ai], &bns);
-                for (&(_, bi), judgment) in row.iter().zip(judgments) {
-                    match judgment.decision {
-                        Decision::Match => forced_raw.push((ai, bi)),
-                        Decision::NonMatch => {}
-                        Decision::Possible(p) => possible.push(Candidate { a: ai, b: bi, p }),
-                    }
-                }
-                start = end;
             }
         }
         let candidates = CandidateSet::resolve(forced_raw, possible);

@@ -635,12 +635,10 @@ pub fn enumerate_components(
         .filter(|c| c.possible.len() >= MIN_PARALLEL_PAIRS)
         .count();
     if threads > 1 && busy >= 2 {
-        enumerate_parallel(
-            &components,
-            options,
-            &budgets,
-            threads.min(components.len()),
-        )
+        // Fan out across components, each enumeration serial inside.
+        fan_out(components.len(), threads.min(components.len()), |i| {
+            enumerate_one(&components[i], options, budgets[i], 1)
+        })
         .into_iter()
         .map(|result| result.map_err(|e| e.at_path(path)))
         .collect()
@@ -699,52 +697,45 @@ fn enumerate_one(
     }
 }
 
-/// Fan the components out over scoped worker threads (no extra deps:
-/// plain [`std::thread::scope`]). Workers pull indices from a shared
-/// counter — natural load balancing when component sizes are skewed —
-/// and the results are reassembled in component order, so the output is
-/// identical to the serial path.
-fn enumerate_parallel(
-    components: &[Arc<Component>],
-    options: &IntegrationOptions,
-    budgets: &[usize],
+/// Run `job(i)` for every `i < n` on `threads` scoped worker threads
+/// (no extra deps: plain [`std::thread::scope`]) and return the results
+/// in index order, so the output is identical to the serial path.
+/// Workers pull indices from a shared counter — natural load balancing
+/// when jobs are skewed.
+///
+/// Every index is claimed exactly once, so each slot is filled; a slot
+/// left empty anyway is recomputed serially, which yields exactly what a
+/// worker would have produced because jobs are deterministic. A job that
+/// panics makes the whole call panic once every worker has stopped
+/// (`std::thread::scope` propagates it).
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
     threads: usize,
-) -> Vec<Result<ComponentOutcome, TooManyMatchings>> {
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
-            let next = &next;
+            let (next, job) = (&next, &job);
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= components.len() {
-                    break;
-                }
-                let outcome = enumerate_one(&components[i], options, budgets[i], 1);
-                if tx.send((i, outcome)).is_err() {
+                if i >= n || tx.send((i, job(i))).is_err() {
                     break;
                 }
             });
         }
     });
     drop(tx);
-    let mut slots: Vec<Option<Result<ComponentOutcome, TooManyMatchings>>> =
-        components.iter().map(|_| None).collect();
-    for (i, outcome) in rx {
-        slots[i] = Some(outcome);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, result) in rx {
+        slots[i] = Some(result);
     }
-    // Every index was claimed exactly once via the atomic counter, so
-    // each slot is filled — unless a worker died before sending (e.g. a
-    // panic unwound across the channel). Enumeration is deterministic,
-    // so re-running the missing component serially yields exactly what
-    // the worker would have produced; no panic, no divergence.
     slots
         .into_iter()
         .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| enumerate_one(&components[i], options, budgets[i], 1))
-        })
+        .map(|(i, slot)| slot.unwrap_or_else(|| job(i)))
         .collect()
 }
 

@@ -206,54 +206,6 @@ impl PxDoc {
         }
     }
 
-    /// Flattened alternatives of a probability node: each alternative is a
-    /// sequence of *regular* source nodes (nested probability nodes are
-    /// expanded) together with its probability.
-    fn flat_alternatives(
-        &self,
-        prob: PxNodeId,
-        cap: usize,
-    ) -> Result<Vec<(Vec<PxNodeId>, f64)>, UnfactoredError> {
-        let mut out: Vec<(Vec<PxNodeId>, f64)> = Vec::new();
-        for &poss in self.children(prob) {
-            // lint:allow(expect-in-lib, holds by construction: prob child is poss)
-            let w = self.poss_prob(poss).expect("prob child is poss");
-            // Alternatives contributed by this possibility: cross product
-            // over its nested choice points, preserving item order.
-            let mut partial: Vec<(Vec<PxNodeId>, f64)> = vec![(Vec::new(), w)];
-            for &c in self.children(poss) {
-                match self.kind(c) {
-                    PxNodeKind::Prob => {
-                        let nested = self.flat_alternatives(c, cap)?;
-                        let mut next =
-                            Vec::with_capacity(partial.len().saturating_mul(nested.len()));
-                        for (row, rw) in &partial {
-                            for (items, iw) in &nested {
-                                let mut row2 = row.clone();
-                                row2.extend_from_slice(items);
-                                next.push((row2, rw * iw));
-                            }
-                        }
-                        partial = next;
-                        if partial.len().saturating_add(out.len()) > cap {
-                            return Err(UnfactoredError { cap });
-                        }
-                    }
-                    _ => {
-                        for (row, _) in &mut partial {
-                            row.push(c);
-                        }
-                    }
-                }
-            }
-            out.extend(partial);
-            if out.len() > cap {
-                return Err(UnfactoredError { cap });
-            }
-        }
-        Ok(out)
-    }
-
     /// Materialise the unfactored equivalent of this document: every
     /// element's probability-node children are merged into one probability
     /// node whose possibilities are the cross-product of the originals,
@@ -264,7 +216,8 @@ impl PxDoc {
     pub fn to_unfactored(&self, cap: usize) -> Result<PxDoc, UnfactoredError> {
         let mut out = PxDoc::new();
         let mut budget = Budget { used: 1, cap };
-        for (items, w) in self.flat_alternatives(self.root(), cap)? {
+        let alternatives = self.local_alternatives(&[self.root()], cap);
+        for (items, w) in alternatives.map_err(|_| UnfactoredError { cap })? {
             let out_root = out.root();
             let new_poss = out.add_poss(out_root, w);
             budget.take(1)?;
@@ -308,24 +261,8 @@ impl PxDoc {
                 let merged = out.add_prob(el);
                 // Cross product of the (flattened) alternatives of each
                 // sibling choice point, leftmost varying slowest.
-                let mut combos: Vec<(Vec<PxNodeId>, f64)> = vec![(Vec::new(), 1.0)];
-                for &p in &probs {
-                    let alternatives = self.flat_alternatives(p, budget.cap)?;
-                    let mut next =
-                        Vec::with_capacity(combos.len().saturating_mul(alternatives.len()));
-                    for (row, rw) in &combos {
-                        for (items, w) in &alternatives {
-                            let mut row2 = row.clone();
-                            row2.extend_from_slice(items);
-                            next.push((row2, rw * w));
-                        }
-                    }
-                    combos = next;
-                    if combos.len() > budget.cap {
-                        return Err(UnfactoredError { cap: budget.cap });
-                    }
-                }
-                for (row, w) in combos {
+                let combos = self.local_alternatives(&probs, budget.cap);
+                for (row, w) in combos.map_err(|_| UnfactoredError { cap: budget.cap })? {
                     budget.take(1)?;
                     let poss = out.add_poss(merged, w);
                     for item in row {

@@ -6,6 +6,13 @@
 //! separately" (§VI). Enumeration is exponential and only used on small
 //! documents and as a correctness oracle in tests; the analytic counters
 //! scale to the paper's millions-of-worlds documents.
+//!
+//! There is one enumerator of each kind. Whole worlds come from
+//! [`PxDoc::worlds_iter`], which decodes each world lazily from its index;
+//! [`PxDoc::worlds`] is its capped, collected form. The local worlds of
+//! one child list — the cross product of its choice points, which
+//! integration and [`PxDoc::to_unfactored`] work on — come from
+//! [`PxDoc::local_alternatives`].
 
 use crate::node::{PxDoc, PxNodeId, PxNodeKind};
 use imprecise_xmlkit::{subtree_fingerprint, XmlDoc};
@@ -36,31 +43,27 @@ impl fmt::Display for TooManyWorlds {
 
 impl std::error::Error for TooManyWorlds {}
 
-/// A fragment of a world under construction: either a completed element
-/// subtree (as a standalone document) or a text node.
-enum Frag {
-    Elem(XmlDoc),
-    Text(String),
-}
-
 impl PxDoc {
     /// Exact number of possible worlds, saturating at `u128::MAX`.
     pub fn world_count(&self) -> u128 {
-        self.world_count_node(self.root())
+        self.world_counts()[self.root().index()]
     }
 
-    fn world_count_node(&self, node: PxNodeId) -> u128 {
-        match self.kind(node) {
-            PxNodeKind::Text(_) => 1,
-            PxNodeKind::Elem { .. } | PxNodeKind::Poss(_) => {
-                self.children(node).iter().fold(1u128, |acc, &c| {
-                    acc.saturating_mul(self.world_count_node(c))
-                })
-            }
-            PxNodeKind::Prob => self.children(node).iter().fold(0u128, |acc, &c| {
-                acc.saturating_add(self.world_count_node(c))
-            }),
+    /// The saturating world count of every reachable node's subtree, by
+    /// arena index. Children come after their parent in document order,
+    /// so a reverse walk counts every child first, without recursion.
+    fn world_counts(&self) -> Vec<u128> {
+        let mut counts = vec![0; self.arena_len()];
+        let order: Vec<PxNodeId> = self.descendants(self.root()).collect();
+        for &node in order.iter().rev() {
+            let kids = self.children(node).iter().map(|c| counts[c.index()]);
+            counts[node.index()] = if self.is_prob(node) {
+                kids.fold(0, u128::saturating_add)
+            } else {
+                kids.fold(1, u128::saturating_mul)
+            };
         }
+        counts
     }
 
     /// Number of possible worlds as an `f64` (exact until precision runs
@@ -86,134 +89,95 @@ impl PxDoc {
         }
     }
 
-    /// Lazily iterate over all possible worlds, in the same deterministic
-    /// order as [`PxDoc::worlds`] (possibilities in document order,
-    /// leftmost choice varying slowest).
+    /// Lazily iterate over all possible worlds in a deterministic order:
+    /// possibilities in document order, leftmost choice varying slowest.
     ///
     /// Each world is built on demand by mixed-radix decoding of its index
-    /// against the per-subtree world counts, so short-circuiting searches
-    /// (`any`, `find`, `take`) never materialise the full — potentially
-    /// astronomically large — world set.
+    /// against the per-subtree world counts (computed once, when the
+    /// iterator is created), so short-circuiting searches (`any`, `find`,
+    /// `take`) never materialise the full — potentially astronomically
+    /// large — world set.
     pub fn worlds_iter(&self) -> WorldIter<'_> {
+        let counts = self.world_counts();
+        let count = counts[self.root().index()];
         WorldIter {
             doc: self,
+            counts,
             next: 0,
-            count: self.world_count(),
+            count,
         }
     }
 
-    /// The `k`-th possible world (0-based, [`PxDoc::worlds`] order), or
-    /// `None` when `k` is out of range.
+    /// The `k`-th possible world (0-based, [`PxDoc::worlds_iter`] order),
+    /// or `None` when `k` is out of range.
     pub fn nth_world(&self, k: u128) -> Option<World> {
-        if k >= self.world_count() {
-            return None;
-        }
-        // The root is a probability node; locate the chosen possibility
-        // bucket, then decode the remainder over its single element.
-        let mut rem = k;
-        for &poss in self.children(self.root()) {
-            let bucket = self.world_count_node(poss);
-            if rem < bucket {
-                // lint:allow(expect-in-lib, holds by construction: root child is poss)
-                let weight = self.poss_prob(poss).expect("root child is poss");
-                let elem = self.children(poss)[0];
-                // lint:allow(expect-in-lib, holds by construction: root content is an element)
-                let tag = self.tag(elem).expect("root content is an element");
-                let mut doc = XmlDoc::new(tag);
-                for a in self.attrs(elem) {
-                    doc.set_attr(doc.root(), a.name.clone(), a.value.clone());
-                }
-                let root = doc.root();
-                let mut prob = weight;
-                self.decode_children(self.children(elem), rem, &mut doc, root, &mut prob);
-                return Some(World { doc, prob });
-            }
-            rem -= bucket;
-        }
-        // lint:allow(panic-in-lib, statically unreachable: k < world_count implies a bucket holds it)
-        unreachable!("k < world_count implies a bucket holds it")
+        let mut worlds = self.worlds_iter();
+        worlds.next = k;
+        worlds.next()
     }
 
-    /// Decode world index `k` over a sibling sequence (mixed radix,
-    /// leftmost sibling most significant) and build the chosen fragments.
-    fn decode_children(
-        &self,
-        nodes: &[PxNodeId],
-        mut k: u128,
-        doc: &mut XmlDoc,
-        parent: imprecise_xmlkit::NodeId,
-        prob: &mut f64,
-    ) {
-        // Suffix products of the per-sibling world counts.
-        let mut suffix = vec![1u128; nodes.len() + 1];
-        for (i, &n) in nodes.iter().enumerate().rev() {
-            suffix[i] = suffix[i + 1].saturating_mul(self.world_count_node(n));
-        }
-        for (i, &n) in nodes.iter().enumerate() {
-            let digit = k / suffix[i + 1];
-            k %= suffix[i + 1];
-            self.decode_node(n, digit, doc, parent, prob);
-        }
-    }
-
-    /// Build the `digit`-th world fragment of a single node.
-    fn decode_node(
-        &self,
-        node: PxNodeId,
-        digit: u128,
-        doc: &mut XmlDoc,
-        parent: imprecise_xmlkit::NodeId,
-        prob: &mut f64,
-    ) {
-        match self.kind(node) {
-            PxNodeKind::Text(t) => {
-                debug_assert_eq!(digit, 0);
-                doc.add_text(parent, t.clone());
-            }
-            PxNodeKind::Elem { tag, attrs } => {
-                let el = doc.add_element(parent, tag.clone());
-                for a in attrs {
-                    doc.set_attr(el, a.name.clone(), a.value.clone());
-                }
-                self.decode_children(self.children(node), digit, doc, el, prob);
-            }
-            PxNodeKind::Prob => {
-                let mut rem = digit;
-                for &poss in self.children(node) {
-                    let bucket = self.world_count_node(poss);
-                    if rem < bucket {
-                        // lint:allow(expect-in-lib, holds by construction: prob child is poss)
-                        *prob *= self.poss_prob(poss).expect("prob child is poss");
-                        self.decode_children(self.children(poss), rem, doc, parent, prob);
-                        return;
-                    }
-                    rem -= bucket;
-                }
-                // lint:allow(panic-in-lib, statically unreachable: digit < bucket sum by construction)
-                unreachable!("digit < bucket sum by construction")
-            }
-            // lint:allow(panic-in-lib, statically unreachable: poss decoded via its prob parent)
-            PxNodeKind::Poss(_) => unreachable!("poss decoded via its prob parent"),
-        }
-    }
-
-    /// Enumerate all possible worlds with their probabilities.
-    ///
-    /// Returns an error as soon as more than `cap` worlds would be
-    /// produced. Worlds appear in deterministic order (possibilities in
-    /// document order, leftmost choice varying slowest).
+    /// All possible worlds with their probabilities, in
+    /// [`PxDoc::worlds_iter`] order, or an error when there are more than
+    /// `cap` of them.
     pub fn worlds(&self, cap: usize) -> Result<Vec<World>, TooManyWorlds> {
-        let combos = self.node_worlds(self.root(), cap)?;
-        let mut out = Vec::with_capacity(combos.len());
-        for (frags, prob) in combos {
-            debug_assert_eq!(frags.len(), 1, "validated root poss holds one element");
-            match frags.into_iter().next() {
-                Some(Frag::Elem(doc)) => out.push(World { doc, prob }),
-                // lint:allow(panic-in-lib, statically unreachable: root possibility content is a single element)
-                _ => unreachable!("root possibility content is a single element"),
-            }
+        let worlds = self.worlds_iter();
+        if worlds.count > cap as u128 {
+            return Err(TooManyWorlds { cap });
         }
-        Ok(out)
+        Ok(worlds.collect())
+    }
+
+    /// The local alternatives of an item list: every concrete list its
+    /// choice points can resolve to, with its probability.
+    ///
+    /// Regular items stay in place; each probability node expands into
+    /// the alternatives of its possibilities' contents (recursively, since
+    /// a possibility may itself directly contain choice points). The
+    /// result is the cross product over the list's choice points, leftmost
+    /// varying slowest, and its weights sum to 1. The alternatives of a
+    /// single choice point are `local_alternatives(&[prob], cap)`.
+    ///
+    /// This is how integration treats an already-probabilistic input
+    /// (§I's incremental integration): it integrates each local world of a
+    /// child list separately. Fails as soon as more than `cap`
+    /// alternatives would be produced, at any level.
+    pub fn local_alternatives(
+        &self,
+        items: &[PxNodeId],
+        cap: usize,
+    ) -> Result<Vec<(Vec<PxNodeId>, f64)>, TooManyWorlds> {
+        let mut acc: Vec<(Vec<PxNodeId>, f64)> = vec![(Vec::new(), 1.0)];
+        for &item in items {
+            if !self.is_prob(item) {
+                for (row, _) in &mut acc {
+                    row.push(item);
+                }
+                continue;
+            }
+            let mut alternatives: Vec<(Vec<PxNodeId>, f64)> = Vec::new();
+            for (poss, w) in self.possibilities(item) {
+                for (inner, iw) in self.local_alternatives(self.children(poss), cap)? {
+                    alternatives.push((inner, w * iw));
+                    if alternatives.len() > cap {
+                        return Err(TooManyWorlds { cap });
+                    }
+                }
+            }
+            let len = acc.len().saturating_mul(alternatives.len());
+            if len > cap {
+                return Err(TooManyWorlds { cap });
+            }
+            let mut next = Vec::with_capacity(len);
+            for (row, rw) in &acc {
+                for (alt, w) in &alternatives {
+                    let mut row2 = row.clone();
+                    row2.extend_from_slice(alt);
+                    next.push((row2, rw * w));
+                }
+            }
+            acc = next;
+        }
+        Ok(acc)
     }
 
     /// Enumerate worlds and aggregate deep-equal documents, summing their
@@ -329,94 +293,106 @@ impl PxDoc {
             PxNodeKind::Poss(_) => unreachable!("poss reached outside prob handling"),
         }
     }
-
-    /// Worlds of `node`'s content as fragment sequences.
-    fn node_worlds(
-        &self,
-        node: PxNodeId,
-        cap: usize,
-    ) -> Result<Vec<(Vec<Frag>, f64)>, TooManyWorlds> {
-        match self.kind(node) {
-            PxNodeKind::Text(t) => Ok(vec![(vec![Frag::Text(t.clone())], 1.0)]),
-            PxNodeKind::Elem { tag, attrs } => {
-                let content = self.seq_worlds(self.children(node), cap)?;
-                let mut out = Vec::with_capacity(content.len());
-                for (frags, p) in content {
-                    let mut doc = XmlDoc::new(tag.clone());
-                    for a in attrs {
-                        doc.set_attr(doc.root(), a.name.clone(), a.value.clone());
-                    }
-                    let root = doc.root();
-                    attach_frags(&mut doc, root, frags);
-                    out.push((vec![Frag::Elem(doc)], p));
-                }
-                Ok(out)
-            }
-            PxNodeKind::Prob => {
-                let mut out = Vec::new();
-                for &poss in self.children(node) {
-                    // lint:allow(expect-in-lib, holds by construction: prob child is poss)
-                    let weight = self.poss_prob(poss).expect("prob child is poss");
-                    let content = self.seq_worlds(self.children(poss), cap)?;
-                    for (frags, p) in content {
-                        if out.len() >= cap {
-                            return Err(TooManyWorlds { cap });
-                        }
-                        out.push((frags, p * weight));
-                    }
-                }
-                Ok(out)
-            }
-            // lint:allow(panic-in-lib, statically unreachable: poss handled by its prob parent)
-            PxNodeKind::Poss(_) => unreachable!("poss handled by its prob parent"),
-        }
-    }
-
-    /// Cross product of the worlds of a sequence of sibling nodes.
-    fn seq_worlds(
-        &self,
-        nodes: &[PxNodeId],
-        cap: usize,
-    ) -> Result<Vec<(Vec<Frag>, f64)>, TooManyWorlds> {
-        let mut acc: Vec<(Vec<Frag>, f64)> = vec![(Vec::new(), 1.0)];
-        for &n in nodes {
-            let options = self.node_worlds(n, cap)?;
-            if options.len() == 1 {
-                // Fast path: extend every accumulated row in place by
-                // cloning the single option.
-                let (frags, p) = &options[0];
-                for row in &mut acc {
-                    row.0.extend(frags.iter().map(clone_frag));
-                    row.1 *= p;
-                }
-                continue;
-            }
-            let mut next = Vec::with_capacity(acc.len().saturating_mul(options.len()));
-            if acc.len().saturating_mul(options.len()) > cap {
-                return Err(TooManyWorlds { cap });
-            }
-            for (row, rp) in &acc {
-                for (frags, p) in &options {
-                    let mut combined: Vec<Frag> = Vec::with_capacity(row.len() + frags.len());
-                    combined.extend(row.iter().map(clone_frag));
-                    combined.extend(frags.iter().map(clone_frag));
-                    next.push((combined, rp * p));
-                }
-            }
-            acc = next;
-        }
-        Ok(acc)
-    }
 }
 
 /// Lazy possible-world iterator, created by [`PxDoc::worlds_iter`].
 ///
-/// Yields worlds in the same order as [`PxDoc::worlds`]. `size_hint` is
-/// exact when the world count fits a `usize`.
+/// `size_hint` is exact when the world count fits a `usize`.
 pub struct WorldIter<'a> {
     doc: &'a PxDoc,
+    /// World count of every reachable node's subtree, by arena index.
+    counts: Vec<u128>,
     next: u128,
     count: u128,
+}
+
+impl WorldIter<'_> {
+    /// Build world `k` (`k < count`).
+    fn world(&self, k: u128) -> World {
+        let doc = self.doc;
+        // The root is a probability node whose chosen possibility holds a
+        // single element (validated).
+        let (poss, mut prob, rem) = self.choose(doc.root(), k);
+        let elem = doc.children(poss)[0];
+        // lint:allow(expect-in-lib, holds by construction: root content is an element)
+        let tag = doc.tag(elem).expect("root content is an element");
+        let mut out = XmlDoc::new(tag);
+        let root = out.root();
+        for a in doc.attrs(elem) {
+            out.set_attr(root, a.name.clone(), a.value.clone());
+        }
+        self.decode_children(doc.children(elem), rem, &mut out, root, &mut prob);
+        World { doc: out, prob }
+    }
+
+    /// The possibility of `prob` that world digit `digit` selects, its
+    /// weight, and the digit left over for its content.
+    fn choose(&self, prob: PxNodeId, mut digit: u128) -> (PxNodeId, f64, u128) {
+        for &poss in self.doc.children(prob) {
+            let bucket = self.counts[poss.index()];
+            if digit < bucket {
+                // A probability node's children are possibilities.
+                return (poss, self.doc.poss_prob(poss).unwrap_or(1.0), digit);
+            }
+            digit -= bucket;
+        }
+        // lint:allow(panic-in-lib, statically unreachable: a digit below the count falls in a bucket)
+        unreachable!("a digit below the count falls in a bucket")
+    }
+
+    /// Decode digit `k` over a sibling sequence (mixed radix, leftmost
+    /// sibling most significant) and build the chosen fragments.
+    fn decode_children(
+        &self,
+        nodes: &[PxNodeId],
+        mut k: u128,
+        out: &mut XmlDoc,
+        parent: imprecise_xmlkit::NodeId,
+        prob: &mut f64,
+    ) {
+        // Suffix products of the per-sibling world counts.
+        let mut suffix = vec![1u128; nodes.len() + 1];
+        for (i, &n) in nodes.iter().enumerate().rev() {
+            suffix[i] = suffix[i + 1].saturating_mul(self.counts[n.index()]);
+        }
+        for (i, &n) in nodes.iter().enumerate() {
+            let digit = k / suffix[i + 1];
+            k %= suffix[i + 1];
+            self.decode_node(n, digit, out, parent, prob);
+        }
+    }
+
+    /// Build the `digit`-th world fragment of a single node.
+    fn decode_node(
+        &self,
+        node: PxNodeId,
+        digit: u128,
+        out: &mut XmlDoc,
+        parent: imprecise_xmlkit::NodeId,
+        prob: &mut f64,
+    ) {
+        let doc = self.doc;
+        match doc.kind(node) {
+            PxNodeKind::Text(t) => {
+                debug_assert_eq!(digit, 0);
+                out.add_text(parent, t.clone());
+            }
+            PxNodeKind::Elem { tag, attrs } => {
+                let el = out.add_element(parent, tag.clone());
+                for a in attrs {
+                    out.set_attr(el, a.name.clone(), a.value.clone());
+                }
+                self.decode_children(doc.children(node), digit, out, el, prob);
+            }
+            PxNodeKind::Prob => {
+                let (poss, weight, rem) = self.choose(node, digit);
+                *prob *= weight;
+                self.decode_children(doc.children(poss), rem, out, parent, prob);
+            }
+            // lint:allow(panic-in-lib, statically unreachable: poss decoded via its prob parent)
+            PxNodeKind::Poss(_) => unreachable!("poss decoded via its prob parent"),
+        }
+    }
 }
 
 impl Iterator for WorldIter<'_> {
@@ -426,37 +402,16 @@ impl Iterator for WorldIter<'_> {
         if self.next >= self.count {
             return None;
         }
-        let world = self.doc.nth_world(self.next);
+        let world = self.world(self.next);
         self.next += 1;
-        world
+        Some(world)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.count - self.next;
+        let remaining = self.count.saturating_sub(self.next);
         match usize::try_from(remaining) {
             Ok(n) => (n, Some(n)),
             Err(_) => (usize::MAX, None),
-        }
-    }
-}
-
-fn clone_frag(f: &Frag) -> Frag {
-    match f {
-        Frag::Elem(d) => Frag::Elem(d.clone()),
-        Frag::Text(t) => Frag::Text(t.clone()),
-    }
-}
-
-fn attach_frags(doc: &mut XmlDoc, parent: imprecise_xmlkit::NodeId, frags: Vec<Frag>) {
-    for f in frags {
-        match f {
-            Frag::Elem(sub) => {
-                let sub_root = sub.root();
-                doc.graft(parent, &sub, sub_root);
-            }
-            Frag::Text(t) => {
-                doc.add_text(parent, t);
-            }
         }
     }
 }
@@ -597,6 +552,36 @@ mod tests {
     }
 
     #[test]
+    fn worlds_cap_boundary() {
+        let px = crate::node::tests::fig2();
+        let n = usize::try_from(px.world_count()).unwrap();
+        let all = px.worlds(n).unwrap();
+        let lazy: Vec<World> = px.worlds_iter().collect();
+        assert_eq!(all.len(), lazy.len());
+        for (a, b) in all.iter().zip(&lazy) {
+            assert_eq!(to_string(&a.doc), to_string(&b.doc));
+            assert_eq!(a.prob.to_bits(), b.prob.to_bits());
+        }
+        assert_eq!(px.worlds(n - 1).unwrap_err(), TooManyWorlds { cap: n - 1 });
+    }
+
+    #[test]
+    fn deep_documents_count_their_worlds() {
+        let mut px = PxDoc::new();
+        let w = px.add_poss(px.root(), 1.0);
+        let mut node = px.add_elem(w, "a");
+        for _ in 1..100_000 {
+            node = px.add_elem(node, "b");
+        }
+        let c = px.add_prob(node);
+        for v in ["x", "y"] {
+            let p = px.add_poss(c, 0.5);
+            px.add_text(p, v);
+        }
+        assert_eq!(px.world_count(), 2);
+    }
+
+    #[test]
     fn nth_world_bounds() {
         let px = crate::node::tests::fig2();
         assert!(px.nth_world(2).is_some());
@@ -667,5 +652,126 @@ mod tests {
         let worlds = px.worlds(100).unwrap();
         let max = worlds.iter().map(|w| w.prob).fold(f64::MIN, f64::max);
         assert!((map.prob - max).abs() < 1e-12);
+    }
+
+    /// The local alternatives of a child list.
+    mod local_alternatives {
+        use super::*;
+
+        /// doc element with children: <x/>, prob{0.4: <y1/>; 0.6: <y2/>}, <z/>.
+        fn simple() -> (PxDoc, PxNodeId) {
+            let mut px = PxDoc::new();
+            let w = px.add_poss(px.root(), 1.0);
+            let e = px.add_elem(w, "doc");
+            px.add_elem(e, "x");
+            let p = px.add_prob(e);
+            let p1 = px.add_poss(p, 0.4);
+            px.add_elem(p1, "y1");
+            let p2 = px.add_poss(p, 0.6);
+            px.add_elem(p2, "y2");
+            px.add_elem(e, "z");
+            (px, e)
+        }
+
+        #[test]
+        fn certain_list_is_single_combo() {
+            let mut px = PxDoc::new();
+            let w = px.add_poss(px.root(), 1.0);
+            let e = px.add_elem(w, "doc");
+            px.add_elem(e, "x");
+            px.add_elem(e, "y");
+            let combos = px.local_alternatives(px.children(e), 100).unwrap();
+            assert_eq!(combos.len(), 1);
+            assert_eq!(combos[0].0.len(), 2);
+            assert!((combos[0].1 - 1.0).abs() < 1e-12);
+        }
+
+        #[test]
+        fn one_choice_expands_in_order() {
+            let (px, e) = simple();
+            let combos = px.local_alternatives(px.children(e), 100).unwrap();
+            assert_eq!(combos.len(), 2);
+            let tags0: Vec<&str> = combos[0].0.iter().filter_map(|&n| px.tag(n)).collect();
+            assert_eq!(tags0, vec!["x", "y1", "z"]);
+            assert!((combos[0].1 - 0.4).abs() < 1e-12);
+            let tags1: Vec<&str> = combos[1].0.iter().filter_map(|&n| px.tag(n)).collect();
+            assert_eq!(tags1, vec!["x", "y2", "z"]);
+            assert!((combos[1].1 - 0.6).abs() < 1e-12);
+        }
+
+        #[test]
+        fn two_choices_cross_product() {
+            let mut px = PxDoc::new();
+            let w = px.add_poss(px.root(), 1.0);
+            let e = px.add_elem(w, "doc");
+            for (t1, t2) in [("a1", "a2"), ("b1", "b2")] {
+                let p = px.add_prob(e);
+                let x = px.add_poss(p, 0.5);
+                px.add_elem(x, t1);
+                let y = px.add_poss(p, 0.5);
+                px.add_elem(y, t2);
+            }
+            let combos = px.local_alternatives(px.children(e), 100).unwrap();
+            assert_eq!(combos.len(), 4);
+            let total: f64 = combos.iter().map(|c| c.1).sum();
+            assert!((total - 1.0).abs() < 1e-12);
+        }
+
+        #[test]
+        fn nested_choices_flatten() {
+            // prob{0.5: prob{0.5: <a/>, 0.5: <b/>}; 0.5: <c/>} → 3 alternatives.
+            let mut px = PxDoc::new();
+            let w = px.add_poss(px.root(), 1.0);
+            let e = px.add_elem(w, "doc");
+            let outer = px.add_prob(e);
+            let o1 = px.add_poss(outer, 0.5);
+            let inner = px.add_prob(o1);
+            let i1 = px.add_poss(inner, 0.5);
+            px.add_elem(i1, "a");
+            let i2 = px.add_poss(inner, 0.5);
+            px.add_elem(i2, "b");
+            let o2 = px.add_poss(outer, 0.5);
+            px.add_elem(o2, "c");
+            let combos = px.local_alternatives(px.children(e), 100).unwrap();
+            assert_eq!(combos.len(), 3);
+            let weights: Vec<f64> = combos.iter().map(|c| c.1).collect();
+            assert!((weights[0] - 0.25).abs() < 1e-12);
+            assert!((weights[1] - 0.25).abs() < 1e-12);
+            assert!((weights[2] - 0.5).abs() < 1e-12);
+        }
+
+        #[test]
+        fn possibility_with_empty_content_yields_empty_items() {
+            let mut px = PxDoc::new();
+            let w = px.add_poss(px.root(), 1.0);
+            let e = px.add_elem(w, "doc");
+            let p = px.add_prob(e);
+            let with = px.add_poss(p, 0.5);
+            px.add_elem(with, "present");
+            let _without = px.add_poss(p, 0.5);
+            let combos = px.local_alternatives(px.children(e), 100).unwrap();
+            assert_eq!(combos.len(), 2);
+            assert_eq!(combos[0].0.len(), 1);
+            assert!(combos[1].0.is_empty());
+        }
+
+        #[test]
+        fn cap_enforced() {
+            let mut px = PxDoc::new();
+            let w = px.add_poss(px.root(), 1.0);
+            let e = px.add_elem(w, "doc");
+            for _ in 0..6 {
+                let p = px.add_prob(e);
+                for weight in [0.5, 0.5] {
+                    let poss = px.add_poss(p, weight);
+                    px.add_elem(poss, "v");
+                }
+            }
+            // 2^6 = 64 combos > cap 32.
+            assert_eq!(
+                px.local_alternatives(px.children(e), 32).unwrap_err(),
+                TooManyWorlds { cap: 32 }
+            );
+        }
     }
 }

@@ -641,7 +641,9 @@ mod tests {
         px.add_text_elem(node, "leaf", "found");
         let index = DocIndex::of(&px);
         assert_eq!(index.elements.len(), DEPTH);
-        for query in ["//leaf", "/a//leaf", "//b/b/leaf"] {
+        // `/a` asks for the value of the outermost element: the whole
+        // chain's text, "found".
+        for query in ["//leaf", "/a//leaf", "//b/b/leaf", "/a"] {
             let answers = QueryPlan::parse(query).unwrap().collect(&px).unwrap();
             assert_eq!(answers.len(), 1, "{query}");
             assert_eq!(answers.items[0].value, "found");

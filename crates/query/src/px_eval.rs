@@ -406,64 +406,155 @@ pub fn value_events(doc: &PxDoc, node: PxNodeId) -> Result<Vec<(String, Event)>,
     Ok(disjuncts.into_events())
 }
 
-fn node_value_events(doc: &PxDoc, node: PxNodeId) -> Result<Vec<(String, Event)>, EvalError> {
+/// A pending combination of [`node_value_events`]' explicit stack.
+enum ValueFrame<'a> {
+    /// Concatenating a child list: `acc` holds the values of
+    /// `items[..next]`.
+    Items {
+        items: &'a [PxNodeId],
+        next: usize,
+        acc: Vec<(String, Event)>,
+    },
+    /// Gathering a choice point's values: `out` holds those of its
+    /// possibilities `..next`.
+    Choice {
+        prob: PxNodeId,
+        next: usize,
+        out: Vec<(String, Event)>,
+    },
+}
+
+/// Start the value computation of `node`: a text's value is immediate,
+/// an element starts on its children, a choice point pushes its frame.
+fn enter<'a>(
+    doc: &'a PxDoc,
+    node: PxNodeId,
+    stack: &mut Vec<ValueFrame<'a>>,
+) -> Option<Vec<(String, Event)>> {
     match doc.kind(node) {
-        PxNodeKind::Text(t) => Ok(vec![(t.clone(), Event::True)]),
-        PxNodeKind::Elem { .. } => items_value_events(doc, doc.children(node)),
+        PxNodeKind::Text(t) => Some(vec![(t.clone(), Event::True)]),
+        PxNodeKind::Elem { .. } => enter_items(doc, doc.children(node), stack),
         PxNodeKind::Prob => {
-            let mut out: Vec<(String, Event)> = Vec::new();
-            for (idx, &poss) in doc.children(node).iter().enumerate() {
-                let atom = atom_for(doc, node, idx);
-                for (v, e) in items_value_events(doc, doc.children(poss))? {
-                    out.push((v, Event::and(atom.clone(), e)));
-                    if out.len() > MAX_VALUE_VARIANTS {
-                        return Err(EvalError::TooManyValueVariants {
-                            cap: MAX_VALUE_VARIANTS,
-                        });
-                    }
-                }
-            }
-            Ok(out)
+            stack.push(ValueFrame::Choice {
+                prob: node,
+                next: 0,
+                out: Vec::new(),
+            });
+            None
         }
         // lint:allow(panic-in-lib, statically unreachable: poss visited outside its prob)
         PxNodeKind::Poss(_) => unreachable!("poss visited outside its prob"),
     }
 }
 
-fn items_value_events(doc: &PxDoc, items: &[PxNodeId]) -> Result<Vec<(String, Event)>, EvalError> {
-    let mut acc: Vec<(String, Event)> = vec![(String::new(), Event::True)];
-    for &item in items {
-        let parts = node_value_events(doc, item)?;
-        if parts.len() == 1 {
-            let (v, e) = &parts[0];
-            for (av, ae) in &mut acc {
-                av.push_str(v);
-                if !matches!(e, Event::True) {
-                    let old = std::mem::replace(ae, Event::False);
-                    *ae = Event::and(old, e.clone());
+/// Start the value computation of a child list: the value of a list of
+/// texts only (the common leaf) is immediate, any other list pushes its
+/// frame.
+fn enter_items<'a>(
+    doc: &'a PxDoc,
+    items: &'a [PxNodeId],
+    stack: &mut Vec<ValueFrame<'a>>,
+) -> Option<Vec<(String, Event)>> {
+    if let Some(text) = items
+        .iter()
+        .map(|&c| doc.text(c))
+        .collect::<Option<String>>()
+    {
+        return Some(vec![(text, Event::True)]);
+    }
+    stack.push(ValueFrame::Items {
+        items,
+        next: 0,
+        acc: vec![(String::new(), Event::True)],
+    });
+    None
+}
+
+/// The possible values of `node` with their events, ungrouped. Walks an
+/// explicit stack, so a value nested 10⁵ levels deep costs heap, not
+/// call stack; the events and their order of combination are those of
+/// the natural recursion (a text is its own value, an element
+/// concatenates its children's values, a choice point gathers its
+/// possibilities' under their atoms).
+fn node_value_events(doc: &PxDoc, node: PxNodeId) -> Result<Vec<(String, Event)>, EvalError> {
+    let too_many = EvalError::TooManyValueVariants {
+        cap: MAX_VALUE_VARIANTS,
+    };
+    let mut stack: Vec<ValueFrame<'_>> = Vec::new();
+    // The values of the most recently finished node or list, not yet
+    // folded into the frame on top of the stack.
+    let mut done = enter(doc, node, &mut stack);
+    while let Some(frame) = stack.last_mut() {
+        match frame {
+            ValueFrame::Items { items, next, acc } => {
+                if let Some(parts) = done.take() {
+                    *acc = concat_values(std::mem::take(acc), parts);
+                    *next += 1;
+                    if acc.len() > MAX_VALUE_VARIANTS {
+                        return Err(too_many);
+                    }
+                }
+                match items.get(*next) {
+                    Some(&item) => done = enter(doc, item, &mut stack),
+                    None => {
+                        done = Some(std::mem::take(acc));
+                        stack.pop();
+                    }
                 }
             }
-            continue;
-        }
-        let mut next = Vec::with_capacity(acc.len() * parts.len());
-        for (av, ae) in &acc {
-            for (v, e) in &parts {
-                let mut combined_v = av.clone();
-                combined_v.push_str(v);
-                let combined_e = Event::and(ae.clone(), e.clone());
-                if !matches!(combined_e, Event::False) {
-                    next.push((combined_v, combined_e));
+            ValueFrame::Choice { prob, next, out } => {
+                if let Some(parts) = done.take() {
+                    let atom = atom_for(doc, *prob, *next);
+                    for (v, e) in parts {
+                        out.push((v, Event::and(atom.clone(), e)));
+                        if out.len() > MAX_VALUE_VARIANTS {
+                            return Err(too_many);
+                        }
+                    }
+                    *next += 1;
+                }
+                match doc.children(*prob).get(*next) {
+                    Some(&poss) => done = enter_items(doc, doc.children(poss), &mut stack),
+                    None => {
+                        done = Some(std::mem::take(out));
+                        stack.pop();
+                    }
                 }
             }
-        }
-        acc = next;
-        if acc.len() > MAX_VALUE_VARIANTS {
-            return Err(EvalError::TooManyValueVariants {
-                cap: MAX_VALUE_VARIANTS,
-            });
         }
     }
-    Ok(acc)
+    Ok(done.unwrap_or_default())
+}
+
+/// Every value of a list prefix (`acc`) followed by every value of its
+/// next item (`parts`).
+fn concat_values(
+    mut acc: Vec<(String, Event)>,
+    parts: Vec<(String, Event)>,
+) -> Vec<(String, Event)> {
+    if parts.len() == 1 {
+        let (v, e) = &parts[0];
+        for (av, ae) in &mut acc {
+            av.push_str(v);
+            if !matches!(e, Event::True) {
+                let old = std::mem::replace(ae, Event::False);
+                *ae = Event::and(old, e.clone());
+            }
+        }
+        return acc;
+    }
+    let mut next = Vec::with_capacity(acc.len() * parts.len());
+    for (av, ae) in &acc {
+        for (v, e) in &parts {
+            let mut combined_v = av.clone();
+            combined_v.push_str(v);
+            let combined_e = Event::and(ae.clone(), e.clone());
+            if !matches!(combined_e, Event::False) {
+                next.push((combined_v, combined_e));
+            }
+        }
+    }
+    next
 }
 
 #[cfg(test)]

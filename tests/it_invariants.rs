@@ -150,7 +150,7 @@ fn prune_renormalises_to_unit_mass_at_every_epsilon() {
 // shadow-checks every publish.
 
 use imprecise::datagen::{addressbook as ab, scenarios};
-use imprecise::integrate::{InvariantViolation, RefineOptions};
+use imprecise::integrate::RefineOptions;
 use imprecise::oracle::Oracle;
 use imprecise::xml::to_string;
 use imprecise::{DocHandle, Engine, ImpreciseError};
@@ -393,7 +393,7 @@ fn check_invariants_reports_corrupt_documents() {
         .expect_err("broken probability sum must be reported");
     assert!(matches!(
         err,
-        ImpreciseError::Invariant(InvariantViolation::Doc(_))
+        ImpreciseError::Invariant(imprecise::integrate::InvariantViolation::Doc(_))
     ));
     assert!(
         err.to_string().contains("invariant violation"),
