@@ -1,10 +1,12 @@
 //! The staged integration pipeline for one tag group.
 //!
-//! Matching a multi-valued tag group runs as four explicit stages:
+//! Matching a multi-valued tag group runs as four explicit stages,
+//! after an optional blocking stage 0 ([`block_candidates`]) that picks
+//! which pairs of the cross product the Oracle judges at all:
 //!
-//! 1. **Candidate generation** — Oracle judgments over the cross product
-//!    become a [`CandidateSet`]: forced pairs (certain matches, made
-//!    injective by demotion) plus undecided [`Candidate`]s.
+//! 1. **Candidate generation** — Oracle judgments over the surviving
+//!    pairs become a [`CandidateSet`]: forced pairs (certain matches,
+//!    made injective by demotion) plus undecided [`Candidate`]s.
 //! 2. **Component split** — [`split`] factors the candidate graph into
 //!    independent connected [`Component`]s.
 //! 3. **Budgeted enumeration** — [`enumerate_components`] turns each
@@ -30,7 +32,7 @@ use crate::{BlockingMode, BudgetPlan, IntegrationOptions};
 use imprecise_oracle::value::PossibleValues;
 use imprecise_oracle::{BlockingPlan, ElemRef, ElementFeatures, Oracle, PruneFilter};
 use imprecise_pxml::{PxDoc, PxNodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -102,14 +104,14 @@ pub struct BlockedPairs {
 /// Stage 0 (optional): generate the candidate pairs of one tag group
 /// without judging the full cross product.
 ///
-/// In [`BlockingMode::RecallSafe`] the surviving pairs contain every
-/// pair the oracle would not certainly reject: the plan's equality
-/// filter (if any) becomes a hash join over certain key values and the
-/// remaining filters run on cheap precomputed features, so generation
-/// is sub-quadratic whenever keys spread the group into small buckets.
-/// Pruned pairs are provably `NonMatch` (see
-/// [`imprecise_oracle::BlockingPlan`]), so downstream output is
-/// bit-identical to judging everything.
+/// In [`BlockingMode::RecallSafe`] the surviving pairs are exactly the
+/// pairs the oracle's [`BlockingPlan`] cannot prove `NonMatch`, from
+/// [`BlockingPlan::candidates`]: a hash join on the plan's equality
+/// filter, a per-bucket gram index for its similarity filter and
+/// row-batched edit checks, with [`BlockingPlan::prunes`] run on every
+/// pair before it is emitted. Pruned pairs are provably `NonMatch`, so
+/// downstream output is bit-identical to judging everything, and
+/// `pruned` is the cross product minus the survivors.
 ///
 /// [`BlockingMode::Heuristic`] additionally restricts candidates to a
 /// sorted-neighbourhood window and may therefore miss true matches; the
@@ -158,7 +160,7 @@ pub fn block_candidates(
             windowed_out,
         }
     } else {
-        let pairs = recall_safe_pairs(&plan, &fa, &fb);
+        let pairs = plan.candidates(&fa, &fb);
         BlockedPairs {
             pruned: total - pairs.len(),
             windowed_out: 0,
@@ -172,72 +174,6 @@ fn cross_product(n_a: usize, n_b: usize) -> Vec<(usize, usize)> {
     for ai in 0..n_a {
         for bi in 0..n_b {
             pairs.push((ai, bi));
-        }
-    }
-    pairs
-}
-
-/// Every pair the plan cannot prove `NonMatch`, in row-major order.
-fn recall_safe_pairs(
-    plan: &BlockingPlan,
-    fa: &[ElementFeatures],
-    fb: &[ElementFeatures],
-) -> Vec<(usize, usize)> {
-    if plan.is_empty() {
-        return cross_product(fa.len(), fb.len());
-    }
-    let Some(join) = plan.join_filter() else {
-        // No equality filter to join on: scan the cross product with the
-        // cheap feature predicate (still zero oracle calls per pruned pair).
-        let mut pairs = Vec::new();
-        for (ai, ffa) in fa.iter().enumerate() {
-            for (bi, ffb) in fb.iter().enumerate() {
-                if !plan.prunes(ffa, ffb) {
-                    pairs.push((ai, bi));
-                }
-            }
-        }
-        return pairs;
-    };
-    // Hash-join on the equality filter's certain keys. Elements without
-    // certain keys are "wild": that filter can never prune them, so they
-    // pair with everything.
-    let mut buckets: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut wild_b: Vec<usize> = Vec::new();
-    for (bi, f) in fb.iter().enumerate() {
-        match f.join_keys(join) {
-            Some(ks) => {
-                for k in ks {
-                    buckets.entry(k.as_str()).or_default().push(bi);
-                }
-            }
-            None => wild_b.push(bi),
-        }
-    }
-    let mut pairs = Vec::new();
-    let mut cands: Vec<usize> = Vec::new();
-    for (ai, ffa) in fa.iter().enumerate() {
-        cands.clear();
-        match ffa.join_keys(join) {
-            None => cands.extend(0..fb.len()),
-            Some(ks) => {
-                cands.extend(wild_b.iter().copied());
-                for k in ks {
-                    if let Some(bs) = buckets.get(k.as_str()) {
-                        cands.extend(bs.iter().copied());
-                    }
-                }
-                // Multi-valued keys (or wild overlap) can enqueue a
-                // candidate twice; sorted-dedup keeps row-major order
-                // without a tree insert per candidate.
-                cands.sort_unstable();
-                cands.dedup();
-            }
-        }
-        for &bi in &cands {
-            if !plan.prunes(ffa, &fb[bi]) {
-                pairs.push((ai, bi));
-            }
         }
     }
     pairs

@@ -35,10 +35,43 @@
 //! absorbs any f64 rounding asymmetry. When a cheap bound is too loose to
 //! prune, the edit-based filters fall back to evaluating the measure
 //! itself on the precomputed (normalised) values — still a fraction of a
-//! full oracle consultation, and the price of keeping the scored set
-//! near-linear on workloads the q-gram bound cannot separate. A pair is
-//! pruned only when every possible-value pairing is provably below the
-//! rule's threshold.
+//! full oracle consultation. A pair is pruned only when every
+//! possible-value pairing is provably below the rule's threshold.
+//!
+//! # How candidates are generated
+//!
+//! [`BlockingPlan::candidates`] returns `{(a, b) : !prunes(a, b)}` in
+//! row-major order without calling [`BlockingPlan::prunes`] on the whole
+//! cross product:
+//!
+//! 1. **Hash join.** The plan's first equality filter splits the b side
+//!    into one bucket per certain key. Elements without certain keys are
+//!    wild and meet every row. A plan with no equality filter has one
+//!    bucket.
+//! 2. **Gram index.** Each bucket indexes its b values for the plan's
+//!    first similarity filter with a count-bounded measure (`Title`,
+//!    `Levenshtein`, `TokenJaccard`): postings from each bigram and each
+//!    token to the values holding it, keyed by dense ids into a sorted
+//!    intern table. For one a value, a pass over the postings of its grams
+//!    yields every b value's exact shared-token and shared-bigram counts
+//!    (ScanCount), and those counts feed `count_bound`, the same function
+//!    the per-pair bound calls — the q-gram count filter of Gravano et
+//!    al. (VLDB 2001). Values with no shared gram get counts of zero and
+//!    are bounded like the rest.
+//! 3. **Row-batched exact check.** The edit measures' bound survivors of
+//!    one a value are checked in one [`sim::levenshtein_batch`] call, so
+//!    the pattern is preprocessed once per value, not once per pair.
+//! 4. **The predicate.** Every pair still left runs
+//!    [`BlockingPlan::prunes`] before it is emitted.
+//!
+//! Steps 2 and 3 drop a pair only where that filter's own bound or exact
+//! check proves every value pairing below the threshold, with the same
+//! arithmetic on the same counts, so the pair would fire the filter in
+//! `prunes` too: the index yields a superset of the survivors, and step 4
+//! cuts it to exactly the survivors. The measures the index does not
+//! serve — `PersonName` and `JaroWinkler`, whose bounds read character
+//! multisets with no selective gram, and `TrigramDice` — leave every
+//! bucket member to step 4, which bounds each pair on its own.
 
 use crate::rules::{Rule, SimMeasure};
 use crate::value::{ElemRef, PossibleValues};
@@ -213,6 +246,112 @@ impl BlockingPlan {
             .zip(a.per_filter.iter().zip(&b.per_filter))
             .any(|(f, (fa, fb))| filter_fires(f, fa, fb))
     }
+
+    /// Every pair `(a, b)` this plan cannot prove `NonMatch` — exactly
+    /// `{(a, b) : !self.prunes(&fa[a], &fb[b])}` — in row-major order.
+    ///
+    /// See the module docs for how the pairs are generated without
+    /// calling [`BlockingPlan::prunes`] on the whole cross product.
+    pub fn candidates(
+        &self,
+        fa: &[ElementFeatures],
+        fb: &[ElementFeatures],
+    ) -> Vec<(usize, usize)> {
+        if self.filters.is_empty() {
+            // Nothing can prune: the cross product, without building
+            // buckets for the many small groups of unruled tags.
+            return (0..fa.len())
+                .flat_map(|a| (0..fb.len()).map(move |b| (a, b)))
+                .collect();
+        }
+        let filter = self.indexed_filter();
+        let join = self.join_filter();
+        // Hash join on the equality filter's certain keys. Elements
+        // without certain keys are wild: that filter can never prune
+        // them, so they meet every row. With no equality filter every
+        // element is wild: one bucket.
+        let mut keyed: Vec<(&str, usize)> = Vec::new();
+        let mut wild: Vec<usize> = Vec::new();
+        for (bi, f) in fb.iter().enumerate() {
+            match join.and_then(|j| f.join_keys(j)) {
+                Some(ks) => keyed.extend(ks.iter().map(|k| (k.as_str(), bi))),
+                None => wild.push(bi),
+            }
+        }
+        keyed.sort_unstable();
+        keyed.dedup();
+        let mut keys: Vec<&str> = Vec::new();
+        let mut buckets: Vec<Bucket<'_>> = Vec::new();
+        for run in keyed.chunk_by(|x, y| x.0 == y.0) {
+            keys.push(run[0].0);
+            buckets.push(Bucket::new(
+                run.iter().map(|&(_, bi)| bi).collect(),
+                fb,
+                filter,
+            ));
+        }
+        // The rows that meet each bucket: a row meets the buckets of its
+        // keys, a wild row meets them all, and every row meets the wild
+        // elements.
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); buckets.len()];
+        for (ai, f) in fa.iter().enumerate() {
+            match join.and_then(|j| f.join_keys(j)) {
+                Some(ks) => {
+                    for k in ks {
+                        if let Ok(i) = keys.binary_search(&k.as_str()) {
+                            rows[i].push(ai);
+                        }
+                    }
+                }
+                None => rows.iter_mut().for_each(|r| r.push(ai)),
+            }
+        }
+        if !wild.is_empty() {
+            buckets.push(Bucket::new(wild, fb, filter));
+            rows.push((0..fa.len()).collect());
+        }
+
+        // Bucket by bucket, so a bucket's index stays in cache while its
+        // rows scan it. Each row keeps only the pairs `prunes` passes, so
+        // memory follows the output, not the bucket sizes.
+        let mut scan = Scan::default();
+        let mut found: Vec<usize> = Vec::new();
+        let mut kept: Vec<Vec<usize>> = vec![Vec::new(); fa.len()];
+        for (bucket, rows) in buckets.iter().zip(&rows) {
+            for &ai in rows {
+                found.clear();
+                bucket.survivors(filter, &fa[ai], &mut scan, &mut found);
+                kept[ai].extend(found.iter().filter(|&&bi| !self.prunes(&fa[ai], &fb[bi])));
+            }
+        }
+        let mut pairs = Vec::new();
+        for (ai, mut row) in kept.into_iter().enumerate() {
+            // Buckets interleave, and a multi-valued key can meet a
+            // member twice: sorted-dedup restores row-major order.
+            row.sort_unstable();
+            row.dedup();
+            pairs.extend(row.into_iter().map(|bi| (ai, bi)));
+        }
+        pairs
+    }
+
+    /// The plan's first similarity filter with a count-bounded measure:
+    /// the one [`BlockingPlan::candidates`] indexes.
+    fn indexed_filter(&self) -> Option<IndexedFilter> {
+        self.filters
+            .iter()
+            .enumerate()
+            .find_map(|(idx, f)| match f {
+                PruneFilter::SimilarityBelow {
+                    threshold, measure, ..
+                } if count_bounded(*measure) => Some(IndexedFilter {
+                    idx,
+                    measure: *measure,
+                    threshold: *threshold,
+                }),
+                _ => None,
+            })
+    }
 }
 
 /// Per-element cached inputs to one plan's filters, index-aligned with
@@ -269,10 +408,8 @@ fn filter_fires(f: &PruneFilter, a: &FilterFeatures, b: &FilterFeatures) -> bool
 
 /// Character-bigram multiset of a string — each edit operation disturbs
 /// at most two bigrams, giving the q-gram edit-distance lower bound.
-/// Stored as a sorted run-length vector: the prefilter intersects these
-/// pairwise on every hash-join candidate, and a two-pointer merge over
-/// short sorted slices beats a tree lookup per gram by an order of
-/// magnitude.
+/// Stored as a sorted run-length vector: the per-pair bound merges two
+/// of these, and the candidate index keys its postings on the same runs.
 type Bigrams = Vec<((char, char), usize)>;
 
 fn sorted_counts<K: Ord + Copy>(mut keys: Vec<K>) -> Vec<(K, usize)> {
@@ -288,8 +425,16 @@ fn sorted_counts<K: Ord + Copy>(mut keys: Vec<K>) -> Vec<(K, usize)> {
 }
 
 fn bigrams(s: &str) -> Bigrams {
-    let chars: Vec<char> = s.chars().collect();
-    sorted_counts(chars.windows(2).map(|w| (w[0], w[1])).collect())
+    let grams = s.chars().zip(s.chars().skip(1)).collect();
+    sorted_counts(grams)
+}
+
+/// Distinct tokens, sorted: [`sim::token_set`]'s members in its order.
+fn sorted_tokens(s: &str) -> Vec<String> {
+    let mut tokens = sim::tokenize(s);
+    tokens.sort_unstable();
+    tokens.dedup();
+    tokens
 }
 
 fn multiset_common<K: Ord + Copy>(a: &[(K, usize)], b: &[(K, usize)]) -> usize {
@@ -312,15 +457,10 @@ fn char_counts(s: &str) -> Vec<(char, usize)> {
     sorted_counts(s.chars().collect())
 }
 
-/// Jaccard over sorted, deduplicated token vectors — the same
-/// intersection and union counts (and therefore the same f64 bits) as
-/// [`sim::jaccard_token_sets`] on the corresponding sets, via a
-/// two-pointer merge instead of tree walks.
-fn jaccard_sorted(a: &[String], b: &[String]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let (mut i, mut j, mut common) = (0, 0, 0usize);
+/// Shared members of two sorted, deduplicated token vectors, by a
+/// two-pointer merge.
+fn set_common(a: &[String], b: &[String]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
@@ -332,52 +472,156 @@ fn jaccard_sorted(a: &[String], b: &[String]) -> f64 {
             }
         }
     }
-    let union = a.len() + b.len() - common;
-    common as f64 / union as f64
+    common
+}
+
+/// Jaccard of two token sets from their sizes and their intersection:
+/// the same counts, and therefore the same f64 bits, as
+/// [`sim::jaccard_token_sets`] on the sets themselves.
+fn jaccard_count(len_a: usize, len_b: usize, common: usize) -> f64 {
+    if len_a == 0 && len_b == 0 {
+        return 1.0;
+    }
+    common as f64 / (len_a + len_b - common) as f64
 }
 
 /// Upper bound on `1 − d/max_len` from two edit-distance lower bounds:
 /// the length difference and the q-gram (q = 2) bound
-/// `d ≥ ⌈(max_grams − common_grams) / 2⌉`.
-fn lev_similarity_ub(ca: usize, cb: usize, ba: &Bigrams, bb: &Bigrams) -> f64 {
-    let max_len = ca.max(cb);
+/// `d ≥ ⌈(max_grams − common) / 2⌉`. `len_a` and `len_b` count
+/// characters, `common` the bigrams the two values share (multiset
+/// intersection).
+fn lev_similarity_ub(len_a: usize, len_b: usize, common: usize) -> f64 {
+    let max_len = len_a.max(len_b);
     if max_len == 0 {
         return 1.0;
     }
-    let len_lb = ca.abs_diff(cb);
-    let max_grams = ca.saturating_sub(1).max(cb.saturating_sub(1));
-    let qgram_lb = (max_grams - multiset_common(ba, bb)).div_ceil(2);
+    let len_lb = len_a.abs_diff(len_b);
+    let max_grams = len_a.saturating_sub(1).max(len_b.saturating_sub(1));
+    let qgram_lb = (max_grams - common).div_ceil(2);
     let d_lb = len_lb.max(qgram_lb);
     1.0 - d_lb as f64 / max_len as f64
+}
+
+/// `1 − distance/max_len` for a known edit distance: the arithmetic of
+/// [`sim::levenshtein_similarity`], bit for bit.
+fn lev_similarity(len_a: usize, len_b: usize, distance: usize) -> f64 {
+    let max_len = len_a.max(len_b);
+    if max_len == 0 {
+        return 1.0;
+    }
+    1.0 - distance as f64 / max_len as f64
+}
+
+/// What the count-based bounds read of one value: its length in
+/// characters, its distinct tokens (sorted) and its character-bigram
+/// multiset. A measure leaves empty the part it does not use.
+#[derive(Debug, Clone)]
+struct GramProfile {
+    chars: usize,
+    tokens: Vec<String>,
+    bigrams: Bigrams,
+}
+
+/// The sizes the count-based bounds read: characters and distinct tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    chars: usize,
+    tokens: usize,
+}
+
+/// Gram overlap of two values: shared tokens and shared bigrams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Common {
+    tokens: usize,
+    bigrams: usize,
+}
+
+impl GramProfile {
+    fn shape(&self) -> Shape {
+        Shape {
+            chars: self.chars,
+            tokens: self.tokens.len(),
+        }
+    }
+
+    fn common(&self, other: &GramProfile) -> Common {
+        Common {
+            tokens: set_common(&self.tokens, &other.tokens),
+            bigrams: multiset_common(&self.bigrams, &other.bigrams),
+        }
+    }
+}
+
+/// Whether `measure`'s upper bound is a function of gram counts alone,
+/// so a gram index can evaluate it for a whole bucket at once.
+fn count_bounded(measure: SimMeasure) -> bool {
+    matches!(
+        measure,
+        SimMeasure::Title | SimMeasure::Levenshtein | SimMeasure::TokenJaccard
+    )
+}
+
+/// The upper bound of a count-bounded measure from the two values'
+/// [`Shape`]s and their [`Common`] counts. The per-pair path
+/// ([`SimFeature::upper_bound`]) and the candidate index both call this,
+/// so the two cannot drift.
+fn count_bound(measure: SimMeasure, a: Shape, b: Shape, common: Common) -> f64 {
+    let jaccard = || jaccard_count(a.tokens, b.tokens, common.tokens);
+    let lev = || lev_similarity_ub(a.chars, b.chars, common.bigrams);
+    match measure {
+        // title_similarity = max(token Jaccard, Levenshtein sim) on the
+        // normalised titles: Jaccard is exact here, the edit part is
+        // bounded.
+        SimMeasure::Title => jaccard().max(lev()) + UB_SLACK,
+        SimMeasure::Levenshtein => lev() + UB_SLACK,
+        SimMeasure::TokenJaccard => jaccard() + UB_SLACK,
+        _ => 1.0,
+    }
+}
+
+/// The exact measure of a count-bounded edit measure (`Title`,
+/// `Levenshtein`) from the two [`Shape`]s, their [`Common`] counts and the edit
+/// distance of the compared texts — what [`SimMeasure::apply`] computes
+/// after its normalisation step. `None` for the set-arithmetic measures,
+/// whose bound already is the measure.
+fn edit_exact(
+    measure: SimMeasure,
+    a: Shape,
+    b: Shape,
+    common: Common,
+    distance: usize,
+) -> Option<f64> {
+    let lev = lev_similarity(a.chars, b.chars, distance);
+    match measure {
+        // Two empty titles: Jaccard and the edit part are both 1.0, as
+        // `title_similarity`'s both-empty short-circuit.
+        SimMeasure::Title => Some(jaccard_count(a.tokens, b.tokens, common.tokens).max(lev)),
+        SimMeasure::Levenshtein => Some(lev),
+        _ => None,
+    }
 }
 
 /// Precomputed per-value features for one similarity measure, supporting
 /// a sound (never smaller than the true similarity) pairwise upper bound.
 #[derive(Debug, Clone)]
 enum SimFeature {
-    Title {
-        norm: String,
-        tokens: Vec<String>,
-        chars: usize,
-        grams: Bigrams,
+    /// Title, Levenshtein and token-Jaccard values: the bound is
+    /// [`count_bound`] over the profile; `text` is what the edit
+    /// distance compares (the normalised title, or the raw value).
+    Counted {
+        measure: SimMeasure,
+        text: String,
+        profile: GramProfile,
     },
     PersonName {
         norm: String,
         chars: usize,
         counts: Vec<(char, usize)>,
     },
-    Levenshtein {
-        value: String,
-        chars: usize,
-        grams: Bigrams,
-    },
     JaroWinkler {
         value: String,
         chars: usize,
         counts: Vec<(char, usize)>,
-    },
-    TokenJaccard {
-        tokens: Vec<String>,
     },
     TrigramDice {
         lower: String,
@@ -390,13 +634,34 @@ impl SimFeature {
         match measure {
             SimMeasure::Title => {
                 let n = sim::normalize_title(v);
-                SimFeature::Title {
-                    tokens: sim::token_set(&n).into_iter().collect(),
-                    chars: n.chars().count(),
-                    grams: bigrams(&n),
-                    norm: n,
+                SimFeature::Counted {
+                    measure,
+                    profile: GramProfile {
+                        chars: n.chars().count(),
+                        tokens: sorted_tokens(&n),
+                        bigrams: bigrams(&n),
+                    },
+                    text: n,
                 }
             }
+            SimMeasure::Levenshtein => SimFeature::Counted {
+                measure,
+                text: v.to_string(),
+                profile: GramProfile {
+                    chars: v.chars().count(),
+                    tokens: Vec::new(),
+                    bigrams: bigrams(v),
+                },
+            },
+            SimMeasure::TokenJaccard => SimFeature::Counted {
+                measure,
+                text: String::new(),
+                profile: GramProfile {
+                    chars: 0,
+                    tokens: sorted_tokens(v),
+                    bigrams: Vec::new(),
+                },
+            },
             SimMeasure::PersonName => {
                 let n = sim::normalize_person_name(v);
                 SimFeature::PersonName {
@@ -405,18 +670,10 @@ impl SimFeature {
                     norm: n,
                 }
             }
-            SimMeasure::Levenshtein => SimFeature::Levenshtein {
-                value: v.to_string(),
-                chars: v.chars().count(),
-                grams: bigrams(v),
-            },
             SimMeasure::JaroWinkler => SimFeature::JaroWinkler {
                 value: v.to_string(),
                 chars: v.chars().count(),
                 counts: char_counts(v),
-            },
-            SimMeasure::TokenJaccard => SimFeature::TokenJaccard {
-                tokens: sim::token_set(v).into_iter().collect(),
             },
             SimMeasure::TrigramDice => {
                 let lower = v.to_lowercase();
@@ -432,25 +689,17 @@ impl SimFeature {
     fn upper_bound(&self, other: &SimFeature) -> f64 {
         match (self, other) {
             (
-                SimFeature::Title {
-                    tokens: ta,
-                    chars: ca,
-                    grams: ga,
+                SimFeature::Counted {
+                    measure,
+                    profile: pa,
                     ..
                 },
-                SimFeature::Title {
-                    tokens: tb,
-                    chars: cb,
-                    grams: gb,
+                SimFeature::Counted {
+                    measure: mb,
+                    profile: pb,
                     ..
                 },
-            ) => {
-                // title_similarity = max(token Jaccard, Levenshtein sim)
-                // on the normalised titles: Jaccard is exact here, the
-                // edit part is bounded.
-                let jac = jaccard_sorted(ta, tb);
-                jac.max(lev_similarity_ub(*ca, *cb, ga, gb)) + UB_SLACK
-            }
+            ) if measure == mb => count_bound(*measure, pa.shape(), pb.shape(), pa.common(pb)),
             (
                 SimFeature::PersonName {
                     chars: ca,
@@ -476,21 +725,6 @@ impl SimFeature {
                 },
             ) => jaro_winkler_ub(*ca, *cb, na, nb),
             (
-                SimFeature::Levenshtein {
-                    chars: ca,
-                    grams: ga,
-                    ..
-                },
-                SimFeature::Levenshtein {
-                    chars: cb,
-                    grams: gb,
-                    ..
-                },
-            ) => lev_similarity_ub(*ca, *cb, ga, gb) + UB_SLACK,
-            (SimFeature::TokenJaccard { tokens: ta }, SimFeature::TokenJaccard { tokens: tb }) => {
-                jaccard_sorted(ta, tb) + UB_SLACK
-            }
-            (
                 SimFeature::TrigramDice {
                     lower: la,
                     trigrams: ta,
@@ -515,32 +749,29 @@ impl SimFeature {
     fn exact(&self, other: &SimFeature) -> Option<f64> {
         match (self, other) {
             (
-                SimFeature::Title {
-                    norm: na,
-                    tokens: ta,
-                    ..
+                SimFeature::Counted {
+                    measure,
+                    text: ta,
+                    profile: pa,
                 },
-                SimFeature::Title {
-                    norm: nb,
-                    tokens: tb,
-                    ..
+                SimFeature::Counted {
+                    measure: mb,
+                    text: tb,
+                    profile: pb,
                 },
-            ) => {
-                if na.is_empty() && nb.is_empty() {
-                    return Some(1.0);
-                }
-                Some(jaccard_sorted(ta, tb).max(sim::levenshtein_similarity(na, nb)))
-            }
+            ) if measure == mb => edit_exact(
+                *measure,
+                pa.shape(),
+                pb.shape(),
+                pa.common(pb),
+                sim::levenshtein(ta, tb),
+            ),
             (SimFeature::PersonName { norm: na, .. }, SimFeature::PersonName { norm: nb, .. }) => {
                 if na.is_empty() && nb.is_empty() {
                     return Some(1.0);
                 }
                 Some(sim::jaro_winkler(na, nb))
             }
-            (
-                SimFeature::Levenshtein { value: va, .. },
-                SimFeature::Levenshtein { value: vb, .. },
-            ) => Some(sim::levenshtein_similarity(va, vb)),
             (
                 SimFeature::JaroWinkler { value: va, .. },
                 SimFeature::JaroWinkler { value: vb, .. },
@@ -570,6 +801,221 @@ fn jaro_winkler_ub(ca: usize, cb: usize, na: &[(char, usize)], nb: &[(char, usiz
     let ub_jaro = (c / ca as f64 + c / cb as f64 + 1.0) / 3.0;
     let ub_jaro = ub_jaro.min(1.0);
     ub_jaro + 0.4 * (1.0 - ub_jaro) + UB_SLACK
+}
+
+/// The filter the candidate index serves: the plan's first similarity
+/// filter whose measure is count-bounded.
+#[derive(Debug, Clone, Copy)]
+struct IndexedFilter {
+    idx: usize,
+    measure: SimMeasure,
+    threshold: f64,
+}
+
+/// An inverted index from gram to the slots (b values) holding it, with
+/// the gram's multiplicity in each. A gram's id is its position in the
+/// sorted intern table `grams`; its postings are one contiguous run of
+/// `entries`, slots ascending.
+struct Postings<K> {
+    grams: Vec<K>,
+    starts: Vec<usize>,
+    entries: Vec<(u32, u32)>,
+}
+
+impl<K: Ord + Copy> Postings<K> {
+    /// Index `(gram, slot, count)` occurrences.
+    fn new(mut items: Vec<(K, u32, u32)>) -> Self {
+        items.sort_unstable();
+        let mut grams = Vec::new();
+        let mut starts = Vec::new();
+        let mut entries = Vec::with_capacity(items.len());
+        for (gram, slot, n) in items {
+            if grams.last() != Some(&gram) {
+                grams.push(gram);
+                starts.push(entries.len());
+            }
+            entries.push((slot, n));
+        }
+        starts.push(entries.len());
+        Postings {
+            grams,
+            starts,
+            entries,
+        }
+    }
+
+    /// The `(slot, count)` postings of `gram`; empty when no slot has it.
+    fn get(&self, gram: &K) -> &[(u32, u32)] {
+        match self.grams.binary_search(gram) {
+            Ok(id) => &self.entries[self.starts[id]..self.starts[id + 1]],
+            Err(_) => &[],
+        }
+    }
+}
+
+/// One indexed b value: the bucket member it belongs to, the text its
+/// exact check compares and its shape (inline: the bound loop reads it
+/// for every slot of the bucket).
+struct Slot<'f> {
+    member: usize,
+    text: &'f str,
+    shape: Shape,
+}
+
+/// The b elements of one join bucket, with a gram index over their
+/// values for the plan's [`IndexedFilter`].
+struct Bucket<'f> {
+    /// The bucket's b elements, ascending.
+    members: Vec<usize>,
+    /// Per member: the indexed filter cannot prune it (no certain value),
+    /// so it survives every row.
+    always: Vec<bool>,
+    slots: Vec<Slot<'f>>,
+    tokens: Postings<&'f str>,
+    bigrams: Postings<(char, char)>,
+}
+
+/// Per-row scratch of the bucket scans, reused across rows and buckets.
+#[derive(Default)]
+struct Scan<'f> {
+    /// Per slot: tokens shared with the current a value.
+    tokens: Vec<u32>,
+    /// Per slot: bigrams shared with the current a value (multiset).
+    bigrams: Vec<u32>,
+    /// Per member: some value pairing may reach the threshold.
+    alive: Vec<bool>,
+    /// Slots whose bound reaches the threshold, awaiting the exact check.
+    pending: Vec<usize>,
+    texts: Vec<&'f str>,
+}
+
+impl Scan<'_> {
+    fn common(&self, slot: usize) -> Common {
+        Common {
+            tokens: self.tokens[slot] as usize,
+            bigrams: self.bigrams[slot] as usize,
+        }
+    }
+}
+
+impl<'f> Bucket<'f> {
+    fn new(members: Vec<usize>, fb: &'f [ElementFeatures], filter: Option<IndexedFilter>) -> Self {
+        let mut always = Vec::with_capacity(members.len());
+        let mut slots = Vec::new();
+        let mut tokens = Vec::new();
+        let mut bigrams = Vec::new();
+        for (member, &bi) in members.iter().enumerate() {
+            let values = filter.and_then(|f| match fb[bi].per_filter.get(f.idx) {
+                Some(FilterFeatures::Similarity(vs)) => Some(vs),
+                _ => None,
+            });
+            always.push(values.is_none());
+            for v in values.into_iter().flatten() {
+                if let SimFeature::Counted { text, profile, .. } = v {
+                    let s = slots.len() as u32;
+                    tokens.extend(profile.tokens.iter().map(|t| (t.as_str(), s, 1)));
+                    bigrams.extend(profile.bigrams.iter().map(|&(g, n)| (g, s, n as u32)));
+                    slots.push(Slot {
+                        member,
+                        text,
+                        shape: profile.shape(),
+                    });
+                }
+            }
+        }
+        Bucket {
+            members,
+            always,
+            slots,
+            tokens: Postings::new(tokens),
+            bigrams: Postings::new(bigrams),
+        }
+    }
+
+    /// ScanCount: every slot's [`Common`] counts with the a value `x`,
+    /// accumulated from the postings of `x`'s grams.
+    fn count(&self, x: &GramProfile, scan: &mut Scan<'_>) {
+        scan.tokens.clear();
+        scan.tokens.resize(self.slots.len(), 0);
+        scan.bigrams.clear();
+        scan.bigrams.resize(self.slots.len(), 0);
+        for t in &x.tokens {
+            for &(s, _) in self.tokens.get(&t.as_str()) {
+                scan.tokens[s as usize] += 1;
+            }
+        }
+        for &(g, n) in &x.bigrams {
+            for &(s, m) in self.bigrams.get(&g) {
+                scan.bigrams[s as usize] += m.min(n as u32);
+            }
+        }
+    }
+
+    /// Append to `out`, ascending, the members the indexed filter cannot
+    /// prove below its threshold against row `a`: a superset of the
+    /// members `a` forms an unpruned pair with.
+    fn survivors(
+        &self,
+        filter: Option<IndexedFilter>,
+        a: &ElementFeatures,
+        scan: &mut Scan<'f>,
+        out: &mut Vec<usize>,
+    ) {
+        let (f, xs) = match filter.map(|f| (f, a.per_filter.get(f.idx))) {
+            Some((f, Some(FilterFeatures::Similarity(xs)))) => (f, xs),
+            _ => {
+                out.extend_from_slice(&self.members);
+                return;
+            }
+        };
+        scan.alive.clear();
+        scan.alive.extend_from_slice(&self.always);
+        for x in xs {
+            let SimFeature::Counted { text, profile, .. } = x else {
+                out.extend_from_slice(&self.members);
+                return;
+            };
+            self.count(profile, scan);
+            let shape = profile.shape();
+            scan.pending.clear();
+            for (s, slot) in self.slots.iter().enumerate() {
+                if scan.alive[slot.member]
+                    || count_bound(f.measure, shape, slot.shape, scan.common(s)) < f.threshold
+                {
+                    continue;
+                }
+                if f.measure == SimMeasure::TokenJaccard {
+                    scan.alive[slot.member] = true;
+                } else {
+                    scan.pending.push(s);
+                }
+            }
+            if scan.pending.is_empty() {
+                continue;
+            }
+            // The exact check for the whole row at once: one pattern,
+            // preprocessed once, against every bound survivor.
+            scan.texts.clear();
+            let slots = &self.slots;
+            scan.texts
+                .extend(scan.pending.iter().map(|&s| slots[s].text));
+            let distances = sim::levenshtein_batch(text, &scan.texts);
+            for (&s, d) in scan.pending.iter().zip(distances) {
+                let slot = &self.slots[s];
+                let exact = edit_exact(f.measure, shape, slot.shape, scan.common(s), d);
+                if !exact.is_some_and(|v| v + UB_SLACK < f.threshold) {
+                    scan.alive[slot.member] = true;
+                }
+            }
+        }
+        out.extend(
+            self.members
+                .iter()
+                .zip(&scan.alive)
+                .filter(|&(_, &alive)| alive)
+                .map(|(&b, _)| b),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -661,13 +1107,9 @@ mod tests {
         assert!(o.blocking_plan("movie").is_empty());
     }
 
-    /// The central soundness property on concrete documents: whenever the
-    /// plan prunes, the oracle says NonMatch.
-    #[test]
-    fn pruning_implies_nonmatch() {
-        let oracle = movie_oracle_like();
-        let plan = oracle.blocking_plan("movie");
-        let docs: Vec<PxDoc> = [
+    /// Movies with certain, missing and shared keys and titles.
+    fn movie_docs() -> Vec<PxDoc> {
+        [
             "<movie><title>Jaws</title><year>1975</year></movie>",
             "<movie><title>Jaws 2</title><year>1978</year></movie>",
             "<movie><title>Die Hard: With a Vengeance</title><year>1995</year></movie>",
@@ -679,7 +1121,16 @@ mod tests {
         ]
         .iter()
         .map(|x| px(x))
-        .collect();
+        .collect()
+    }
+
+    /// The central soundness property on concrete documents: whenever the
+    /// plan prunes, the oracle says NonMatch.
+    #[test]
+    fn pruning_implies_nonmatch() {
+        let oracle = movie_oracle_like();
+        let plan = oracle.blocking_plan("movie");
+        let docs = movie_docs();
         let mut pruned = 0;
         for da in &docs {
             for db in &docs {
@@ -700,19 +1151,25 @@ mod tests {
         assert!(pruned > 0, "plan should prune at least the obvious pairs");
     }
 
+    /// Values the bound and fallback tests compare pairwise (repeated
+    /// bigrams and non-ASCII included).
+    const VALUES: [&str; 12] = [
+        "Jaws",
+        "Jaws 2",
+        "Die Hard: With a Vengeance",
+        "Mission: Impossible II",
+        "mission impossible 2",
+        "McTiernan, John",
+        "John Woo",
+        "",
+        "tv",
+        "Amélie ★",
+        "banana bandana",
+        "aaaa",
+    ];
+
     #[test]
     fn similarity_upper_bounds_dominate_the_measures() {
-        let values = [
-            "Jaws",
-            "Jaws 2",
-            "Die Hard: With a Vengeance",
-            "Mission: Impossible II",
-            "mission impossible 2",
-            "McTiernan, John",
-            "John Woo",
-            "",
-            "tv",
-        ];
         for measure in [
             SimMeasure::Title,
             SimMeasure::PersonName,
@@ -721,9 +1178,9 @@ mod tests {
             SimMeasure::TokenJaccard,
             SimMeasure::TrigramDice,
         ] {
-            for a in values {
+            for a in VALUES {
                 let fa = SimFeature::new(measure, a);
-                for b in values {
+                for b in VALUES {
                     let fb = SimFeature::new(measure, b);
                     let ub = fa.upper_bound(&fb);
                     let actual = measure.apply(a, b);
@@ -738,17 +1195,6 @@ mod tests {
 
     #[test]
     fn exact_fallback_matches_the_measure_bitwise() {
-        let values = [
-            "Jaws",
-            "Jaws 2",
-            "Die Hard: With a Vengeance",
-            "Mission: Impossible II",
-            "mission impossible 2",
-            "McTiernan, John",
-            "John Woo",
-            "",
-            "tv",
-        ];
         // The edit-based measures must offer the exact fallback, and it
         // must reproduce the rule's own similarity to the bit — that is
         // what makes pruning on it recall-safe.
@@ -758,9 +1204,9 @@ mod tests {
             SimMeasure::Levenshtein,
             SimMeasure::JaroWinkler,
         ] {
-            for a in values {
+            for a in VALUES {
                 let fa = SimFeature::new(measure, a);
-                for b in values {
+                for b in VALUES {
                     let fb = SimFeature::new(measure, b);
                     let exact = fa
                         .exact(&fb)
@@ -802,5 +1248,66 @@ mod tests {
         let fp = plan.features(&root_elem(&person));
         assert!(!plan.prunes(&fm, &fp));
         assert!(!plan.prunes(&fp, &fm));
+    }
+
+    /// The count-based bound the index evaluates, from ScanCount's
+    /// counts, is the per-pair `upper_bound` to the bit.
+    #[test]
+    fn index_counts_reproduce_the_pairwise_bound() {
+        for measure in [
+            SimMeasure::Title,
+            SimMeasure::Levenshtein,
+            SimMeasure::TokenJaccard,
+        ] {
+            let feature = |v: &str| ElementFeatures {
+                per_filter: vec![FilterFeatures::Similarity(vec![SimFeature::new(
+                    measure, v,
+                )])],
+            };
+            let fb: Vec<ElementFeatures> = VALUES.iter().map(|v| feature(v)).collect();
+            let filter = IndexedFilter {
+                idx: 0,
+                measure,
+                threshold: 0.5,
+            };
+            let bucket = Bucket::new((0..fb.len()).collect(), &fb, Some(filter));
+            assert_eq!(bucket.slots.len(), VALUES.len());
+            let mut scan = Scan::default();
+            for a in VALUES {
+                let fa = SimFeature::new(measure, a);
+                let SimFeature::Counted { profile, .. } = &fa else {
+                    panic!("{measure:?} is count-bounded");
+                };
+                bucket.count(profile, &mut scan);
+                for (s, slot) in bucket.slots.iter().enumerate() {
+                    let b = VALUES[bucket.members[slot.member]];
+                    let indexed = count_bound(measure, profile.shape(), slot.shape, scan.common(s));
+                    let pairwise = fa.upper_bound(&SimFeature::new(measure, b));
+                    assert_eq!(
+                        indexed.to_bits(),
+                        pairwise.to_bits(),
+                        "{measure:?} {a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_are_the_unpruned_cross_product() {
+        let plan = movie_oracle_like().blocking_plan("movie");
+        let docs = movie_docs();
+        let features: Vec<ElementFeatures> =
+            docs.iter().map(|d| plan.features(&root_elem(d))).collect();
+        let mut expect = Vec::new();
+        for (a, fa) in features.iter().enumerate() {
+            for (b, fb) in features.iter().enumerate() {
+                if !plan.prunes(fa, fb) {
+                    expect.push((a, b));
+                }
+            }
+        }
+        assert!(expect.len() < features.len() * features.len());
+        assert_eq!(plan.candidates(&features, &features), expect);
     }
 }

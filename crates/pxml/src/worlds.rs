@@ -70,23 +70,18 @@ impl PxDoc {
     /// out, then a close approximation; never saturates). This is what the
     /// Figure 5 style log-scale plots use.
     pub fn world_count_f64(&self) -> f64 {
-        self.world_count_f64_node(self.root())
-    }
-
-    fn world_count_f64_node(&self, node: PxNodeId) -> f64 {
-        match self.kind(node) {
-            PxNodeKind::Text(_) => 1.0,
-            PxNodeKind::Elem { .. } | PxNodeKind::Poss(_) => self
-                .children(node)
-                .iter()
-                .map(|&c| self.world_count_f64_node(c))
-                .product(),
-            PxNodeKind::Prob => self
-                .children(node)
-                .iter()
-                .map(|&c| self.world_count_f64_node(c))
-                .sum(),
+        // A reverse document-order walk, as `world_counts`.
+        let mut counts = vec![0.0; self.arena_len()];
+        let order: Vec<PxNodeId> = self.descendants(self.root()).collect();
+        for &node in order.iter().rev() {
+            let kids = self.children(node).iter().map(|c| counts[c.index()]);
+            counts[node.index()] = match self.kind(node) {
+                PxNodeKind::Text(_) => 1.0,
+                PxNodeKind::Elem { .. } | PxNodeKind::Poss(_) => kids.product(),
+                PxNodeKind::Prob => kids.sum(),
+            };
         }
+        counts[self.root().index()]
     }
 
     /// Lazily iterate over all possible worlds in a deterministic order:
@@ -211,8 +206,7 @@ impl PxDoc {
     /// The DP scores every node with the best achievable probability of
     /// its subtree first, then reconstructs the choices.
     pub fn most_probable_world(&self) -> World {
-        let mut best = vec![f64::NAN; self.arena_len()];
-        self.map_score(self.root(), &mut best);
+        let best = self.map_scores();
         let root_poss = self.best_poss(self.root(), &best);
         let prob = best[self.root().index()];
         // The root possibility holds exactly one element (validated).
@@ -224,33 +218,27 @@ impl PxDoc {
             doc.set_attr(doc.root(), a.name.clone(), a.value.clone());
         }
         let root = doc.root();
-        for &c in self.children(root_elem) {
-            self.build_map_world(c, &best, &mut doc, root);
-        }
+        self.build_map_world(self.children(root_elem), &best, &mut doc, root);
         World { doc, prob }
     }
 
-    /// Best achievable subtree probability of `node`, memoised in `best`.
-    fn map_score(&self, node: PxNodeId, best: &mut Vec<f64>) -> f64 {
-        let score = match self.kind(node) {
-            PxNodeKind::Text(_) => 1.0,
-            PxNodeKind::Elem { .. } | PxNodeKind::Poss(_) => {
-                let base = match self.kind(node) {
-                    PxNodeKind::Poss(p) => *p,
-                    _ => 1.0,
-                };
-                self.children(node)
-                    .iter()
-                    .fold(base, |acc, &c| acc * self.map_score(c, best))
-            }
-            PxNodeKind::Prob => self
-                .children(node)
-                .iter()
-                .map(|&c| self.map_score(c, best))
-                .fold(f64::NEG_INFINITY, f64::max),
-        };
-        best[node.index()] = score;
-        score
+    /// Best achievable subtree probability of every reachable node, by
+    /// arena index: a reverse document-order walk scores every child
+    /// before its parent, without recursion, folding children in order.
+    fn map_scores(&self) -> Vec<f64> {
+        let mut best = vec![f64::NAN; self.arena_len()];
+        let order: Vec<PxNodeId> = self.descendants(self.root()).collect();
+        for &node in order.iter().rev() {
+            let kids = self.children(node).iter().map(|c| best[c.index()]);
+            let score = match self.kind(node) {
+                PxNodeKind::Text(_) => 1.0,
+                PxNodeKind::Elem { .. } => kids.fold(1.0, |acc, s| acc * s),
+                PxNodeKind::Poss(p) => kids.fold(*p, |acc, s| acc * s),
+                PxNodeKind::Prob => kids.fold(f64::NEG_INFINITY, f64::max),
+            };
+            best[node.index()] = score;
+        }
+        best
     }
 
     /// The possibility of `prob_node` achieving the best score.
@@ -263,34 +251,36 @@ impl PxDoc {
             .expect("probability node has possibilities")
     }
 
+    /// Build the MAP choices of `items` under `parent`, in document order,
+    /// from an explicit stack.
     fn build_map_world(
         &self,
-        node: PxNodeId,
+        items: &[PxNodeId],
         best: &[f64],
         doc: &mut XmlDoc,
         parent: imprecise_xmlkit::NodeId,
     ) {
-        match self.kind(node) {
-            PxNodeKind::Text(t) => {
-                doc.add_text(parent, t.clone());
-            }
-            PxNodeKind::Elem { tag, attrs } => {
-                let el = doc.add_element(parent, tag.clone());
-                for a in attrs {
-                    doc.set_attr(el, a.name.clone(), a.value.clone());
+        let mut stack: Vec<(PxNodeId, imprecise_xmlkit::NodeId)> =
+            items.iter().rev().map(|&c| (c, parent)).collect();
+        while let Some((node, parent)) = stack.pop() {
+            match self.kind(node) {
+                PxNodeKind::Text(t) => {
+                    doc.add_text(parent, t.clone());
                 }
-                for &c in self.children(node) {
-                    self.build_map_world(c, best, doc, el);
+                PxNodeKind::Elem { tag, attrs } => {
+                    let el = doc.add_element(parent, tag.clone());
+                    for a in attrs {
+                        doc.set_attr(el, a.name.clone(), a.value.clone());
+                    }
+                    stack.extend(self.children(node).iter().rev().map(|&c| (c, el)));
                 }
-            }
-            PxNodeKind::Prob => {
-                let chosen = self.best_poss(node, best);
-                for &c in self.children(chosen) {
-                    self.build_map_world(c, best, doc, parent);
+                PxNodeKind::Prob => {
+                    let chosen = self.best_poss(node, best);
+                    stack.extend(self.children(chosen).iter().rev().map(|&c| (c, parent)));
                 }
+                // lint:allow(panic-in-lib, statically unreachable: poss reached outside prob handling)
+                PxNodeKind::Poss(_) => unreachable!("poss reached outside prob handling"),
             }
-            // lint:allow(panic-in-lib, statically unreachable: poss reached outside prob handling)
-            PxNodeKind::Poss(_) => unreachable!("poss reached outside prob handling"),
         }
     }
 }
@@ -340,57 +330,63 @@ impl WorldIter<'_> {
         unreachable!("a digit below the count falls in a bucket")
     }
 
-    /// Decode digit `k` over a sibling sequence (mixed radix, leftmost
-    /// sibling most significant) and build the chosen fragments.
-    fn decode_children(
-        &self,
-        nodes: &[PxNodeId],
-        mut k: u128,
-        out: &mut XmlDoc,
-        parent: imprecise_xmlkit::NodeId,
-        prob: &mut f64,
-    ) {
+    /// Split digit `k` over a sibling sequence (mixed radix, leftmost
+    /// sibling most significant) into each sibling's own digit.
+    fn digits(&self, nodes: &[PxNodeId], mut k: u128) -> std::vec::IntoIter<(PxNodeId, u128)> {
         // Suffix products of the per-sibling world counts.
         let mut suffix = vec![1u128; nodes.len() + 1];
         for (i, &n) in nodes.iter().enumerate().rev() {
             suffix[i] = suffix[i + 1].saturating_mul(self.counts[n.index()]);
         }
+        let mut out = Vec::with_capacity(nodes.len());
         for (i, &n) in nodes.iter().enumerate() {
-            let digit = k / suffix[i + 1];
+            out.push((n, k / suffix[i + 1]));
             k %= suffix[i + 1];
-            self.decode_node(n, digit, out, parent, prob);
         }
+        out.into_iter()
     }
 
-    /// Build the `digit`-th world fragment of a single node.
-    fn decode_node(
+    /// Decode digit `k` over a sibling sequence and build the chosen
+    /// fragments under `parent`, multiplying the chosen possibilities'
+    /// weights into `prob` in document order. An explicit stack of
+    /// sibling sequences replaces recursion, so depth costs heap, not
+    /// call stack.
+    fn decode_children(
         &self,
-        node: PxNodeId,
-        digit: u128,
+        nodes: &[PxNodeId],
+        k: u128,
         out: &mut XmlDoc,
         parent: imprecise_xmlkit::NodeId,
         prob: &mut f64,
     ) {
         let doc = self.doc;
-        match doc.kind(node) {
-            PxNodeKind::Text(t) => {
-                debug_assert_eq!(digit, 0);
-                out.add_text(parent, t.clone());
-            }
-            PxNodeKind::Elem { tag, attrs } => {
-                let el = out.add_element(parent, tag.clone());
-                for a in attrs {
-                    out.set_attr(el, a.name.clone(), a.value.clone());
+        let mut stack = vec![(self.digits(nodes, k), parent)];
+        while let Some((siblings, parent)) = stack.last_mut() {
+            let parent = *parent;
+            let Some((node, digit)) = siblings.next() else {
+                stack.pop();
+                continue;
+            };
+            match doc.kind(node) {
+                PxNodeKind::Text(t) => {
+                    debug_assert_eq!(digit, 0);
+                    out.add_text(parent, t.clone());
                 }
-                self.decode_children(doc.children(node), digit, out, el, prob);
+                PxNodeKind::Elem { tag, attrs } => {
+                    let el = out.add_element(parent, tag.clone());
+                    for a in attrs {
+                        out.set_attr(el, a.name.clone(), a.value.clone());
+                    }
+                    stack.push((self.digits(doc.children(node), digit), el));
+                }
+                PxNodeKind::Prob => {
+                    let (poss, weight, rem) = self.choose(node, digit);
+                    *prob *= weight;
+                    stack.push((self.digits(doc.children(poss), rem), parent));
+                }
+                // lint:allow(panic-in-lib, statically unreachable: poss decoded via its prob parent)
+                PxNodeKind::Poss(_) => unreachable!("poss decoded via its prob parent"),
             }
-            PxNodeKind::Prob => {
-                let (poss, weight, rem) = self.choose(node, digit);
-                *prob *= weight;
-                self.decode_children(doc.children(poss), rem, out, parent, prob);
-            }
-            // lint:allow(panic-in-lib, statically unreachable: poss decoded via its prob parent)
-            PxNodeKind::Poss(_) => unreachable!("poss decoded via its prob parent"),
         }
     }
 }
@@ -579,6 +575,35 @@ mod tests {
             px.add_text(p, v);
         }
         assert_eq!(px.world_count(), 2);
+    }
+
+    /// Decoding a world and building the MAP world walk explicit stacks:
+    /// a 10⁵-deep chain built through the API does not overflow.
+    #[test]
+    fn deep_documents_decode_their_worlds() {
+        let mut px = PxDoc::new();
+        let w = px.add_poss(px.root(), 1.0);
+        let mut node = px.add_elem(w, "a");
+        for _ in 1..100_000 {
+            node = px.add_elem(node, "b");
+        }
+        let c = px.add_prob(node);
+        for (v, p) in [("x", 0.4), ("y", 0.6)] {
+            let poss = px.add_poss(c, p);
+            px.add_text(poss, v);
+        }
+        assert_eq!(px.world_count_f64(), 2.0);
+        let worlds: Vec<World> = px.worlds_iter().collect();
+        let probs: Vec<f64> = worlds.iter().map(|w| w.prob).collect();
+        assert_eq!(probs, vec![0.4, 0.6]);
+        for w in &worlds {
+            assert_eq!(w.doc.len(), 100_001, "the chain and its one text");
+        }
+        let second = px.nth_world(1).expect("two worlds");
+        assert_eq!(second.prob.to_bits(), worlds[1].prob.to_bits());
+        let map = px.most_probable_world();
+        assert_eq!(map.prob, 0.6);
+        assert_eq!(map.doc.len(), 100_001);
     }
 
     #[test]

@@ -211,3 +211,218 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Indexed candidate generation ≡ the pairwise predicate.
+//
+// `BlockingPlan::candidates` generates pairs through a join on the
+// equality filter, a per-bucket gram index and row-batched edit checks.
+// Whatever it does inside, its output must be exactly the pairs
+// `prunes` keeps over the full cross product, in row-major order.
+// ---------------------------------------------------------------------
+
+use imprecise::oracle::{
+    BlockingPlan, DeepEqualRule, ElemRef, ElementFeatures, KeyInequalityRule, SimMeasure,
+    SimilarityThresholdRule,
+};
+use imprecise::pxml::{PxDoc, PxNodeId};
+
+/// The per-value cap of the rules' feature extraction: more title
+/// variants than this make the title unknown (wild).
+const VARIANT_CAP: usize = 16;
+
+const MEASURES: [SimMeasure; 6] = [
+    SimMeasure::Title,
+    SimMeasure::PersonName,
+    SimMeasure::Levenshtein,
+    SimMeasure::JaroWinkler,
+    SimMeasure::TokenJaccard,
+    SimMeasure::TrigramDice,
+];
+
+const THRESHOLDS: [f64; 7] = [0.0, 0.25, 0.5, 0.55, 0.75, 0.9, 1.0];
+
+/// Title words: shared and near-shared tokens, sequel numerals, short
+/// strings whose bound is reached with no shared gram, the empty string
+/// and non-ASCII values.
+const WORDS: [&str; 16] = [
+    "jaws",
+    "Jaws",
+    "die",
+    "hard",
+    "2",
+    "II",
+    "mission:",
+    "impossible",
+    "café",
+    "Ærø",
+    "★",
+    "",
+    "a",
+    "ab",
+    "abc",
+    "bakori",
+];
+
+/// One random item: `(title mode, title words, variant count, year)`.
+/// Title mode 0 is a missing title, 1 an uncertain one with `variants`
+/// possible values (one past the cap makes it unknown), else certain.
+/// Years 0–3 are certain, 4 missing, 5 uncertain between two years.
+type ItemSpec = (usize, Vec<usize>, usize, usize);
+
+fn item_strategy() -> impl Strategy<Value = ItemSpec> {
+    (
+        0usize..6,
+        proptest::collection::vec(0usize..WORDS.len(), 0..4),
+        2usize..VARIANT_CAP + 2,
+        0usize..6,
+    )
+}
+
+fn title_text(words: &[usize]) -> String {
+    words
+        .iter()
+        .map(|&w| WORDS[w])
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// A document of `<item>` elements built through the API, and the items.
+fn items_doc(specs: &[ItemSpec]) -> (PxDoc, Vec<PxNodeId>) {
+    let mut px = PxDoc::new();
+    let w = px.add_poss(px.root(), 1.0);
+    let catalog = px.add_elem(w, "catalog");
+    let mut items = Vec::new();
+    for (mode, words, variants, year) in specs {
+        let item = px.add_elem(catalog, "item");
+        let title = title_text(words);
+        match mode {
+            0 => {}
+            1 => {
+                let choice = px.add_prob(item);
+                for v in 0..*variants {
+                    let p = px.add_poss(choice, 1.0 / *variants as f64);
+                    let variant = format!("{title} {}", WORDS[v % WORDS.len()]);
+                    let variant = if v < WORDS.len() {
+                        variant
+                    } else {
+                        format!("{variant}{v}")
+                    };
+                    px.add_text_elem(p, "title", variant);
+                }
+            }
+            _ => {
+                px.add_text_elem(item, "title", title);
+            }
+        }
+        match year {
+            0..=3 => {
+                px.add_text_elem(item, "year", format!("{}", 1990 + year));
+            }
+            4 => {}
+            _ => {
+                let choice = px.add_prob(item);
+                for y in ["1990", "1991"] {
+                    let p = px.add_poss(choice, 0.5);
+                    px.add_text_elem(p, "year", y);
+                }
+            }
+        }
+        items.push(item);
+    }
+    (px, items)
+}
+
+/// A plan with one similarity filter on `title`, and with a year
+/// equality join before or after it, or none.
+fn item_plan(measure: SimMeasure, threshold: f64, join: usize) -> BlockingPlan {
+    let mut o = Oracle::uninformed();
+    o.push_rule(Box::new(DeepEqualRule));
+    let year = || {
+        Box::new(KeyInequalityRule {
+            rule_name: "item-year".into(),
+            tag: "item".into(),
+            value_path: "year".into(),
+        })
+    };
+    if join == 1 {
+        o.push_rule(year());
+    }
+    o.push_rule(Box::new(SimilarityThresholdRule {
+        rule_name: "item-title".into(),
+        tag: "item".into(),
+        value_path: "title".into(),
+        threshold,
+        measure,
+    }));
+    if join == 2 {
+        o.push_rule(year());
+    }
+    o.blocking_plan("item")
+}
+
+fn features(plan: &BlockingPlan, doc: &PxDoc, items: &[PxNodeId]) -> Vec<ElementFeatures> {
+    items
+        .iter()
+        .map(|&node| plan.features(&ElemRef { doc, node }))
+        .collect()
+}
+
+/// `{(a, b) : !prunes(a, b)}` over the full cross product, row-major.
+fn unpruned_pairs(
+    plan: &BlockingPlan,
+    fa: &[ElementFeatures],
+    fb: &[ElementFeatures],
+) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for (a, x) in fa.iter().enumerate() {
+        for (b, y) in fb.iter().enumerate() {
+            if !plan.prunes(x, y) {
+                pairs.push((a, b));
+            }
+        }
+    }
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn indexed_candidates_equal_the_pairwise_predicate(
+        specs_a in proptest::collection::vec(item_strategy(), 0..12),
+        specs_b in proptest::collection::vec(item_strategy(), 0..12),
+        measure in 0usize..MEASURES.len(),
+        threshold in 0usize..THRESHOLDS.len(),
+        join in 0usize..3,
+    ) {
+        let plan = item_plan(MEASURES[measure], THRESHOLDS[threshold], join);
+        prop_assert_eq!(plan.join_filter().is_some(), join != 0);
+        let (da, ia) = items_doc(&specs_a);
+        let (db, ib) = items_doc(&specs_b);
+        let fa = features(&plan, &da, &ia);
+        let fb = features(&plan, &db, &ib);
+        prop_assert_eq!(plan.candidates(&fa, &fb), unpruned_pairs(&plan, &fa, &fb));
+    }
+}
+
+#[test]
+fn large_source_candidates_equal_the_pairwise_predicate() {
+    let s = large_source(2_000);
+    let plan = movie_scenario_oracle().blocking_plan("movie");
+    let movies = |doc: &PxDoc| -> Vec<PxNodeId> {
+        doc.descendants(doc.root())
+            .filter(|&n| doc.tag(n) == Some("movie"))
+            .collect()
+    };
+    let (da, db) = (
+        imprecise::pxml::from_xml(&s.mpeg7),
+        imprecise::pxml::from_xml(&s.imdb),
+    );
+    let fa = features(&plan, &da, &movies(&da));
+    let fb = features(&plan, &db, &movies(&db));
+    assert_eq!(fa.len(), 2_000);
+    let pairs = plan.candidates(&fa, &fb);
+    assert_eq!(pairs, unpruned_pairs(&plan, &fa, &fb));
+    assert!(pairs.len() >= 1_000, "the shared movies survive");
+}
