@@ -500,9 +500,11 @@ pub fn measure_staged_vs_one_shot() -> GateMeasurement {
 /// ([`Durability::Always`](imprecise::Durability::Always)) must stay
 /// within this factor of the same installments on a store-less engine,
 /// on the 4×7 confusable grid at budget 64. With one delta record per
-/// installment the durable path measures 1.05–1.16× (the remainder is
-/// the encoding, write and fsync of ~4 MB per step); re-appending the
-/// whole document and frontier on every installment measured
+/// installment, and versions that share their arena chunks, the durable
+/// path measures 1.10–1.28× (the remainder is the encoding, write and
+/// fsync of ~4 MB per step); before the shared arena made the in-memory
+/// installments ~30% cheaper it measured 1.13–1.14×, and re-appending
+/// the whole document and frontier on every installment measured
 /// 2.18–2.35× (2-vCPU container, three runs each), so the ceiling
 /// fails a return to O(document) appends. Noise is handled by the
 /// paired min-of-ratios protocol of [`cleanest_pair`].

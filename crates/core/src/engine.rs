@@ -408,14 +408,21 @@ struct Slot {
 
 impl Slot {
     /// Install the next version: `doc` with the refinable state
-    /// belonging to it.
-    fn publish(&mut self, doc: Arc<PxDoc>, refine: Option<Arc<RefineState>>) {
+    /// belonging to it. Returns the version it displaced.
+    fn publish(&mut self, doc: Arc<PxDoc>, refine: Option<Arc<RefineState>>) -> Displaced {
         self.version += 1;
-        self.doc = doc;
-        self.refine = refine;
         self.recovered_at = None;
+        (
+            std::mem::replace(&mut self.doc, doc),
+            std::mem::replace(&mut self.refine, refine),
+        )
     }
 }
+
+/// The version a publish replaced. Whoever holds the last reference to
+/// it frees its arena and state on drop, which can take milliseconds,
+/// so the engine drops it only after releasing the catalog lock.
+type Displaced = (Arc<PxDoc>, Option<Arc<RefineState>>);
 
 /// The versioned document catalog behind the engine's `RwLock`.
 ///
@@ -448,25 +455,27 @@ impl Catalog {
     /// version) if the name is taken, else into a fresh slot. `refine`
     /// is the refinable state belonging to this version (`None` for
     /// exact documents); whatever state the previous version carried is
-    /// replaced with it.
+    /// replaced with it. The previous version is handed back, so the
+    /// caller can free it after releasing the lock.
     fn publish(
         &mut self,
         name: &str,
         doc: Arc<PxDoc>,
         refine: Option<Arc<RefineState>>,
-    ) -> DocHandle {
+    ) -> (DocHandle, Option<Displaced>) {
         if let Some(&id) = self.by_name.get(name) {
             // The two indices are updated together, so the slot is
             // always present; if they ever diverged we self-heal by
             // minting a fresh slot below (re-pointing the name at it)
             // instead of panicking mid-publish.
             if let Some(slot) = self.slots.get_mut(&id) {
-                slot.publish(doc, refine);
-                return DocHandle {
+                let displaced = slot.publish(doc, refine);
+                let handle = DocHandle {
                     engine_id: self.engine_id,
                     id,
                     name: Arc::clone(&slot.name),
                 };
+                return (handle, Some(displaced));
             }
         }
         let name: Arc<str> = Arc::from(name);
@@ -483,11 +492,12 @@ impl Catalog {
             },
         );
         self.by_name.insert(Arc::clone(&name), id);
-        DocHandle {
+        let handle = DocHandle {
             engine_id: self.engine_id,
             id,
             name,
-        }
+        };
+        (handle, None)
     }
 
     /// The version number the *next* publish into `name` will carry —
@@ -874,6 +884,11 @@ impl Engine {
     /// pin and `compute` run under the write lock, so nothing can race
     /// them. A `compute` that returns no [`Publish`] publishes and
     /// persists nothing; the handle is then `None`.
+    ///
+    /// On both paths the displaced version and the pins are dropped
+    /// only after the write lock is released: whichever of them holds
+    /// the last reference to a version frees its arena, and no reader
+    /// waits for that.
     fn write<T>(
         &self,
         label: &'static str,
@@ -889,7 +904,9 @@ impl Engine {
             };
             let mut catalog = self.shared.catalog_write();
             if !catalog.moved(out, &pinned) {
-                let handle = self.install(&mut catalog, label, out, publish)?;
+                let installed = self.install(&mut catalog, label, out, publish);
+                drop(catalog);
+                let (handle, _displaced) = installed?;
                 return Ok((Some(handle), value));
             }
             // The slot we republish moved; retry on its new version.
@@ -897,10 +914,17 @@ impl Engine {
         // Contended slot: compute under the write lock so nothing races.
         let mut catalog = self.shared.catalog_write();
         let pinned = catalog.pin(inputs)?;
-        let (publish, value) = compute(&pinned)?;
-        let handle = publish
-            .map(|publish| self.install(&mut catalog, label, out, publish))
-            .transpose()?;
+        let result = (|| {
+            let (publish, value) = compute(&pinned)?;
+            let installed = publish
+                .map(|publish| self.install(&mut catalog, label, out, publish))
+                .transpose()?;
+            Ok::<_, ImpreciseError>((installed, value))
+        })();
+        drop(catalog);
+        drop(pinned);
+        let (installed, value) = result?;
+        let handle = installed.map(|(handle, _displaced)| handle);
         Ok((handle, value))
     }
 
@@ -919,7 +943,7 @@ impl Engine {
         label: &'static str,
         out: &str,
         Publish(doc, refine): Publish,
-    ) -> Result<DocHandle, ImpreciseError> {
+    ) -> Result<(DocHandle, Option<Displaced>), ImpreciseError> {
         #[cfg(feature = "strict-invariants")]
         imprecise_integrate::verify::shadow_check_state(&doc, refine.as_ref(), label);
         #[cfg(not(feature = "strict-invariants"))]
@@ -1397,6 +1421,44 @@ mod tests {
         assert_eq!(merged, merged2);
         assert!(engine.snapshot(&merged).unwrap().version() > v1);
         assert_eq!(engine.document_names(), vec!["a", "b", "merged"]);
+    }
+
+    /// A republish hands the version it replaced back to the caller,
+    /// which frees it after releasing the write lock; a first publish
+    /// displaces nothing.
+    #[test]
+    fn publish_hands_the_displaced_version_back() {
+        let doc = || {
+            let mut px = PxDoc::new();
+            let w = px.add_poss(px.root(), 1.0);
+            px.add_elem(w, "doc");
+            Arc::new(px)
+        };
+        let mut catalog = Catalog::new();
+        let first = doc();
+        let (handle, displaced) = catalog.publish("d", Arc::clone(&first), None);
+        assert!(displaced.is_none());
+        let second = doc();
+        let (again, displaced) = catalog.publish("d", Arc::clone(&second), None);
+        assert_eq!(handle, again);
+        let (doc, refine) = displaced.expect("a republish displaces the previous version");
+        assert!(Arc::ptr_eq(&doc, &first));
+        assert!(refine.is_none());
+        let slot = catalog.slot_of(&again).unwrap();
+        assert!(Arc::ptr_eq(&slot.doc, &second));
+        assert_eq!(slot.version, 2);
+        // Through the engine: once the republish returns, nothing but the
+        // caller holds the displaced version any more.
+        let engine = Engine::new();
+        engine.insert_arc("d", Arc::clone(&first)).unwrap();
+        engine.insert_arc("d", second).unwrap();
+        assert_eq!(
+            Arc::strong_count(&first),
+            2,
+            "ours and the displaced copy above"
+        );
+        drop(doc);
+        assert_eq!(Arc::strong_count(&first), 1);
     }
 
     #[test]

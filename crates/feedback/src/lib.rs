@@ -361,7 +361,7 @@ fn copy_restricted_node(
             }
         },
         // lint:allow(panic-in-lib, statically unreachable: poss copied via its prob parent)
-        PxNodeKind::Poss(_) => unreachable!("poss copied via its prob parent"),
+        PxNodeKind::Poss => unreachable!("poss copied via its prob parent"),
     }
 }
 

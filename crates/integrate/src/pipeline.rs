@@ -297,7 +297,9 @@ pub struct DocFrontier {
     /// The tag group's element nodes in source b, in group order.
     gb: Vec<PxNodeId>,
     /// The component's best-first search, where the last run stopped.
-    enumerator: FrontierEnumerator,
+    /// Shared, so that cloning a refinable state (once per refine step)
+    /// copies a pointer; a step advances a clone of it and installs that.
+    enumerator: Arc<FrontierEnumerator>,
 }
 
 impl DocFrontier {
@@ -359,13 +361,7 @@ impl DocFrontier {
         }
         let component = crate::codec::decode_component(r)?;
         let enumerator = FrontierEnumerator::decode(r, Arc::new(component))?;
-        Ok(DocFrontier {
-            path,
-            prob,
-            ga,
-            gb,
-            enumerator,
-        })
+        Ok(DocFrontier::new(path, prob, ga, gb, enumerator))
     }
 
     pub(crate) fn new(
@@ -380,7 +376,7 @@ impl DocFrontier {
             prob,
             ga,
             gb,
-            enumerator,
+            enumerator: Arc::new(enumerator),
         }
     }
 
@@ -438,7 +434,7 @@ impl DocFrontier {
     /// touch this site — refinement installs the advanced enumerator
     /// back via [`install`](Self::install) only after the step commits.
     pub(crate) fn enumerator(&self) -> FrontierEnumerator {
-        self.enumerator.clone()
+        (*self.enumerator).clone()
     }
 
     /// The source element groups (left, right) re-emission walks.
@@ -459,13 +455,13 @@ impl DocFrontier {
         &mut self,
         r: &mut imprecise_pxml::codec::Reader<'_>,
     ) -> Result<(), imprecise_pxml::codec::CodecError> {
-        self.enumerator.apply_step(r)
+        Arc::make_mut(&mut self.enumerator).apply_step(r)
     }
 
     /// Keep the enumerator a committed refine step advanced resident for
     /// the next step.
     pub(crate) fn install(&mut self, en: FrontierEnumerator) {
-        self.enumerator = en;
+        self.enumerator = Arc::new(en);
     }
 
     /// Re-anchor the output probability node after an arena compaction

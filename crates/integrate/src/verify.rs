@@ -21,7 +21,7 @@
 
 use crate::pipeline::DocFrontier;
 use crate::{IntegrationOutcome, RefineState};
-use imprecise_pxml::{DeepCheckError, PxDoc, PxNodeKind};
+use imprecise_pxml::{DeepCheckError, PxDoc};
 use std::fmt;
 
 /// Tolerance for mass-accounting and ordering comparisons. Wider than
@@ -198,14 +198,14 @@ pub fn verify_frontier(doc: &PxDoc, df: &DocFrontier) -> Result<(), InvariantVio
     }
     let mut prev = f64::INFINITY;
     for (i, &kid) in kids.iter().enumerate() {
-        if let PxNodeKind::Poss(p) = doc.kind(kid) {
-            if *p > prev + MASS_EPSILON {
+        if let Some(p) = doc.poss_prob(kid) {
+            if p > prev + MASS_EPSILON {
                 return Err(InvariantViolation::NonCanonicalOrder {
                     path: path(),
                     index: i,
                 });
             }
-            prev = *p;
+            prev = p;
         }
     }
     let (retained, discarded) = (df.retained_mass(), df.discarded_mass());

@@ -212,7 +212,7 @@ fn possible_texts(doc: &PxDoc, node: PxNodeId, cap: usize) -> Option<Vec<String>
     use imprecise_pxml::PxNodeKind;
     match doc.kind(node) {
         PxNodeKind::Text(t) => Some(vec![t.clone()]),
-        PxNodeKind::Elem { .. } | PxNodeKind::Poss(_) => {
+        PxNodeKind::Elem { .. } | PxNodeKind::Poss => {
             let mut acc: Vec<String> = vec![String::new()];
             for &c in doc.children(node) {
                 let parts = possible_texts(doc, c, cap)?;

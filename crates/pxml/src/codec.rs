@@ -22,7 +22,7 @@
 //! here defend against truncated or malformed input with a typed
 //! [`CodecError`]; they never panic.
 
-use crate::node::{PxDoc, PxNodeData, PxNodeId, PxNodeKind};
+use crate::node::{Arena, PxDoc, PxNodeData, PxNodeId, PxNodeKind, NO_WEIGHT};
 use imprecise_xmlkit::Attr;
 use std::fmt;
 
@@ -252,8 +252,10 @@ const KIND_TEXT: u8 = 3;
 pub fn encode_doc(doc: &PxDoc, out: &mut Vec<u8>) {
     put_len(out, doc.nodes.len());
     put_u32(out, doc.root.index() as u32);
-    for node in &doc.nodes {
-        encode_node(node, out);
+    for (nodes, weights) in doc.nodes.slices_from(0) {
+        for (node, &weight) in nodes.iter().zip(weights) {
+            encode_node(node, weight, out);
+        }
     }
 }
 
@@ -273,10 +275,12 @@ pub fn encode_doc_delta(doc: &PxDoc, base_len: usize, rewritten: &[PxNodeId], ou
     put_len(out, rewritten.len());
     for &id in rewritten {
         put_node_id(out, id);
-        encode_node(&doc.nodes[id.index()], out);
+        encode_node(doc.nodes.get(id.index()), doc.nodes.weight(id.index()), out);
     }
-    for node in &doc.nodes[base_len..] {
-        encode_node(node, out);
+    for (nodes, weights) in doc.nodes.slices_from(base_len) {
+        for (node, &weight) in nodes.iter().zip(weights) {
+            encode_node(node, weight, out);
+        }
     }
 }
 
@@ -305,27 +309,27 @@ pub fn apply_doc_delta(doc: &mut PxDoc, r: &mut Reader<'_>) -> Result<(), CodecE
         if id.index() >= base_len {
             return Err(r.err("rewritten node within the base arena"));
         }
-        let node = decode_node(r, len)?;
+        let (node, weight) = decode_node(r, len)?;
         detached |= id != root && node.parent.is_none();
-        doc.nodes_mut()[id.index()] = node;
+        doc.nodes_mut().set(id.index(), node, weight);
     }
-    doc.nodes_mut().reserve((len - base_len).min(1 << 20));
     for _ in base_len..len {
-        let node = decode_node(r, len)?;
+        let (node, weight) = decode_node(r, len)?;
         detached |= node.parent.is_none();
-        doc.nodes_mut().push(node);
+        doc.nodes_mut().push(node, weight);
     }
     doc.maybe_detached |= detached;
     Ok(())
 }
 
-/// One arena slot: kind tag and payload, parent link, child list.
-fn encode_node(node: &PxNodeData, out: &mut Vec<u8>) {
+/// One arena slot: kind tag and payload (a possibility's payload is its
+/// `weight`), parent link, child list.
+fn encode_node(node: &PxNodeData, weight: f64, out: &mut Vec<u8>) {
     match &node.kind {
         PxNodeKind::Prob => put_u8(out, KIND_PROB),
-        PxNodeKind::Poss(p) => {
+        PxNodeKind::Poss => {
             put_u8(out, KIND_POSS);
-            put_f64(out, *p);
+            put_f64(out, weight);
         }
         PxNodeKind::Elem { tag, attrs } => {
             put_u8(out, KIND_ELEM);
@@ -354,9 +358,9 @@ fn encode_node(node: &PxNodeData, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode one slot written by [`encode_node`], checking every id it
-/// holds against an arena of `len` slots.
-fn decode_node(r: &mut Reader<'_>, len: usize) -> Result<PxNodeData, CodecError> {
+/// Decode one slot written by [`encode_node`] with its weight, checking
+/// every id it holds against an arena of `len` slots.
+fn decode_node(r: &mut Reader<'_>, len: usize) -> Result<(PxNodeData, f64), CodecError> {
     let check_id = |r: &Reader<'_>, raw: u32| -> Result<PxNodeId, CodecError> {
         if (raw as usize) < len {
             Ok(PxNodeId(raw))
@@ -364,9 +368,13 @@ fn decode_node(r: &mut Reader<'_>, len: usize) -> Result<PxNodeData, CodecError>
             Err(r.err("node id within arena"))
         }
     };
+    let mut weight = NO_WEIGHT;
     let kind = match r.take_u8("node kind tag")? {
         KIND_PROB => PxNodeKind::Prob,
-        KIND_POSS => PxNodeKind::Poss(r.take_f64("possibility probability")?),
+        KIND_POSS => {
+            weight = r.take_f64("possibility probability")?;
+            PxNodeKind::Poss
+        }
         KIND_ELEM => {
             let tag = r.take_str("element tag")?;
             let n_attrs = r.take_len("attribute count")?;
@@ -396,11 +404,12 @@ fn decode_node(r: &mut Reader<'_>, len: usize) -> Result<PxNodeData, CodecError>
         let raw = r.take_u32("child id")?;
         children.push(check_id(r, raw)?);
     }
-    Ok(PxNodeData {
+    let node = PxNodeData {
         kind,
         parent,
         children,
-    })
+    };
+    Ok((node, weight))
 }
 
 /// Rebuild a document from [`encode_doc`] bytes at the reader's
@@ -423,19 +432,15 @@ pub fn decode_doc(r: &mut Reader<'_>) -> Result<PxDoc, CodecError> {
     if (root_raw as usize) >= len {
         return Err(r.err("root id within arena"));
     }
-    let mut nodes = Vec::with_capacity(len.min(1 << 20));
-    for _ in 0..len {
-        nodes.push(decode_node(r, len)?);
-    }
+    let nodes = (0..len)
+        .map(|_| decode_node(r, len))
+        .collect::<Result<Arena, CodecError>>()?;
     // A persisted document may legitimately carry detached slots (the
     // producer is not required to compact before encoding); a cheap
     // parent-link scan decides whether the decoded arena is fully live,
     // so its `arena_stats` stay O(1) when it is. Detachment always
     // leaves a `None` parent on the subtree root, so the scan is exact.
-    let maybe_detached = nodes
-        .iter()
-        .enumerate()
-        .any(|(i, n)| i != root_raw as usize && n.parent.is_none());
+    let maybe_detached = (0..len).any(|i| i != root_raw as usize && nodes.get(i).parent.is_none());
     Ok(PxDoc {
         nodes,
         root: PxNodeId(root_raw),
@@ -505,10 +510,10 @@ mod tests {
         px.add_poss(root, 1.0 - w);
         let decoded = roundtrip(&px);
         let child = decoded.children(decoded.root())[0];
-        match decoded.kind(child) {
-            PxNodeKind::Poss(p) => assert_eq!(p.to_bits(), w.to_bits()),
-            other => panic!("expected a possibility node, got {other:?}"),
-        }
+        assert_eq!(
+            decoded.poss_prob(child).map(f64::to_bits),
+            Some(w.to_bits())
+        );
     }
 
     #[test]

@@ -47,7 +47,8 @@ fn encode(px: &PxDoc, node: PxNodeId, doc: &mut XmlDoc, parent: XmlNodeId) {
                 encode(px, c, doc, el);
             }
         }
-        PxNodeKind::Poss(p) => {
+        PxNodeKind::Poss => {
+            let p = px.nodes.weight(node.index());
             let el = doc.add_element(parent, POSS_TAG);
             doc.set_attr(el, PROB_ATTR, format!("{p}"));
             for &c in px.children(node) {

@@ -80,7 +80,7 @@ impl PxDoc {
         for n in self.descendants(self.root()) {
             match self.kind(n) {
                 PxNodeKind::Prob => b.prob += 1,
-                PxNodeKind::Poss(_) => b.poss += 1,
+                PxNodeKind::Poss => b.poss += 1,
                 PxNodeKind::Elem { .. } => b.elem += 1,
                 PxNodeKind::Text(_) => b.text += 1,
             }
@@ -168,7 +168,7 @@ impl PxDoc {
                 }
                 total
             }
-            PxNodeKind::Prob | PxNodeKind::Poss(_) => {
+            PxNodeKind::Prob | PxNodeKind::Poss => {
                 // lint:allow(panic-in-lib, statically unreachable: regular count called on choice node)
                 unreachable!("regular count called on choice node")
             }
@@ -202,7 +202,7 @@ impl PxDoc {
                 })
                 .sum(),
             // lint:allow(panic-in-lib, statically unreachable: poss handled by prob)
-            PxNodeKind::Poss(_) => unreachable!("poss handled by prob"),
+            PxNodeKind::Poss => unreachable!("poss handled by prob"),
         }
     }
 
@@ -271,7 +271,7 @@ impl PxDoc {
                 }
                 Ok(())
             }
-            PxNodeKind::Prob | PxNodeKind::Poss(_) => {
+            PxNodeKind::Prob | PxNodeKind::Poss => {
                 // lint:allow(panic-in-lib, statically unreachable: unfactor_regular called on a choice node)
                 unreachable!("unfactor_regular called on a choice node")
             }

@@ -6,12 +6,14 @@
 //! form a tree rooted at [`PxDoc::root`], every link must be mutual,
 //! child ids must stay inside the arena, and the reachability
 //! accounting reported by [`PxDoc::arena_stats`] must agree with an
-//! independent traversal. This is the document half of the
+//! independent traversal, and the arena's layout (full chunks, one weight
+//! per slot, weights only on possibilities) must hold. This is the
+//! document half of the
 //! `strict-invariants` shadow checks; the refinement-state half
 //! (frontier anchors, digests, mass accounting) lives in
 //! `imprecise-integrate::verify`.
 
-use crate::node::{PxDoc, PxNodeId};
+use crate::node::{PxDoc, PxNodeId, NO_WEIGHT};
 use crate::validate::PxInvariantError;
 use std::fmt;
 
@@ -65,6 +67,28 @@ pub enum DeepCheckError {
         /// Live count found by the verifier's own walk.
         walked_live: usize,
     },
+    /// An arena chunk other than the last is not full, or the last one
+    /// is empty.
+    ChunkNotFull {
+        /// Index of the chunk.
+        chunk: usize,
+        /// Slots it holds.
+        slots: usize,
+    },
+    /// The weight column's length differs from the arena's.
+    WeightColumnLength {
+        /// Entries in the weight column.
+        weights: usize,
+        /// Slots in the chunks.
+        slots: usize,
+    },
+    /// A slot that is not a possibility carries a weight.
+    StrayWeight {
+        /// The slot.
+        node: PxNodeId,
+        /// The weight it carries.
+        weight: f64,
+    },
 }
 
 impl fmt::Display for DeepCheckError {
@@ -103,6 +127,18 @@ impl fmt::Display for DeepCheckError {
                 f,
                 "arena_stats reports {reported_live} live nodes, traversal found {walked_live}"
             ),
+            DeepCheckError::ChunkNotFull { chunk, slots } => write!(
+                f,
+                "arena chunk {chunk} holds {slots} slots (chunks hold {} but the last, which is not empty)",
+                PxDoc::CHUNK
+            ),
+            DeepCheckError::WeightColumnLength { weights, slots } => write!(
+                f,
+                "weight column holds {weights} entries for {slots} arena slots"
+            ),
+            DeepCheckError::StrayWeight { node, weight } => {
+                write!(f, "{node:?} is not a possibility but carries weight {weight}")
+            }
         }
     }
 }
@@ -136,12 +172,16 @@ impl PxDoc {
     /// 4. no node is listed twice by one parent, and no node is
     ///    reachable through two paths (the live arena is a tree);
     /// 5. the walk's live count matches [`arena_stats`](Self::arena_stats)
-    ///    (two independent traversal implementations agree).
+    ///    (two independent traversal implementations agree);
+    /// 6. the layout holds: every chunk but the last is full and the last
+    ///    is not empty, the weight column has one entry per slot, and
+    ///    only possibility slots carry a weight.
     ///
     /// The walk is manual (explicit stack over raw child lists) rather
     /// than via [`descendants`](Self::descendants), precisely so a bug
     /// in the iterator cannot hide a bug in the links it walks.
     pub fn deep_check(&self) -> Result<(), DeepCheckError> {
+        self.check_layout()?;
         let arena_len = self.arena_len();
         let root = self.root();
         if let Some(parent) = self.parent(root) {
@@ -195,6 +235,40 @@ impl PxDoc {
             });
         }
         self.validate()?;
+        Ok(())
+    }
+
+    /// Check 6 of [`deep_check`](Self::deep_check): the chunk and
+    /// weight-column layout.
+    fn check_layout(&self) -> Result<(), DeepCheckError> {
+        let chunks = self.nodes.chunks();
+        for (chunk, c) in chunks.iter().enumerate() {
+            let full = if chunk + 1 == chunks.len() {
+                (1..=PxDoc::CHUNK).contains(&c.len())
+            } else {
+                c.len() == PxDoc::CHUNK
+            };
+            if !full {
+                return Err(DeepCheckError::ChunkNotFull {
+                    chunk,
+                    slots: c.len(),
+                });
+            }
+        }
+        let slots: usize = chunks.iter().map(|c| c.len()).sum();
+        let weights = self.nodes.weights();
+        if weights.len() != slots {
+            return Err(DeepCheckError::WeightColumnLength {
+                weights: weights.len(),
+                slots,
+            });
+        }
+        for (i, &weight) in weights.iter().enumerate() {
+            let node = PxNodeId(i as u32);
+            if weight.to_bits() != NO_WEIGHT.to_bits() && !self.is_poss(node) {
+                return Err(DeepCheckError::StrayWeight { node, weight });
+            }
+        }
         Ok(())
     }
 }
@@ -298,6 +372,39 @@ mod tests {
                 PxInvariantError::WeightsDontSumToOne { .. }
             ))
         ));
+    }
+
+    #[test]
+    fn a_stray_weight_is_caught() {
+        let mut px = small_doc();
+        let elem = px
+            .descendants(px.root())
+            .find(|&n| px.is_elem(n))
+            .expect("doc has an element");
+        px.nodes_mut().set_weight(elem.index(), 0.5);
+        assert_eq!(
+            px.deep_check(),
+            Err(DeepCheckError::StrayWeight {
+                node: elem,
+                weight: 0.5
+            })
+        );
+    }
+
+    #[test]
+    fn a_layout_across_chunks_passes() {
+        let mut px = small_doc();
+        let elem = px.children(px.children(px.root())[0])[0];
+        for len in [PxDoc::CHUNK - 1, PxDoc::CHUNK, PxDoc::CHUNK + 1] {
+            while px.arena_len() < len {
+                px.add_elem(elem, "pad");
+            }
+            px.deep_check().unwrap();
+            let extra = px.add_elem(elem, "pad");
+            px.detach(extra);
+            px.truncate_arena(len);
+            px.deep_check().unwrap();
+        }
     }
 
     #[test]

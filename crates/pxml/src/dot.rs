@@ -38,7 +38,8 @@ fn write_node(px: &PxDoc, node: PxNodeId, out: &mut String) {
                  width=0.25, height=0.25, style=filled, fillcolor=gray80];"
             );
         }
-        PxNodeKind::Poss(p) => {
+        PxNodeKind::Poss => {
+            let p = px.nodes.weight(node.index());
             let _ = writeln!(
                 out,
                 "  {name} [shape=circle, label=\"{p:.2}\", width=0.35];"

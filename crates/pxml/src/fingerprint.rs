@@ -73,10 +73,10 @@ fn hash_node(doc: &PxDoc, node: PxNodeId, include_poss_prob: bool, h: &mut Fnv1a
             }
             h.write_u8(0x18);
         }
-        PxNodeKind::Poss(p) => {
+        PxNodeKind::Poss => {
             h.write_u8(0x19);
             if include_poss_prob {
-                h.write_u64(p.to_bits());
+                h.write_u64(doc.nodes.weight(node.index()).to_bits());
             }
             for &c in doc.children(node) {
                 hash_node(doc, c, include_poss_prob, h);
@@ -93,7 +93,9 @@ pub fn px_deep_equal(da: &PxDoc, a: PxNodeId, db: &PxDoc, b: PxNodeId) -> bool {
     match (da.kind(a), db.kind(b)) {
         (PxNodeKind::Text(ta), PxNodeKind::Text(tb)) => ta == tb,
         (PxNodeKind::Prob, PxNodeKind::Prob) => children_equal(da, a, db, b),
-        (PxNodeKind::Poss(pa), PxNodeKind::Poss(pb)) => pa == pb && children_equal(da, a, db, b),
+        (PxNodeKind::Poss, PxNodeKind::Poss) => {
+            da.nodes.weight(a.index()) == db.nodes.weight(b.index()) && children_equal(da, a, db, b)
+        }
         (
             PxNodeKind::Elem {
                 tag: tag_a,

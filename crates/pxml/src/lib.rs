@@ -26,6 +26,22 @@
 //! absorb the strict form. The relaxed form is what the paper's own
 //! simplification rules produce, and it keeps node counts honest.
 //!
+//! ## Storage: versions that share memory
+//!
+//! A document's nodes live in an arena of copy-on-write chunks of
+//! [`PxDoc::CHUNK`] slots, addressed by [`PxNodeId`]; the possibility
+//! weights live in one flat column beside it (so [`PxNodeKind::Poss`]
+//! carries no payload: read a weight with [`PxDoc::poss_prob`]). Cloning
+//! a document copies chunk pointers and the weight column, and a write
+//! copies only the chunk it lands in. The versions a refine loop
+//! publishes one after another therefore share every chunk a step did
+//! not touch — a step rewrites its refined choice points' child lists and
+//! appends to the last chunk; the weights it renormalises all over the
+//! arena go to the column — and freeing a version frees only what it
+//! did not share ([`PxDoc::unshared_chunks`]). The layout is checked by
+//! [`PxDoc::deep_check`]; the [`codec`] writes the same bytes as for a
+//! flat arena.
+//!
 //! ## Worlds, counting, and the data explosion
 //!
 //! [`worlds`] enumerates possible worlds with their probabilities (for

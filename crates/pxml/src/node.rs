@@ -23,9 +23,10 @@ pub enum PxNodeKind {
     /// A probability node (`▽`): a choice point whose children are
     /// mutually exclusive possibility nodes.
     Prob,
-    /// A possibility node (`○`) with its probability of being the chosen
-    /// alternative of its parent probability node.
-    Poss(f64),
+    /// A possibility node (`○`). Its probability of being the chosen
+    /// alternative of its parent probability node lives in the
+    /// document's weight column: read it with [`PxDoc::poss_prob`].
+    Poss,
     /// A regular element node.
     Elem {
         /// Tag name.
@@ -52,10 +53,203 @@ pub(crate) struct PxNodeData {
     pub(crate) children: Vec<PxNodeId>,
 }
 
+impl PxNodeData {
+    fn new(kind: PxNodeKind, parent: Option<PxNodeId>) -> Self {
+        PxNodeData {
+            kind,
+            parent,
+            children: Vec::new(),
+        }
+    }
+}
+
+/// log2 of [`PxDoc::CHUNK`].
+const CHUNK_BITS: u32 = 10;
+
+/// What the weight column holds for every slot that is not a
+/// possibility (positive zero, checked bit for bit by
+/// [`PxDoc::deep_check`]).
+pub(crate) const NO_WEIGHT: f64 = 0.0;
+
+/// One chunk of arena slots: [`PxDoc::CHUNK`] of them, except in the
+/// last chunk, which holds the rest.
+pub(crate) type Chunk = Arc<Vec<PxNodeData>>;
+
+/// The slots of a [`PxDoc`]: fixed-size copy-on-write chunks, plus the
+/// possibility weights in one flat column beside them.
+///
+/// Cloning copies the chunk pointers and the column, not the nodes. A
+/// write to slot `i` copies chunk `i / CHUNK` first if another clone
+/// still shares it ([`Arc::make_mut`]), so two versions of a document
+/// share every chunk neither of them changed, and dropping one frees
+/// only the chunks it did not share. Weights are a column of their own
+/// because a refine step renormalises the possibilities of every
+/// refined choice point, which lie all over the arena: kept in the
+/// nodes, they would make each step copy nearly every chunk.
+#[derive(Debug, Clone)]
+pub(crate) struct Arena {
+    /// Every chunk but the last holds exactly [`PxDoc::CHUNK`] slots;
+    /// the last holds between 1 and `CHUNK`.
+    chunks: Vec<Chunk>,
+    /// One entry per slot: a possibility's weight, [`NO_WEIGHT`] for
+    /// every other kind.
+    weights: Vec<f64>,
+}
+
+impl Arena {
+    fn empty() -> Self {
+        Arena {
+            chunks: Vec::new(),
+            weights: Vec::new(),
+        }
+    }
+
+    /// Number of slots.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// The chunks, for the layout checks and sharing counts.
+    pub(crate) fn chunks(&self) -> &[Chunk] {
+        &self.chunks
+    }
+
+    /// The weight column.
+    pub(crate) fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &PxNodeData {
+        &self.chunks[i >> CHUNK_BITS][i & (PxDoc::CHUNK - 1)]
+    }
+
+    /// Slot `i` for writing, copying its chunk first if it is shared.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, i: usize) -> &mut PxNodeData {
+        &mut Arc::make_mut(&mut self.chunks[i >> CHUNK_BITS])[i & (PxDoc::CHUNK - 1)]
+    }
+
+    #[inline]
+    pub(crate) fn weight(&self, i: usize) -> f64 {
+        self.weights[i]
+    }
+
+    #[inline]
+    pub(crate) fn set_weight(&mut self, i: usize, w: f64) {
+        self.weights[i] = w;
+    }
+
+    /// Overwrite slot `i`.
+    pub(crate) fn set(&mut self, i: usize, node: PxNodeData, weight: f64) {
+        *self.get_mut(i) = node;
+        self.weights[i] = weight;
+    }
+
+    /// Set a node's parent link, touching its chunk only if it changes.
+    fn set_parent(&mut self, i: usize, parent: Option<PxNodeId>) {
+        if self.get(i).parent != parent {
+            self.get_mut(i).parent = parent;
+        }
+    }
+
+    /// Append a slot to the last chunk, or to a new one when it is full.
+    pub(crate) fn push(&mut self, node: PxNodeData, weight: f64) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < PxDoc::CHUNK => {
+                let last = Arc::make_mut(last);
+                if last.len() == last.capacity() {
+                    // Double, but never past a chunk: small documents
+                    // stay small, and a full chunk has no slack.
+                    let room = PxDoc::CHUNK - last.len();
+                    last.reserve_exact(last.len().max(4).min(room));
+                }
+                last.push(node);
+            }
+            _ => self.chunks.push(Arc::new(vec![node])),
+        }
+        self.weights.push(weight);
+    }
+
+    /// Drop every slot from `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        self.chunks.truncate(len.div_ceil(PxDoc::CHUNK));
+        let keep = len - (self.chunks.len().saturating_sub(1) << CHUNK_BITS);
+        if let Some(last) = self.chunks.last_mut() {
+            if last.len() > keep {
+                match Arc::get_mut(last) {
+                    Some(last) => last.truncate(keep),
+                    // Shared: copy only the slots that stay.
+                    None => *last = Arc::new(last[..keep].to_vec()),
+                }
+            }
+        }
+        self.weights.truncate(len);
+    }
+
+    /// The slots from `start` on, a chunk at a time: each chunk's nodes
+    /// (the first chunk's from `start` on) with their weights. Callers
+    /// loop over each pair of slices, which compiles to a plain indexed
+    /// loop; a flattened per-slot iterator did not, and scanned slower.
+    pub(crate) fn slices_from(
+        &self,
+        start: usize,
+    ) -> impl Iterator<Item = (&[PxNodeData], &[f64])> + '_ {
+        let first = start >> CHUNK_BITS;
+        let weights = self.weights[first << CHUNK_BITS..].chunks(PxDoc::CHUNK);
+        self.chunks[first..]
+            .iter()
+            .zip(weights)
+            .enumerate()
+            .map(move |(k, (nodes, weights))| {
+                let from = if k == 0 {
+                    start & (PxDoc::CHUNK - 1)
+                } else {
+                    0
+                };
+                (&nodes[from..], &weights[from..])
+            })
+    }
+
+    /// Every slot with its weight, by value: the chunks no other clone
+    /// shares are moved out, the others copied.
+    pub(crate) fn into_slots(self) -> impl Iterator<Item = (PxNodeData, f64)> {
+        self.chunks
+            .into_iter()
+            .flat_map(|c| Arc::try_unwrap(c).unwrap_or_else(|c| (*c).clone()))
+            .zip(self.weights)
+    }
+}
+
+impl FromIterator<(PxNodeData, f64)> for Arena {
+    fn from_iter<I: IntoIterator<Item = (PxNodeData, f64)>>(slots: I) -> Self {
+        let mut arena = Arena::empty();
+        for (node, weight) in slots {
+            arena.push(node, weight);
+        }
+        arena
+    }
+}
+
 /// A probabilistic XML document.
 ///
 /// The root is always a probability node; each of its possibilities holds
-/// one root element of a possible world. Nodes live in a flat arena.
+/// one root element of a possible world.
+///
+/// Nodes live in an arena of copy-on-write chunks of [`PxDoc::CHUNK`]
+/// slots, and the possibility weights in one flat column beside it. A
+/// clone shares every chunk with its original and copies only the chunk
+/// pointers and the weights (8 bytes per slot); a later write copies
+/// just the chunk it lands in. So the versions of a document that a
+/// refine loop publishes one after another share what they did not
+/// change, and freeing one frees only what it did not share
+/// ([`unshared_chunks`](PxDoc::unshared_chunks) counts it). Mutators
+/// write only values that change, so a chunk is copied only when one of
+/// its nodes really does.
 ///
 /// Detached nodes can temporarily exist while the integration engine
 /// assembles a result; [`PxDoc::reachable_count`] and the counters in
@@ -66,7 +260,7 @@ pub(crate) struct PxNodeData {
 /// (the query crate's index), see [`PxDoc::derived`].
 #[derive(Debug, Clone)]
 pub struct PxDoc {
-    pub(crate) nodes: Vec<PxNodeData>,
+    pub(crate) nodes: Arena,
     pub(crate) root: PxNodeId,
     /// Conservative detachment marker: `false` guarantees every arena
     /// slot is reachable from the root, so [`PxDoc::arena_stats`] can
@@ -184,15 +378,15 @@ impl Default for PxDoc {
 }
 
 impl PxDoc {
+    /// Slots per arena chunk, the unit two versions of a document share
+    /// or copy (see the [type docs](PxDoc)).
+    pub const CHUNK: usize = 1 << CHUNK_BITS;
+
     /// Create an empty document: a root probability node with no
     /// possibilities yet. Add at least one possibility before use.
     pub fn new() -> Self {
         PxDoc {
-            nodes: vec![PxNodeData {
-                kind: PxNodeKind::Prob,
-                parent: None,
-                children: Vec::new(),
-            }],
+            nodes: std::iter::once((PxNodeData::new(PxNodeKind::Prob, None), NO_WEIGHT)).collect(),
             root: PxNodeId(0),
             maybe_detached: false,
             derived: Derived::default(),
@@ -211,23 +405,53 @@ impl PxDoc {
         self.nodes.len()
     }
 
+    /// How many of `base`'s arena chunks this document does not share:
+    /// the chunks of `base` that a change made since this document was
+    /// cloned from it copied (or dropped). Appended chunks are not
+    /// counted; comparing a document with itself gives 0.
+    ///
+    /// ```
+    /// use imprecise_pxml::PxDoc;
+    ///
+    /// let mut base = PxDoc::new();
+    /// let w = base.add_poss(base.root(), 1.0);
+    /// let doc = base.add_elem(w, "doc");
+    /// for _ in 0..3 * PxDoc::CHUNK {
+    ///     base.add_elem(doc, "item");
+    /// }
+    /// let mut next = base.clone();
+    /// assert_eq!(next.unshared_chunks(&base), 0);
+    /// next.set_attr(doc, "v", "2"); // a write to chunk 0
+    /// next.set_poss_prob(w, 1.0); // the weight column is not chunked
+    /// assert_eq!(next.unshared_chunks(&base), 1);
+    /// ```
+    pub fn unshared_chunks(&self, base: &PxDoc) -> usize {
+        let ours = self.nodes.chunks();
+        base.nodes
+            .chunks()
+            .iter()
+            .enumerate()
+            .filter(|&(i, chunk)| ours.get(i).is_none_or(|c| !Arc::ptr_eq(c, chunk)))
+            .count()
+    }
+
     #[inline]
     fn node(&self, id: PxNodeId) -> &PxNodeData {
-        &self.nodes[id.index()]
+        self.nodes.get(id.index())
     }
 
     /// The arena, for a mutation: drops the [`derived`](Self::derived)
     /// value, which described the document before it. Every mutation
     /// goes through here.
     #[inline]
-    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<PxNodeData> {
+    pub(crate) fn nodes_mut(&mut self) -> &mut Arena {
         self.derived.0.take();
         &mut self.nodes
     }
 
     #[inline]
     fn node_mut(&mut self, id: PxNodeId) -> &mut PxNodeData {
-        &mut self.nodes_mut()[id.index()]
+        self.nodes_mut().get_mut(id.index())
     }
 
     /// The value `build` derives from this document: built by the first
@@ -284,7 +508,7 @@ impl PxDoc {
     /// True if `id` is a possibility node.
     #[inline]
     pub fn is_poss(&self, id: PxNodeId) -> bool {
-        matches!(self.node(id).kind, PxNodeKind::Poss(_))
+        matches!(self.node(id).kind, PxNodeKind::Poss)
     }
 
     /// True if `id` is an element node.
@@ -320,22 +544,21 @@ impl PxDoc {
     /// Probability of a possibility node, or `None` for other kinds.
     #[inline]
     pub fn poss_prob(&self, id: PxNodeId) -> Option<f64> {
-        match self.node(id).kind {
-            PxNodeKind::Poss(p) => Some(p),
-            _ => None,
-        }
+        self.is_poss(id).then(|| self.nodes.weight(id.index()))
     }
 
-    /// Set the probability of a possibility node.
+    /// Set the probability of a possibility node. Only the weight column
+    /// is written: no arena chunk is copied.
     ///
     /// # Panics
     /// Panics if `id` is not a possibility node.
     pub fn set_poss_prob(&mut self, id: PxNodeId, p: f64) {
-        match &mut self.node_mut(id).kind {
-            PxNodeKind::Poss(old) => *old = p,
+        if !self.is_poss(id) {
+            let other = self.kind(id);
             // lint:allow(panic-in-lib, documented API contract: panics with set_poss_prob on non-possibility node other:?)
-            other => panic!("set_poss_prob on non-possibility node {other:?}"),
+            panic!("set_poss_prob on non-possibility node {other:?}");
         }
+        self.nodes_mut().set_weight(id.index(), p);
     }
 
     /// Attributes of an element (empty for other kinds).
@@ -361,6 +584,9 @@ impl PxDoc {
     pub fn set_attr(&mut self, id: PxNodeId, name: impl Into<String>, value: impl Into<String>) {
         let name = name.into();
         let value = value.into();
+        if self.attr(id, &name) == Some(value.as_str()) {
+            return;
+        }
         match &mut self.node_mut(id).kind {
             PxNodeKind::Elem { attrs, .. } => {
                 if let Some(a) = attrs.iter_mut().find(|a| a.name == name) {
@@ -374,13 +600,10 @@ impl PxDoc {
         }
     }
 
-    fn push(&mut self, parent: PxNodeId, kind: PxNodeKind) -> PxNodeId {
+    fn push(&mut self, parent: PxNodeId, kind: PxNodeKind, weight: f64) -> PxNodeId {
         let id = PxNodeId(self.nodes.len() as u32);
-        self.nodes_mut().push(PxNodeData {
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
+        self.nodes_mut()
+            .push(PxNodeData::new(kind, Some(parent)), weight);
         self.node_mut(parent).children.push(id);
         id
     }
@@ -397,14 +620,14 @@ impl PxDoc {
             self.is_elem(parent) || self.is_poss(parent),
             "prob nodes hang under elements or possibilities"
         );
-        self.push(parent, PxNodeKind::Prob)
+        self.push(parent, PxNodeKind::Prob, NO_WEIGHT)
     }
 
     /// Append a possibility node with probability `p` under a probability
     /// node.
     pub fn add_poss(&mut self, parent: PxNodeId, p: f64) -> PxNodeId {
         debug_assert!(self.is_prob(parent), "poss nodes hang under prob nodes");
-        self.push(parent, PxNodeKind::Poss(p))
+        self.push(parent, PxNodeKind::Poss, p)
     }
 
     /// Append an element node under a possibility or element node.
@@ -419,6 +642,7 @@ impl PxDoc {
                 tag: tag.into(),
                 attrs: Vec::new(),
             },
+            NO_WEIGHT,
         )
     }
 
@@ -428,7 +652,7 @@ impl PxDoc {
             self.is_poss(parent) || self.is_elem(parent),
             "text hangs under possibilities or elements"
         );
-        self.push(parent, PxNodeKind::Text(text.into()))
+        self.push(parent, PxNodeKind::Text(text.into()), NO_WEIGHT)
     }
 
     /// Convenience: `<tag>text</tag>` under `parent`.
@@ -478,12 +702,11 @@ impl PxDoc {
         src_node: PxNodeId,
         on_copy: &mut impl FnMut(PxNodeId, PxNodeId),
     ) -> PxNodeId {
-        let id = match src.kind(src_node).clone() {
-            PxNodeKind::Prob => self.push(parent, PxNodeKind::Prob),
-            PxNodeKind::Poss(p) => self.push(parent, PxNodeKind::Poss(p)),
-            PxNodeKind::Elem { tag, attrs } => self.push(parent, PxNodeKind::Elem { tag, attrs }),
-            PxNodeKind::Text(t) => self.push(parent, PxNodeKind::Text(t)),
-        };
+        let id = self.push(
+            parent,
+            src.kind(src_node).clone(),
+            src.nodes.weight(src_node.index()),
+        );
         on_copy(src_node, id);
         for &c in src.children(src_node) {
             self.graft_px_mapped(id, src, c, on_copy);
@@ -509,12 +732,11 @@ impl PxDoc {
         let map = SpliceMap {
             base: self.nodes.len(),
         };
-        self.nodes_mut().reserve(src.nodes.len() - 1);
-        let mut slots = src.nodes.into_iter();
+        let mut slots = src.nodes.into_slots();
         // lint:allow(expect-in-lib, holds by construction: scratch has a root)
-        let root = slots.next().expect("scratch has a root");
+        let (root, _) = slots.next().expect("scratch has a root");
         let attached: Vec<PxNodeId> = root.children.iter().map(|&c| map.remap(c)).collect();
-        for mut node in slots {
+        for (mut node, weight) in slots {
             node.parent = Some(match node.parent {
                 Some(p) if p.index() == 0 => parent,
                 Some(p) => map.remap(p),
@@ -524,7 +746,7 @@ impl PxDoc {
             for c in &mut node.children {
                 *c = map.remap(*c);
             }
-            self.nodes_mut().push(node);
+            self.nodes_mut().push(node, weight);
         }
         self.node_mut(parent).children.extend_from_slice(&attached);
         (attached, map)
@@ -551,22 +773,38 @@ impl PxDoc {
     /// Every node in `children` must be detached or already a child of
     /// `parent` (re-parenting a node that is still linked elsewhere
     /// would corrupt the other parent's child list).
+    ///
+    /// Only links that change are written: a child that stays keeps its
+    /// parent link untouched, so a reorder copies the chunk of `parent`
+    /// alone.
     pub fn reset_children(&mut self, parent: PxNodeId, children: Vec<PxNodeId>) {
         let old = std::mem::take(&mut self.node_mut(parent).children);
+        let mut kept = children.clone();
+        kept.sort_unstable();
+        debug_assert!(
+            kept.windows(2).all(|w| w[0] != w[1]),
+            "reset_children child listed twice"
+        );
+        let mut left_behind = false;
         for &c in &old {
-            self.node_mut(c).parent = None;
+            if kept.binary_search(&c).is_err() {
+                self.nodes_mut().set_parent(c.index(), None);
+                left_behind = true;
+            }
         }
         for &c in &children {
+            // Old children that are not listed again were detached
+            // above, so a link to `parent` here is one that stays.
             debug_assert!(
-                self.node(c).parent.is_none(),
+                self.node(c).parent.is_none() || self.node(c).parent == Some(parent),
                 "reset_children child must be detached"
             );
-            self.node_mut(c).parent = Some(parent);
+            self.nodes_mut().set_parent(c.index(), Some(parent));
         }
         self.node_mut(parent).children = children;
         // Only a former child that was *not* re-attached leaves garbage
         // behind; the common refine-commit call re-attaches every one.
-        if old.iter().any(|&c| self.node(c).parent.is_none()) {
+        if left_behind {
             self.maybe_detached = true;
         }
     }
@@ -584,9 +822,9 @@ impl PxDoc {
     pub fn truncate_arena(&mut self, mark: usize) {
         debug_assert!(mark > self.root.index() && mark <= self.nodes.len());
         #[cfg(debug_assertions)]
-        for node in &self.nodes[..mark] {
+        for i in 0..mark {
             debug_assert!(
-                node.children.iter().all(|c| c.index() < mark),
+                self.nodes.get(i).children.iter().all(|c| c.index() < mark),
                 "surviving node references a truncated one"
             );
         }
@@ -614,7 +852,7 @@ impl PxDoc {
         self.node_mut(old).parent = None;
         self.maybe_detached = true;
         for &r in replacements {
-            self.node_mut(r).parent = Some(parent);
+            self.nodes_mut().set_parent(r.index(), Some(parent));
         }
     }
 
@@ -682,20 +920,23 @@ impl PxDoc {
         if dropped == 0 {
             return CompactMap { map, dropped };
         }
-        let old = std::mem::take(self.nodes_mut());
+        let old = std::mem::replace(self.nodes_mut(), Arena::empty());
         self.nodes = old
-            .into_iter()
+            .into_slots()
             .enumerate()
             .filter(|&(i, _)| keep[i])
-            .map(|(_, node)| PxNodeData {
-                kind: node.kind,
-                parent: node.parent.and_then(|p| map[p.index()]),
-                children: node
-                    .children
-                    .iter()
-                    // lint:allow(expect-in-lib, holds by construction: child of a reachable node is reachable)
-                    .map(|c| map[c.index()].expect("child of a reachable node is reachable"))
-                    .collect(),
+            .map(|(_, (node, weight))| {
+                let node = PxNodeData {
+                    kind: node.kind,
+                    parent: node.parent.and_then(|p| map[p.index()]),
+                    children: node
+                        .children
+                        .iter()
+                        // lint:allow(expect-in-lib, holds by construction: child of a reachable node is reachable)
+                        .map(|c| map[c.index()].expect("child of a reachable node is reachable"))
+                        .collect(),
+                };
+                (node, weight)
             })
             .collect();
         // lint:allow(expect-in-lib, holds by construction: root always survives compaction)
@@ -762,7 +1003,7 @@ impl PxDoc {
                     self.certain_text_into(c, out);
                 }
             }
-            PxNodeKind::Prob | PxNodeKind::Poss(_) => {}
+            PxNodeKind::Prob | PxNodeKind::Poss => {}
         }
     }
 }
@@ -922,6 +1163,17 @@ pub(crate) mod tests {
         assert_eq!(px.parent(p1), Some(root));
         assert_eq!(px.parent(p2), Some(root));
         assert_eq!(px.parent(p3), None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn reset_children_rejects_a_repeated_child() {
+        let mut px = PxDoc::new();
+        let root = px.root();
+        let p1 = px.add_poss(root, 0.5);
+        px.add_poss(root, 0.5);
+        px.reset_children(root, vec![p1, p1]);
     }
 
     #[test]

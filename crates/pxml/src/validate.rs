@@ -123,12 +123,12 @@ impl PxDoc {
                     let mut sum = 0.0;
                     for &k in kids {
                         match self.kind(k) {
-                            PxNodeKind::Poss(p) => {
-                                if !p.is_finite() || *p < -PROB_EPSILON || *p > 1.0 + PROB_EPSILON {
-                                    return Err(PxInvariantError::BadProbability {
-                                        node: k,
-                                        p: *p,
-                                    });
+                            PxNodeKind::Poss => {
+                                let p = self.nodes.weight(k.index());
+                                if !p.is_finite()
+                                    || !(-PROB_EPSILON..=1.0 + PROB_EPSILON).contains(&p)
+                                {
+                                    return Err(PxInvariantError::BadProbability { node: k, p });
                                 }
                                 sum += p;
                             }
@@ -140,7 +140,7 @@ impl PxDoc {
                         return Err(PxInvariantError::WeightsDontSumToOne { node, sum });
                     }
                 }
-                PxNodeKind::Poss(_) => {
+                PxNodeKind::Poss => {
                     for &k in self.children(node) {
                         if self.is_poss(k) {
                             return Err(PxInvariantError::PossChildIsPoss { node });

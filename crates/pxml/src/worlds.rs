@@ -77,7 +77,7 @@ impl PxDoc {
             let kids = self.children(node).iter().map(|c| counts[c.index()]);
             counts[node.index()] = match self.kind(node) {
                 PxNodeKind::Text(_) => 1.0,
-                PxNodeKind::Elem { .. } | PxNodeKind::Poss(_) => kids.product(),
+                PxNodeKind::Elem { .. } | PxNodeKind::Poss => kids.product(),
                 PxNodeKind::Prob => kids.sum(),
             };
         }
@@ -233,7 +233,7 @@ impl PxDoc {
             let score = match self.kind(node) {
                 PxNodeKind::Text(_) => 1.0,
                 PxNodeKind::Elem { .. } => kids.fold(1.0, |acc, s| acc * s),
-                PxNodeKind::Poss(p) => kids.fold(*p, |acc, s| acc * s),
+                PxNodeKind::Poss => kids.fold(self.nodes.weight(node.index()), |acc, s| acc * s),
                 PxNodeKind::Prob => kids.fold(f64::NEG_INFINITY, f64::max),
             };
             best[node.index()] = score;
@@ -279,7 +279,7 @@ impl PxDoc {
                     stack.extend(self.children(chosen).iter().rev().map(|&c| (c, parent)));
                 }
                 // lint:allow(panic-in-lib, statically unreachable: poss reached outside prob handling)
-                PxNodeKind::Poss(_) => unreachable!("poss reached outside prob handling"),
+                PxNodeKind::Poss => unreachable!("poss reached outside prob handling"),
             }
         }
     }
@@ -385,7 +385,7 @@ impl WorldIter<'_> {
                     stack.push((self.digits(doc.children(poss), rem), parent));
                 }
                 // lint:allow(panic-in-lib, statically unreachable: poss decoded via its prob parent)
-                PxNodeKind::Poss(_) => unreachable!("poss decoded via its prob parent"),
+                PxNodeKind::Poss => unreachable!("poss decoded via its prob parent"),
             }
         }
     }

@@ -249,7 +249,7 @@ impl DocIndex {
                     (rank, false)
                 }
                 PxNodeKind::Prob => (v.elem, children.len() > 1),
-                PxNodeKind::Poss(_) | PxNodeKind::Text(_) => (v.elem, false),
+                PxNodeKind::Poss | PxNodeKind::Text(_) => (v.elem, false),
             };
             for (i, &c) in children.iter().enumerate().rev() {
                 stack.push(Visit {

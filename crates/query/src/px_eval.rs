@@ -443,7 +443,7 @@ fn enter<'a>(
             None
         }
         // lint:allow(panic-in-lib, statically unreachable: poss visited outside its prob)
-        PxNodeKind::Poss(_) => unreachable!("poss visited outside its prob"),
+        PxNodeKind::Poss => unreachable!("poss visited outside its prob"),
     }
 }
 

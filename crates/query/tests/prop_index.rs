@@ -92,7 +92,7 @@ mod walk {
                     }
                 }
             }
-            PxNodeKind::Poss(_) => unreachable!("poss outside its prob"),
+            PxNodeKind::Poss => unreachable!("poss outside its prob"),
             _ => out.push((node, event)),
         }
     }
@@ -108,7 +108,7 @@ mod walk {
                     }
                 }
             }
-            PxNodeKind::Poss(_) => unreachable!("poss outside its prob"),
+            PxNodeKind::Poss => unreachable!("poss outside its prob"),
             PxNodeKind::Elem { .. } => {
                 out.push((node, event.clone()));
                 for &c in doc.children(node) {

@@ -410,6 +410,69 @@ fn staged_refinement_emits_deltas_and_keeps_the_arena_clean() {
     assert!(after.live <= after.total);
 }
 
+/// Per refine installment on `confusable_grid(groups, 7)` at budget 64
+/// (8 installments of 64 matchings, at most 4 components each): the
+/// arena chunks of the previous version that the new one does not
+/// share, and the number of components the installment refined.
+fn unshared_chunks_per_installment(groups: usize) -> Vec<(usize, usize)> {
+    use imprecise::integrate::{IntegrationOptions, Parallelism, RefineOptions};
+    let grid = scenarios::confusable_grid(groups, 7);
+    let engine = Engine::builder()
+        .oracle(movie_oracle(MovieOracleConfig {
+            title_rule: false,
+            ..MovieOracleConfig::default()
+        }))
+        .schema(grid.schema)
+        .options(IntegrationOptions {
+            max_matchings_per_component: 64,
+            parallelism: Parallelism::SERIAL,
+            ..IntegrationOptions::default()
+        })
+        .build();
+    let a = engine
+        .load_xml("a", &to_string(&grid.mpeg7))
+        .expect("loads");
+    let b = engine.load_xml("b", &to_string(&grid.imdb)).expect("loads");
+    let (m, _) = engine.integrate(&a, &b, "m").expect("integrates");
+    let options = RefineOptions {
+        extra_matchings: 64,
+        min_retained_mass: None,
+        max_components: 4,
+        threads: Some(Parallelism::SERIAL),
+    };
+    (0..8)
+        .map(|_| {
+            let before = engine.snapshot(&m).expect("exists");
+            let step = engine.refine(&m, &options).expect("refines");
+            assert!(step.remaining > 0 && !step.compacted);
+            let after = engine.snapshot(&m).expect("exists");
+            (
+                after.doc().unshared_chunks(before.doc()),
+                step.refined.len(),
+            )
+        })
+        .collect()
+}
+
+/// Consecutive versions of a refined document share memory: an
+/// installment copies the chunk of each refined anchor (whose child list
+/// it rewrites) and the partly filled last chunk it appends to, and
+/// shares every other chunk with the version before it, however large
+/// the document is.
+#[test]
+fn refine_installments_share_all_but_the_chunks_they_change() {
+    let small = unshared_chunks_per_installment(4);
+    let large = unshared_chunks_per_installment(16);
+    for &(unshared, refined) in small.iter().chain(&large) {
+        assert_eq!(refined, 4);
+        assert!(
+            unshared <= refined + 1,
+            "{unshared} chunks copied for {refined} refined anchors"
+        );
+    }
+    assert_eq!(small, large, "the copy does not grow with the document");
+}
+
 #[test]
 fn durable_store_resumes_refinement_across_processes() {
     use imprecise::integrate::{IntegrationOptions, RefineOptions};

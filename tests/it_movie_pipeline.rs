@@ -180,7 +180,7 @@ fn min_tag_count(px: &imprecise::pxml::PxDoc, node: imprecise::pxml::PxNodeId, t
                 .map(|&c| min_tag_count(px, c, tag))
                 .sum::<u64>()
         }
-        PxNodeKind::Poss(_) => px
+        PxNodeKind::Poss => px
             .children(node)
             .iter()
             .map(|&c| min_tag_count(px, c, tag))
