@@ -19,9 +19,6 @@
 //!   total budget (`BudgetPlan::Total`) vs the same total spent as
 //!   per-component caps, and top-1 (largest discarded mass first)
 //!   staged refinement.
-//! * `refine_parallel/*` — the staged 8 × 64 workload with the
-//!   intra-component worker pool at 1/2/4 threads (bit-identical
-//!   output, so the spread is pure wall-clock).
 //!
 //! Under `--bench` the harness ends with a regression gate: staged
 //! 8 × 64 must stay within `STAGED_GATE_CEILING`× of one-shot 512 (set
@@ -29,9 +26,7 @@
 
 use criterion::{criterion_group, Criterion};
 use imprecise::datagen::scenarios;
-use imprecise::integrate::{
-    integrate_xml, BudgetPlan, IntegrationOptions, Parallelism, RefineOptions,
-};
+use imprecise::integrate::{integrate_xml, BudgetPlan, IntegrationOptions, RefineOptions};
 use imprecise_bench::{
     confusion_oracle, integrate_then_refine, measure_staged_vs_one_shot, STAGED_GATE_CEILING,
 };
@@ -207,46 +202,6 @@ fn bench_incremental_emission(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel-search benches: the staged 8 × 64 confusable8 workload
-/// with the intra-component worker pool at 1/2/4 threads —
-/// bit-identical results, so any spread is pure wall-clock.
-fn bench_refine_parallel(c: &mut Criterion) {
-    let oracle = confusion_oracle();
-    let mut group = c.benchmark_group("refine_parallel");
-    group.sample_size(10);
-
-    let c8 = scenarios::confusable(8);
-    // confusable8 is one 64-live-pair component: past the parallel
-    // engagement threshold, so granted threads actually work.
-    let staged = |threads: Option<Parallelism>| {
-        let mut outcome =
-            integrate_xml(&c8.mpeg7, &c8.imdb, &oracle, Some(&c8.schema), &options(64))
-                .expect("integrates");
-        let refine = RefineOptions {
-            extra_matchings: 64,
-            min_retained_mass: None,
-            max_components: usize::MAX,
-            threads,
-        };
-        for _ in 0..7 {
-            if !outcome.is_refinable() {
-                break;
-            }
-            outcome
-                .refine(&oracle, Some(&c8.schema), &refine)
-                .expect("refines");
-        }
-        outcome
-    };
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("confusable8/staged-8x64-threads-{threads}"), |b| {
-            b.iter(|| black_box(staged(Some(Parallelism::new(black_box(threads))))))
-        });
-    }
-
-    group.finish();
-}
-
 /// Regression gate for the incremental emitter: staged 8 × 64 must stay
 /// within [`STAGED_GATE_CEILING`]× of one-shot 512 on the confusable8
 /// workload. The measurement itself lives in `imprecise_bench` so the
@@ -270,12 +225,7 @@ fn staged_vs_one_shot_gate() {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_integrate_refine,
-    bench_incremental_emission,
-    bench_refine_parallel
-);
+criterion_group!(benches, bench_integrate_refine, bench_incremental_emission);
 
 fn main() {
     benches();

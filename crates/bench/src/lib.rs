@@ -3,6 +3,8 @@
 //! Criterion benches call into these, so the numbers in EXPERIMENTS.md and
 //! the timings come from the same code paths).
 
+#![forbid(unsafe_code)]
+
 use imprecise::datagen::scenarios::{self, MovieScenario};
 use imprecise::integrate::{
     block_candidates, integrate_xml, BlockingMode, IntegrationOptions, IntegrationOutcome,

@@ -631,12 +631,11 @@ fn run(cmd: Command) -> Result<(), String> {
                     );
                     eprintln!(
                         "refine step {step_no}: search popped {} state(s), \
-                         expanded {}, {} bound cutoff(s), {} round(s) on {} worker(s)",
+                         expanded {}, {} bound cutoff(s), {} round(s)",
                         step.search.popped,
                         step.search.expanded,
                         step.search.cutoffs,
                         step.search.rounds,
-                        step.search.workers,
                     );
                 }
                 if step.remaining == 0 {

@@ -64,6 +64,8 @@
 //! assert!((after.probability_of("1111") - 1.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use imprecise_datagen as datagen;
 pub use imprecise_feedback as feedback;
 pub use imprecise_integrate as integrate;

@@ -16,6 +16,8 @@
 //! generators themselves are deterministic (seeded) so experiments
 //! reproduce bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod addressbook;
 pub mod movies;
 pub mod scenarios;

@@ -33,6 +33,8 @@
 //! [`apply_feedback`] picks the first strategy that applies, in the order
 //! above.
 
+#![forbid(unsafe_code)]
+
 use imprecise_pxml::{PxDoc, PxNodeId, PxNodeKind, TooManyWorlds};
 use imprecise_query::event::satisfying_assignments;
 use imprecise_query::xml_eval::eval_xml_values;

@@ -95,6 +95,8 @@
 //! assert_eq!(result.doc.world_count(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod matching;
 mod merge;
@@ -180,11 +182,12 @@ pub struct IntegrationOptions {
     /// truncating when a component exceeds the budget (the historical
     /// behaviour; exact or nothing).
     pub strict_matchings: bool,
-    /// Worker threads for matching enumeration ([`Parallelism::SERIAL`]
-    /// by default, [`Parallelism::AUTO`] uses all available cores).
-    /// Several busy components fan out across threads; a single busy
-    /// component spends the same budget inside its best-first search.
-    /// Results are bit-identical regardless of the setting.
+    /// Component workers for matching enumeration
+    /// ([`Parallelism::SERIAL`] by default, [`Parallelism::AUTO`] uses
+    /// all available cores). Several busy components fan out across
+    /// workers, one component per worker at a time; a single component
+    /// is always enumerated on one thread. Results are bit-identical
+    /// regardless of the setting.
     pub parallelism: Parallelism,
     /// Hard cap on locally enumerated alternative combinations when an
     /// input child list contains choice points (incremental integration).
@@ -456,12 +459,11 @@ pub struct RefineOptions {
     /// Refine at most this many components per call, largest discarded
     /// mass first. `usize::MAX` refines every open component.
     pub max_components: usize,
-    /// Worker threads for this refine call, overriding the outcome's
-    /// [`IntegrationOptions::parallelism`] when set. The budget goes
-    /// across components first (one thread each), and the remainder
-    /// *into* each component's best-first search — a step refining one
-    /// big component spends every thread inside its search. Results are
-    /// bit-identical at every value.
+    /// Component workers for this refine call, overriding the outcome's
+    /// [`IntegrationOptions::parallelism`] when set. The selected
+    /// components fan out across workers, one component per worker at a
+    /// time; a step that refines one component runs on one thread.
+    /// Results are bit-identical at every value.
     pub threads: Option<Parallelism>,
 }
 
@@ -553,8 +555,8 @@ pub struct RefineStep {
     /// figures above then describe the compacted document).
     pub compacted: bool,
     /// Search-side work this step's enumerations did (states popped,
-    /// bound cutoffs, expansion rounds, worker threads) — the cost of
-    /// the step that `emitted_nodes` does not show.
+    /// bound cutoffs, expansion rounds) — the cost of the step that
+    /// `emitted_nodes` does not show.
     pub search: SearchStats,
 }
 
@@ -1021,10 +1023,10 @@ struct PreparedComponent {
 }
 
 /// Phase A of a refine step for one component: resume the enumeration
-/// (on a clone of the site's resident enumerator) with up to `threads`
-/// expansion workers, and emit the delta into a scratch arena. Touches
-/// nothing shared — the site itself is only updated when the step
-/// commits, so errors stay atomic.
+/// (on a clone of the site's resident enumerator, on the calling
+/// thread) and emit the delta into a scratch arena. Touches nothing
+/// shared — the site itself is only updated when the step commits, so
+/// errors stay atomic.
 #[allow(clippy::too_many_arguments)]
 fn prepare_one(
     frontiers: &[DocFrontier],
@@ -1036,7 +1038,6 @@ fn prepare_one(
     reemit_options: &IntegrationOptions,
     options: &RefineOptions,
     arena_base: usize,
-    threads: usize,
 ) -> Result<PreparedComponent, IntegrateError> {
     let df = &frontiers[slot];
     let mut en = df.enumerator();
@@ -1046,13 +1047,10 @@ fn prepare_one(
     } else {
         en.kept().saturating_add(options.extra_matchings.max(1))
     };
-    let (all, is_new) = en.run_delta(
-        &MatchBudget {
-            max_matchings,
-            min_retained_mass: options.min_retained_mass,
-        },
-        threads,
-    );
+    let (all, is_new) = en.run_delta(&MatchBudget {
+        max_matchings,
+        min_retained_mass: options.min_retained_mass,
+    });
     let left = if en.is_drained() { None } else { Some(en) };
     let mut builder =
         merge::Builder::scratch(src_a, src_b, oracle, schema, reemit_options, arena_base);
@@ -1085,15 +1083,11 @@ fn prepare_components(
     options: &RefineOptions,
     arena_base: usize,
 ) -> Result<Vec<PreparedComponent>, IntegrateError> {
-    // The thread budget goes across components first, and what is left
-    // over goes *into* each component's search — one big component gets
-    // every thread inside its best-first expansion.
-    let total = options
+    let threads = options
         .threads
         .unwrap_or(reemit_options.parallelism)
-        .effective();
-    let outer = total.min(order.len()).max(1);
-    let inner = (total / outer).max(1);
+        .effective()
+        .min(order.len());
     let prepare = |k: usize| {
         prepare_one(
             frontiers,
@@ -1105,13 +1099,12 @@ fn prepare_components(
             reemit_options,
             options,
             arena_base,
-            inner,
         )
     };
-    if outer <= 1 || order.len() < 2 {
+    if threads <= 1 {
         return (0..order.len()).map(prepare).collect();
     }
-    pipeline::fan_out(order.len(), outer, prepare)
+    pipeline::fan_out(order.len(), threads, prepare)
         .into_iter()
         .collect()
 }

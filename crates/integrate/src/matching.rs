@@ -34,7 +34,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// An undecided candidate pair with its match probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,14 +156,18 @@ pub struct BudgetedMatchings {
     pub search: SearchStats,
 }
 
-/// The one parallelism knob, shared by the component-level fan-out and
-/// the intra-component search: `0` means "all available cores"
-/// (resolved once and cached — `available_parallelism` is a
-/// cgroup/sysfs read), `1` is serial, `N` pins the thread count.
+/// The one parallelism knob: how many component workers the pipeline's
+/// fan-out runs, when integration enumerates or refine resumes several
+/// independent components. `0` means "all available cores" (resolved
+/// once and cached — `available_parallelism` is a cgroup/sysfs read),
+/// `1` is serial, `N` pins the worker count. Each component's own
+/// best-first search always runs on one thread.
 ///
-/// Thread counts are pure *scheduling* hints in this pipeline: every
-/// parallel stage reassembles results in deterministic order, so
-/// published bytes are identical at every value.
+/// The worker count is a pure *scheduling* hint: the fan-out
+/// reassembles results in component order, so documents, stats and
+/// frontiers are identical at every value. (The refine-state codec
+/// stores the raw value with the options, so persisted state records
+/// which one was asked for.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism(usize);
 
@@ -220,21 +224,18 @@ pub struct SearchStats {
     /// below it was left unexpanded until the certified phase ruled on
     /// it.
     pub cutoffs: u64,
-    /// Expansion rounds driven (each round is one worker fan-out).
+    /// Expansion rounds driven (each round pops one batch and pushes
+    /// its children back).
     pub rounds: u64,
-    /// Worker threads that expanded batches (1 = serial).
-    pub workers: usize,
 }
 
 impl SearchStats {
-    /// Fold another run's counters into this one: counters add, the
-    /// worker count reports the maximum seen.
+    /// Fold another run's counters into this one: counters add.
     pub fn absorb(&mut self, other: &SearchStats) {
         self.popped += other.popped;
         self.expanded += other.expanded;
         self.cutoffs += other.cutoffs;
         self.rounds += other.rounds;
-        self.workers = self.workers.max(other.workers);
     }
 }
 
@@ -1123,7 +1124,7 @@ impl FrontierEnumerator {
     /// result is bit-identical to [`enumerate_matchings`], no matter how
     /// many budgeted runs came before.
     pub fn run(&mut self, budget: &MatchBudget) -> BudgetedMatchings {
-        self.run_delta(budget, 1).0
+        self.run_delta(budget).0
     }
 
     /// [`run`](Self::run) for incremental emitters: the same canonical
@@ -1140,30 +1141,22 @@ impl FrontierEnumerator {
     /// extend, what they emitted for a synthetic frontier (they can tell
     /// by the flagged-old count no longer matching what they hold).
     ///
-    /// # Determinism across thread counts
+    /// # Determinism across stagings
     ///
-    /// The search proceeds in *rounds*: a sequential "certified" phase
-    /// yields complete matchings while one sits at the top of the heap
-    /// (no unexpanded state's admissible bound outranks it — the shared
-    /// bound every worker's output is certified against), then a batch
-    /// — the maximal run of consecutive incomplete states at the top of
-    /// the heap, capped at `EXPAND_BATCH` — is popped and
-    /// expanded — serially or split across `threads` workers — and the
-    /// children are merged back in batch order with sequentially
-    /// assigned tie-break numbers. Batch composition, `seq` numbering
-    /// and every stop decision are pure functions of the heap's pop
-    /// order, never of worker timing, so the yielded matchings, the
-    /// mass sums and the encoded search state are **bitwise identical** at
-    /// every `threads` value (`run_delta(b, 1)` and `run_delta(b, 7)`
-    /// agree bit for bit). Stops (budget, retained-mass, expansion
-    /// valve) only ever fire between rounds with the heap intact, which
-    /// is also what makes a staged stop-and-resume replay the one-shot
-    /// run exactly.
-    pub fn run_delta(
-        &mut self,
-        budget: &MatchBudget,
-        threads: usize,
-    ) -> (BudgetedMatchings, Vec<bool>) {
+    /// The search proceeds in *rounds*: a "certified" phase yields
+    /// complete matchings while one sits at the top of the heap (no
+    /// unexpanded state's admissible bound outranks it), then a batch —
+    /// the maximal run of consecutive incomplete states at the top of
+    /// the heap, capped at `EXPAND_BATCH` — is popped whole, and its
+    /// children are pushed back in batch order with sequentially
+    /// assigned tie-break numbers. Batch composition, `seq` numbering and
+    /// every stop decision are pure functions of the heap's pop order,
+    /// so the yielded matchings, the mass sums and the encoded search
+    /// state are canonical properties of the component. Stops (budget,
+    /// retained-mass, expansion valve) only ever fire between rounds
+    /// with the heap intact, which is what makes a staged
+    /// stop-and-resume replay the one-shot run exactly.
+    pub fn run_delta(&mut self, budget: &MatchBudget) -> (BudgetedMatchings, Vec<bool>) {
         if self.synthetic {
             // Discard the synthesised fallback: the open states cover
             // the entire space (including the all-excluded matching), so
@@ -1199,51 +1192,9 @@ impl FrontierEnumerator {
                         .saturating_mul(4),
                 )
         };
-        let workers = if threads > 1 && live_len >= MIN_PARALLEL_LIVE {
-            threads
-        } else {
-            1
-        };
-        let mut stats = SearchStats {
-            workers,
-            ..SearchStats::default()
-        };
+        let mut stats = SearchStats::default();
         if self.yielded.len() < budget.max_matchings {
-            let FrontierEnumerator {
-                ref component,
-                ref live,
-                max_take,
-                ref bounds,
-                ref mut heap,
-                ref mut seq,
-                ref mut yielded,
-                ref mut retained,
-                ref mut total_mass_cache,
-                ref mut mark,
-                ..
-            } = *self;
-            let mut cursor = SearchCursor {
-                forced: &component.forced,
-                live,
-                bounds,
-                max_take,
-                heap,
-                seq,
-                yielded,
-                retained,
-                total_mass_cache,
-                mark,
-            };
-            if workers > 1 {
-                expand_pooled(&mut cursor, budget, max_expansions, workers, &mut stats);
-            } else {
-                cursor.drive(budget, max_expansions, &mut stats, &mut |batch| {
-                    batch
-                        .into_iter()
-                        .map(|s| expand_state(s, live, bounds, max_take))
-                        .collect()
-                });
-            }
+            self.drive(budget, max_expansions, &mut stats);
         }
         if self.yielded.is_empty() {
             // The expansion valve fired before any complete matching was
@@ -1296,148 +1247,10 @@ impl FrontierEnumerator {
         )
     }
 
-    /// The exact total matching mass, when the component is small enough
-    /// for the bitmask DP: makes both the `min_retained_mass` stop and
-    /// the final discarded-mass figure exact. Computed lazily — a run
-    /// that completes without truncation (the common case) never pays
-    /// for the DP.
-    fn total_mass(&mut self) -> Option<f64> {
-        let live = &self.live;
-        *self
-            .total_mass_cache
-            .get_or_insert_with(|| exact_total_mass(live))
-    }
-}
-
-/// How many of the best open (incomplete) states one expansion round
-/// pops for simultaneous expansion. The batch is what parallel workers
-/// split; it is a fixed constant — NOT derived from the thread count —
-/// so the pop/expansion schedule (and with it every yielded matching,
-/// mass sum and encoded search state) is bitwise-identical at every
-/// `threads` value.
-const EXPAND_BATCH: usize = 256;
-
-/// How many *exactly tied* `(bound, depth)` states one batch may take
-/// before cutting the round short. On tie plateaus this reproduces the
-/// sequential search's depth-first dive — this many branches abreast —
-/// instead of materialising the plateau's exponential breadth. A fixed
-/// constant for the same reason as [`EXPAND_BATCH`]: the batch schedule
-/// must be a pure function of the heap's pop order.
-const TIE_WIDTH: usize = 8;
-
-/// Components with fewer live pairs than this expand serially even when
-/// more threads are offered: the per-round channel round-trip would cost
-/// more than the expansion arithmetic it parallelises. Purely a
-/// scheduling gate — both paths run the identical round algorithm, so
-/// the gate cannot affect results.
-const MIN_PARALLEL_LIVE: usize = 16;
-
-/// Fallback frontier bound: each open state's subtree mass is at most
-/// its weight (remaining factors sum to at most 1 per candidate, and
-/// injectivity only removes terms). The weights are summed in ascending
-/// `total_cmp` order — a canonical order independent of the heap's
-/// physical layout, which differs between a live resident enumerator
-/// and one decoded from bytes (heapify) even when the open set is
-/// identical; sorting first keeps the mass figures bitwise
-/// equal across that boundary. Recomputed from the heap on demand — an
-/// incrementally maintained running sum would be destroyed by
-/// floating-point absorption once weights shrink tens of orders of
-/// magnitude below the root's 1.0.
-fn frontier_mass(heap: &BinaryHeap<SearchState>) -> f64 {
-    let mut weights: Vec<f64> = heap.iter().map(|s| s.weight).collect();
-    weights.sort_unstable_by(|a, b| a.total_cmp(b));
-    // lint:allow(float-accumulation, summed in ascending total_cmp order — canonical and independent of heap layout)
-    weights.iter().sum::<f64>()
-}
-
-/// The children of one expanded incomplete state, computed as pure
-/// arithmetic over shared read-only tables so a batch can fan out to
-/// worker threads. Heap pushes and `seq` assignment stay with the
-/// sequential merge, so tie-break numbering is independent of worker
-/// timing.
-struct Expanded {
-    /// The expanded parent (owns the `taken` prefix its exclude child
-    /// reuses).
-    state: SearchState,
-    excl_weight: f64,
-    excl_bound: f64,
-    /// The include child, when both endpoints are free.
-    incl: Option<InclChild>,
-}
-
-/// An include child's `(weight, bound, taken-prefix extended by the new
-/// pair)`.
-type InclChild = (f64, f64, Arc<[(usize, usize)]>);
-
-/// Expand one incomplete state into its exclude/include children.
-///
-/// Pure and panic-free (the driver guarantees `state.idx` indexes
-/// `live`): workers run it with no shared mutable state, so the scoped
-/// pool only ever computes and joins — no locks, no result races.
-fn expand_state(
-    state: SearchState,
-    live: &[Candidate],
-    bounds: &SuffixBounds,
-    max_take: usize,
-) -> Expanded {
-    let c = live[state.idx];
-    let takeable = max_take - state.taken.len();
-    // Exclude edge idx.
-    let w_excl = state.weight * (1.0 - c.p);
-    let excl_bound = w_excl * bounds.remaining(state.idx + 1, takeable);
-    // Include edge idx when both endpoints are free; a blocked
-    // inclusion's mass never existed among valid matchings, so it simply
-    // vanishes from the frontier (tightening the bound).
-    let free = takeable > 0 && !state.taken.iter().any(|&(a, b)| a == c.a || b == c.b);
-    let incl: Option<InclChild> = if free {
-        let w_incl = state.weight * c.p;
-        let mut taken = Vec::with_capacity(state.taken.len() + 1);
-        taken.extend_from_slice(&state.taken);
-        taken.push((c.a, c.b));
-        Some((
-            w_incl,
-            w_incl * bounds.remaining(state.idx + 1, takeable - 1),
-            Arc::from(taken),
-        ))
-    } else {
-        None
-    };
-    Expanded {
-        state,
-        excl_weight: w_excl,
-        excl_bound,
-        incl,
-    }
-}
-
-/// Split borrows of the enumerator fields the sequential side of the
-/// round algorithm mutates, separated from the read-only search tables
-/// (`live`, `bounds`) that worker threads borrow for the lifetime of
-/// the pool's scope.
-struct SearchCursor<'e> {
-    forced: &'e [(usize, usize)],
-    live: &'e [Candidate],
-    bounds: &'e SuffixBounds,
-    max_take: usize,
-    heap: &'e mut BinaryHeap<SearchState>,
-    seq: &'e mut u64,
-    yielded: &'e mut Vec<Matching>,
-    retained: &'e mut f64,
-    total_mass_cache: &'e mut Option<Option<f64>>,
-    mark: &'e mut StepMark,
-}
-
-impl SearchCursor<'_> {
-    /// The round loop of [`FrontierEnumerator::run_delta`]: certified
-    /// yields, batch selection, expansion via `expand` (inline or a
-    /// worker pool — the only pluggable part), sequential merge.
-    fn drive(
-        &mut self,
-        budget: &MatchBudget,
-        max_expansions: usize,
-        stats: &mut SearchStats,
-        expand: &mut dyn FnMut(Vec<SearchState>) -> Vec<Expanded>,
-    ) {
+    /// The round loop of [`run_delta`](Self::run_delta): certified
+    /// yields, batch selection, then the batch's children pushed back in
+    /// batch order.
+    fn drive(&mut self, budget: &MatchBudget, max_expansions: usize, stats: &mut SearchStats) {
         let live_len = self.live.len();
         // Without an exact total, early-stop checks cost O(frontier), so
         // they run at exponentially spaced yield counts — total checking
@@ -1456,10 +1269,10 @@ impl SearchCursor<'_> {
                 let Some(state) = self.heap.pop() else { break };
                 stats.popped += 1;
                 self.mark.popped(state.seq);
-                let mut pairs = self.forced.to_vec();
+                let mut pairs = self.component.forced.to_vec();
                 pairs.extend_from_slice(&state.taken);
                 pairs.sort_unstable();
-                *self.retained += state.weight;
+                self.retained += state.weight;
                 self.yielded.push(Matching {
                     pairs,
                     weight: state.weight,
@@ -1471,15 +1284,15 @@ impl SearchCursor<'_> {
                     if self.yielded.len() >= MASS_STOP_FLOOR {
                         match self.total_mass() {
                             Some(z) => {
-                                if *self.retained >= t * z {
+                                if self.retained >= t * z {
                                     return;
                                 }
                             }
                             None => {
                                 if self.yielded.len() >= next_mass_check {
                                     next_mass_check = self.yielded.len().saturating_mul(2);
-                                    let pending = frontier_mass(self.heap);
-                                    if *self.retained / (*self.retained + pending) >= t {
+                                    let pending = frontier_mass(&self.heap);
+                                    if self.retained / (self.retained + pending) >= t {
                                         return;
                                     }
                                 }
@@ -1493,26 +1306,24 @@ impl SearchCursor<'_> {
             // Two canonical cutoffs keep the batch work-optimal:
             //
             // * a complete matching surfacing at the top ends the run —
-            //   the shared bound: every batched incomplete outranked it
-            //   (pop order descends under admissible bounds), but
-            //   nothing below it can outrank it except this batch's own
-            //   children, so expanding past it would do work the
-            //   certified phase may be about to make unnecessary;
+            //   every batched incomplete outranked it (pop order
+            //   descends under admissible bounds), but nothing below it
+            //   can outrank it except this batch's own children, so
+            //   expanding past it would do work the certified phase may
+            //   be about to make unnecessary;
             // * an exact `(bound, idx)` tie run longer than
             //   [`TIE_WIDTH`] ends the run — on a tie plateau (uniform
-            //   probabilities make these common) the sequential search
-            //   dives depth-first through one tied branch at a time,
-            //   and a wide batch would instead materialise the whole
-            //   exponential breadth of the plateau; capping the tied
-            //   take reproduces the dive, [`TIE_WIDTH`] branches
+            //   probabilities make these common) a depth-first dive
+            //   reaches complete matchings through one tied branch at a
+            //   time, and a wide batch would instead materialise the
+            //   whole exponential breadth of the plateau; capping the
+            //   tied take keeps the dive, [`TIE_WIDTH`] branches
             //   abreast.
             //
-            // Both cutoffs read only the heap's pop order and
-            // constants — never the budget, the thread count, or worker
-            // timing — so the expansion schedule (and with it every seq
-            // number, yield and frontier) stays a canonical property of
-            // the component, identical across stagings and thread
-            // counts.
+            // Both cutoffs read only the heap's pop order and constants
+            // — never the budget — so the expansion schedule (and with
+            // it every seq number, yield and frontier) stays a canonical
+            // property of the component, identical across stagings.
             let target = EXPAND_BATCH.min(max_expansions - expansions);
             if target == 0 {
                 // The expansion valve fired. The heap is intact, so the
@@ -1561,25 +1372,42 @@ impl SearchCursor<'_> {
             expansions += batch.len();
             stats.expanded += batch.len() as u64;
             stats.rounds += 1;
-            let results = expand(batch);
-            // Merge, sequential and in batch order: `seq` numbering is
-            // a pure function of the pop history, independent of how
-            // many workers computed the expansions.
-            for ex in results {
-                *self.seq += 1;
-                self.heap.push(SearchState {
-                    bound: ex.excl_bound,
-                    seq: *self.seq,
-                    idx: ex.state.idx + 1,
-                    weight: ex.excl_weight,
-                    taken: ex.state.taken,
+            // Expand the whole popped batch, in batch order: the
+            // exclude child, then the include child, each numbered by
+            // the next `seq`.
+            for state in batch {
+                let c = self.live[state.idx];
+                let idx = state.idx + 1;
+                let takeable = self.max_take - state.taken.len();
+                // Include edge idx when both endpoints are free; a
+                // blocked inclusion's mass never existed among valid
+                // matchings, so it simply vanishes from the frontier
+                // (tightening the bound).
+                let free = takeable > 0 && !state.taken.iter().any(|&(a, b)| a == c.a || b == c.b);
+                let include = free.then(|| {
+                    let weight = state.weight * c.p;
+                    let mut taken = Vec::with_capacity(state.taken.len() + 1);
+                    taken.extend_from_slice(&state.taken);
+                    taken.push((c.a, c.b));
+                    let bound = weight * self.bounds.remaining(idx, takeable - 1);
+                    (bound, weight, Arc::from(taken))
                 });
-                if let Some((weight, bound, taken)) = ex.incl {
-                    *self.seq += 1;
+                // Exclude edge idx: the child reuses the parent's prefix.
+                let weight = state.weight * (1.0 - c.p);
+                self.seq += 1;
+                self.heap.push(SearchState {
+                    bound: weight * self.bounds.remaining(idx, takeable),
+                    seq: self.seq,
+                    idx,
+                    weight,
+                    taken: state.taken,
+                });
+                if let Some((bound, weight, taken)) = include {
+                    self.seq += 1;
                     self.heap.push(SearchState {
                         bound,
-                        seq: *self.seq,
-                        idx: ex.state.idx + 1,
+                        seq: self.seq,
+                        idx,
                         weight,
                         taken,
                     });
@@ -1588,81 +1416,50 @@ impl SearchCursor<'_> {
         }
     }
 
-    /// See [`FrontierEnumerator::total_mass`] — same lazy cache, reached
-    /// through the split borrow.
+    /// The exact total matching mass, when the component is small enough
+    /// for the bitmask DP: makes both the `min_retained_mass` stop and
+    /// the final discarded-mass figure exact. Computed lazily — a run
+    /// that completes without truncation (the common case) never pays
+    /// for the DP.
     fn total_mass(&mut self) -> Option<f64> {
-        let live = self.live;
+        let live = &self.live;
         *self
             .total_mass_cache
             .get_or_insert_with(|| exact_total_mass(live))
     }
 }
 
-/// Drive the round algorithm with a persistent expansion pool: `workers`
-/// scoped threads each own a job channel, the driver splits every batch
-/// into contiguous per-worker chunks, and results are reassembled in
-/// worker-index order — the deterministic-reassembly pattern (atomic-free
-/// here: plain channels, no shared mutable state inside the scope), so
-/// worker timing cannot reorder anything the merge sees. The pool
-/// persists across all rounds of one run: spawning threads per round
-/// would swamp the expansions they compute.
-fn expand_pooled(
-    cursor: &mut SearchCursor<'_>,
-    budget: &MatchBudget,
-    max_expansions: usize,
-    workers: usize,
-    stats: &mut SearchStats,
-) {
-    let live = cursor.live;
-    let bounds = cursor.bounds;
-    let max_take = cursor.max_take;
-    std::thread::scope(|s| {
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<Expanded>)>();
-        let mut jobs: Vec<mpsc::Sender<Vec<SearchState>>> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (job_tx, job_rx) = mpsc::channel::<Vec<SearchState>>();
-            jobs.push(job_tx);
-            let res_tx = res_tx.clone();
-            s.spawn(move || {
-                while let Ok(chunk) = job_rx.recv() {
-                    let out: Vec<Expanded> = chunk
-                        .into_iter()
-                        .map(|st| expand_state(st, live, bounds, max_take))
-                        .collect();
-                    if res_tx.send((w, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        cursor.drive(budget, max_expansions, stats, &mut |batch| {
-            // Contiguous ceil-div chunks: every worker gets a (possibly
-            // empty) chunk, so exactly `workers` results come back and
-            // index-ordered reassembly restores the original batch
-            // order.
-            let expected = batch.len();
-            let per = expected.div_ceil(workers);
-            let mut items = batch.into_iter();
-            for job in &jobs {
-                let chunk: Vec<SearchState> = items.by_ref().take(per).collect();
-                // Workers only exit when `jobs` drops at scope end, and
-                // `expand_state` is panic-free, so sends and receives
-                // cannot fail here.
-                let _ = job.send(chunk);
-            }
-            let mut slots: Vec<Vec<Expanded>> = (0..workers).map(|_| Vec::new()).collect();
-            for _ in 0..workers {
-                if let Ok((w, out)) = res_rx.recv() {
-                    slots[w] = out;
-                }
-            }
-            let merged: Vec<Expanded> = slots.into_iter().flatten().collect();
-            debug_assert_eq!(merged.len(), expected, "a worker dropped expansions");
-            merged
-        });
-        // Dropping `jobs` closes the channels; the scope joins the pool.
-    });
+/// How many of the best open (incomplete) states one expansion round
+/// pops before it pushes any child back. The pop/expansion schedule —
+/// and with it every yielded matching, mass sum and encoded search
+/// state — follows from this constant, so changing it changes
+/// published bytes and the meaning of stored frontiers.
+const EXPAND_BATCH: usize = 256;
+
+/// How many *exactly tied* `(bound, depth)` states one batch may take
+/// before cutting the round short. On tie plateaus this reproduces the
+/// sequential search's depth-first dive — this many branches abreast —
+/// instead of materialising the plateau's exponential breadth. A fixed
+/// constant for the same reason as [`EXPAND_BATCH`]: the batch schedule
+/// must be a pure function of the heap's pop order.
+const TIE_WIDTH: usize = 8;
+
+/// Fallback frontier bound: each open state's subtree mass is at most
+/// its weight (remaining factors sum to at most 1 per candidate, and
+/// injectivity only removes terms). The weights are summed in ascending
+/// `total_cmp` order — a canonical order independent of the heap's
+/// physical layout, which differs between a live resident enumerator
+/// and one decoded from bytes (heapify) even when the open set is
+/// identical; sorting first keeps the mass figures bitwise
+/// equal across that boundary. Recomputed from the heap on demand — an
+/// incrementally maintained running sum would be destroyed by
+/// floating-point absorption once weights shrink tens of orders of
+/// magnitude below the root's 1.0.
+fn frontier_mass(heap: &BinaryHeap<SearchState>) -> f64 {
+    let mut weights: Vec<f64> = heap.iter().map(|s| s.weight).collect();
+    weights.sort_unstable_by(|a, b| a.total_cmp(b));
+    // lint:allow(float-accumulation, summed in ascending total_cmp order — canonical and independent of heap layout)
+    weights.iter().sum::<f64>()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2263,7 +2060,7 @@ mod tests {
         assert!(first.truncated);
         let first_pairs: Vec<Vec<(usize, usize)>> =
             first.matchings.iter().map(|m| m.pairs.clone()).collect();
-        let (next, is_new) = en.run_delta(&budget(5 + 4), 1);
+        let (next, is_new) = en.run_delta(&budget(5 + 4));
         assert_eq!(next.matchings.len(), 9);
         assert_eq!(is_new.len(), next.matchings.len());
         assert_eq!(is_new.iter().filter(|&&n| n).count(), 4);
@@ -2287,7 +2084,7 @@ mod tests {
         let mut en = FrontierEnumerator::new(Arc::new(c.clone()));
         en.run(&budget(3));
         let mut resumed = decode_against(&en, c.clone()).expect("same component");
-        let (full, is_new) = resumed.run_delta(&MatchBudget::UNLIMITED, 1);
+        let (full, is_new) = resumed.run_delta(&MatchBudget::UNLIMITED);
         assert!(!full.truncated);
         assert_eq!(is_new.iter().filter(|&&n| !n).count(), 3);
         let exhaustive = enumerate_matchings(&c, usize::MAX).unwrap();
@@ -2363,9 +2160,9 @@ mod tests {
         assert_send_sync::<Parallelism>();
     }
 
-    /// A 5×5 graph with distinct probabilities: 25 live pairs (past the
-    /// parallel scheduling gate) and a unique top-K at every budget.
-    fn parallel_graph55() -> Component {
+    /// A 5×5 graph with distinct probabilities: 25 live pairs and a
+    /// unique top-K at every budget.
+    fn graph55() -> Component {
         let mut possible = Vec::new();
         for a in 0..5usize {
             for b in 0..5usize {
@@ -2384,70 +2181,62 @@ mod tests {
         }
     }
 
+    /// Two staged installments leave the enumerator exactly where one
+    /// run over the summed budget does: same matchings and flags, same
+    /// mass figures, the staged work counters summing to the one-shot
+    /// ones, and the same encoded bytes.
     #[test]
-    fn parallel_search_is_bitwise_identical_at_every_thread_count() {
-        let c = Arc::new(parallel_graph55());
-        // Two staged installments plus the encoded state, at each thread
-        // count.
-        let staged = |threads: usize| {
-            let mut en = FrontierEnumerator::new(Arc::clone(&c));
-            let (first, first_new) = en.run_delta(&budget(40), threads);
-            let (second, second_new) = en.run_delta(&budget(40 + 33), threads);
-            assert!(!en.is_drained(), "still truncated");
-            let mut bytes = Vec::new();
-            en.encode(&mut bytes);
-            (first, first_new, second, second_new, bytes)
-        };
-        let (s1, sn1, s2, sn2, sbytes) = staged(1);
-        assert_eq!(s1.search.workers, 1);
-        assert!(s1.search.popped > 0 && s1.search.expanded > 0);
-        for threads in [2, 4, 7] {
-            let (p1, pn1, p2, pn2, pbytes) = staged(threads);
-            assert_eq!(p1.search.workers, threads, "pool must engage");
-            for (serial, parallel) in [(&s1, &p1), (&s2, &p2)] {
-                assert_eq!(serial.matchings.len(), parallel.matchings.len());
-                for (a, b) in serial.matchings.iter().zip(&parallel.matchings) {
-                    assert_eq!(a.pairs, b.pairs, "threads={threads}");
-                    assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "threads={threads}");
-                }
-                assert_eq!(
-                    serial.retained_mass.to_bits(),
-                    parallel.retained_mass.to_bits()
-                );
-                assert_eq!(
-                    serial.discarded_mass.to_bits(),
-                    parallel.discarded_mass.to_bits()
-                );
-                assert_eq!(serial.frontier_nodes, parallel.frontier_nodes);
-                // The schedule itself is thread-count independent, so
-                // the work counters agree exactly too.
-                assert_eq!(serial.search.popped, parallel.search.popped);
-                assert_eq!(serial.search.expanded, parallel.search.expanded);
-                assert_eq!(serial.search.cutoffs, parallel.search.cutoffs);
-                assert_eq!(serial.search.rounds, parallel.search.rounds);
-            }
-            assert_eq!(sn1, pn1, "threads={threads}");
-            assert_eq!(sn2, pn2, "threads={threads}");
-            assert_eq!(sbytes, pbytes, "encoded bytes, threads={threads}");
+    fn run_delta_staged_installments_equal_one_shot_bitwise() {
+        let c = Arc::new(graph55());
+        let mut staged = FrontierEnumerator::new(Arc::clone(&c));
+        let (first, first_new) = staged.run_delta(&budget(40));
+        let (second, second_new) = staged.run_delta(&budget(40 + 33));
+        assert!(!staged.is_drained(), "still truncated");
+        assert!(first_new.iter().all(|&n| n));
+        assert_eq!(second_new.iter().filter(|&&n| n).count(), 33);
+        let mut one_shot = FrontierEnumerator::new(Arc::clone(&c));
+        let (whole, whole_new) = one_shot.run_delta(&budget(40 + 33));
+        assert!(whole_new.iter().all(|&n| n));
+        assert_eq!(second.matchings.len(), whole.matchings.len());
+        for (a, b) in second.matchings.iter().zip(&whole.matchings) {
+            assert_eq!(a.pairs, b.pairs);
+            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
+        assert_eq!(
+            second.retained_mass.to_bits(),
+            whole.retained_mass.to_bits()
+        );
+        assert_eq!(
+            second.discarded_mass.to_bits(),
+            whole.discarded_mass.to_bits()
+        );
+        assert_eq!(second.frontier_nodes, whole.frontier_nodes);
+        let mut summed = first.search;
+        summed.absorb(&second.search);
+        assert!(summed.popped > 0 && summed.expanded > 0);
+        assert_eq!(summed, whole.search);
+        let (mut staged_bytes, mut one_shot_bytes) = (Vec::new(), Vec::new());
+        staged.encode(&mut staged_bytes);
+        one_shot.encode(&mut one_shot_bytes);
+        assert_eq!(staged_bytes, one_shot_bytes, "encoded search state");
     }
 
     #[test]
-    fn parallel_resume_from_snapshot_matches_serial_continuation() {
-        let c = Arc::new(parallel_graph55());
+    fn decoded_resume_matches_the_live_continuation() {
+        let c = Arc::new(graph55());
         let mut en = FrontierEnumerator::new(Arc::clone(&c));
         en.run(&budget(25));
         let mut decoded = decode_against(&en, (*c).clone()).expect("same component");
-        // Continue the live enumerator serially…
+        // Continue the live enumerator and a decoded copy of it.
         let live = en.run(&MatchBudget::UNLIMITED);
-        // …and a decoded one with a worker pool.
-        let resumed = decoded.run_delta(&MatchBudget::UNLIMITED, 4).0;
+        let resumed = decoded.run(&MatchBudget::UNLIMITED);
         assert!(!live.truncated && !resumed.truncated);
         assert_eq!(live.matchings.len(), resumed.matchings.len());
         for (a, b) in live.matchings.iter().zip(&resumed.matchings) {
             assert_eq!(a.pairs, b.pairs);
             assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
+        assert_eq!(live.search, resumed.search);
     }
 
     #[test]

@@ -542,11 +542,9 @@ const MIN_PARALLEL_PAIRS: usize = 8;
 /// Stage 3: enumerate the matchings of every component under the
 /// options' budget, in parallel when allowed and worthwhile.
 ///
-/// With several busy components the fan-out is *across* components
-/// (each enumeration self-contained and serial); with one busy
-/// component the thread budget goes *into* its best-first search
-/// instead ([`FrontierEnumerator::run_delta`]). Either way results are
-/// bit-identical to the serial path.
+/// With several busy components the work fans out *across* components
+/// (`fan_out`), each enumeration self-contained and serial; results
+/// are bit-identical to the serial path.
 ///
 /// In budgeted mode (the default) this never fails: over-budget
 /// components are truncated to their heaviest matchings with the
@@ -567,23 +565,20 @@ pub fn enumerate_components(
         .filter(|c| c.possible.len() >= MIN_PARALLEL_PAIRS)
         .count();
     if threads > 1 && busy >= 2 {
-        // Fan out across components, each enumeration serial inside.
         fan_out(components.len(), threads.min(components.len()), |i| {
-            enumerate_one(&components[i], options, budgets[i], 1)
+            enumerate_one(&components[i], options, budgets[i])
         })
         .into_iter()
         .map(|result| result.map_err(|e| e.at_path(path)))
         .collect()
     } else {
         // Serial over components: a strict-mode failure short-circuits
-        // before later components are enumerated. A single busy
-        // component still gets the whole thread budget, inside its
-        // search.
+        // before later components are enumerated.
         components
             .iter()
             .zip(&budgets)
             .map(|(component, &budget)| {
-                enumerate_one(component, options, budget, threads).map_err(|e| e.at_path(path))
+                enumerate_one(component, options, budget).map_err(|e| e.at_path(path))
             })
             .collect()
     }
@@ -591,12 +586,11 @@ pub fn enumerate_components(
 
 /// Enumerate one component under the options' policy, capped at
 /// `max_matchings` (the per-component figure the budget plan assigned),
-/// with up to `threads` expansion workers inside the search.
+/// on the calling thread.
 fn enumerate_one(
     component: &Arc<Component>,
     options: &IntegrationOptions,
     max_matchings: usize,
-    threads: usize,
 ) -> Result<ComponentOutcome, TooManyMatchings> {
     if options.strict_matchings {
         let live_pairs = live_candidates(component).len();
@@ -616,7 +610,7 @@ fn enumerate_one(
             min_retained_mass: options.min_retained_mass,
         };
         let mut enumerator = FrontierEnumerator::new(Arc::clone(component));
-        let (result, _) = enumerator.run_delta(&budget, threads);
+        let result = enumerator.run(&budget);
         Ok(ComponentOutcome {
             component: Arc::clone(component),
             matchings: result.matchings,

@@ -24,6 +24,8 @@
 //! [`presets`] assembles the exact §V configurations used by the Table I /
 //! Figure 5 experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod blocking;
 pub mod decision;
 pub mod dsl;

@@ -85,6 +85,8 @@
 //! assert_eq!(px.world_count(), 3); // the paper's three possible worlds
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod convert;
 pub mod count;

@@ -1276,10 +1276,9 @@ pub(crate) mod tests {
         assert_eq!(px.world_count(), worlds_before);
     }
 
-    /// Shared-state audit for the parallel refinement path: worker
-    /// threads hold `&PxDoc` references to both sources while scoped
-    /// expansion workers race inside a component's search, so every
-    /// arena type must be free of interior mutability (`Send + Sync`
+    /// Shared-state audit for the parallel refinement path: component
+    /// workers hold `&PxDoc` references to both sources while they
+    /// race over their components, so every arena type must be free of interior mutability (`Send + Sync`
     /// by plain data, not by locking). A `Cell`/`RefCell` smuggled into
     /// a node payload would fail this at compile time. The one exception
     /// is the document's derived-value slot, a `OnceLock` outside the

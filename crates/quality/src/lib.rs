@@ -21,6 +21,8 @@
 //! the answer" and measure classically — useful for precision/recall
 //! curves over τ.
 
+#![forbid(unsafe_code)]
+
 use imprecise_query::RankedAnswers;
 use std::collections::BTreeSet;
 

@@ -72,6 +72,8 @@
 //! assert!((answers.items[1].probability - 0.5).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod answer;
 pub mod ast;
 pub mod event;

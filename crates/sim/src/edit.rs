@@ -1,20 +1,19 @@
 //! Levenshtein edit distance and the similarity derived from it.
 //!
-//! Three execution tiers, all computing the same integers:
+//! Two execution tiers, both computing the same integers:
 //!
 //! * ASCII pairs whose shorter side fits 64 bytes run Myers' bit-parallel
-//!   recurrence on the stack — no allocation at all;
+//!   recurrence ([`crate::simd`]) on the stack — no allocation at all;
+//!   one-vs-many batches ([`levenshtein_batch`], [`similarity_batch`])
+//!   preprocess the pattern once for every ASCII text;
 //! * everything else runs the classic two-row DP over bytes or Unicode
 //!   scalars, with the rows (and char scratch) reused from a thread-local
-//!   buffer instead of being re-collected per call;
-//! * one-vs-many batches ([`levenshtein_batch`], [`similarity_batch`])
-//!   preprocess the pattern once and hand contiguous ASCII runs to the
-//!   runtime-selected SIMD kernel in [`crate::simd`].
+//!   buffer instead of being re-collected per call.
 //!
 //! Distances are exact in every tier, so derived `f64` similarities are
-//! bit-identical no matter which tier or kernel computed them.
+//! bit-identical no matter which tier computed them.
 
-use crate::simd::{self, generic::MyersPattern, EditKernel};
+use crate::simd::generic::MyersPattern;
 use std::cell::RefCell;
 
 thread_local! {
@@ -106,43 +105,26 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
 }
 
 /// One-vs-many Levenshtein: the distance of `a` against each string in
-/// `bs`, in order, using the process-wide active kernel.
+/// `bs`, in order.
 ///
-/// Equal to calling [`levenshtein`] per pair, but the pattern is
-/// preprocessed once and contiguous ASCII texts go to the SIMD kernel.
+/// Equal to calling [`levenshtein`] per pair, but a word-sized ASCII
+/// pattern is preprocessed once for every ASCII text.
 pub fn levenshtein_batch(a: &str, bs: &[&str]) -> Vec<usize> {
-    let mut out = Vec::new();
-    levenshtein_batch_with(simd::active(), a, bs, &mut out);
-    out
-}
-
-/// [`levenshtein_batch`] against an explicit kernel, appending to `out`
-/// (cleared first). The kernel-equivalence property tests drive this.
-pub fn levenshtein_batch_with(kernel: &dyn EditKernel, a: &str, bs: &[&str], out: &mut Vec<usize>) {
-    out.clear();
-    out.reserve(bs.len());
     if !a.is_ascii() || a.is_empty() || a.len() > 64 {
-        // The kernels require a word-sized ASCII pattern; everything else
-        // takes the scalar tiers pair by pair.
-        out.extend(bs.iter().map(|b| levenshtein(a, b)));
-        return;
+        // Myers needs a word-sized ASCII pattern; everything else takes
+        // the scalar tiers pair by pair.
+        return bs.iter().map(|b| levenshtein(a, b)).collect();
     }
-    let pat = a.as_bytes();
-    let mut run: Vec<&[u8]> = Vec::new();
-    let mut i = 0;
-    while i < bs.len() {
-        if bs[i].is_ascii() {
-            run.clear();
-            while i < bs.len() && bs[i].is_ascii() {
-                run.push(bs[i].as_bytes());
-                i += 1;
+    let pre = MyersPattern::new(a.as_bytes());
+    bs.iter()
+        .map(|b| {
+            if b.is_ascii() {
+                pre.distance(b.as_bytes())
+            } else {
+                levenshtein(a, b)
             }
-            kernel.levenshtein_ascii_batch(pat, &run, out);
-        } else {
-            out.push(levenshtein(a, bs[i]));
-            i += 1;
-        }
-    }
+        })
+        .collect()
 }
 
 /// One-vs-many normalised Levenshtein similarity, bit-identical to

@@ -9,7 +9,13 @@
 //! (`"Woo, John"` vs `"John Woo"`, roman vs arabic sequel numbers).
 //!
 //! Everything is implemented here (no third-party similarity crates), is
-//! allocation-conscious, and is deterministic across platforms.
+//! allocation-conscious, and is deterministic across platforms. Edit
+//! distance has one kernel on every machine, portable Myers bit-parallel
+//! code in [`simd::generic`]: no runtime CPU detection, no `unsafe`, and
+//! no environment knob, so the same inputs give the same integers
+//! everywhere.
+
+#![forbid(unsafe_code)]
 
 pub mod edit;
 pub mod jaro;
@@ -61,8 +67,8 @@ pub fn person_name_similarity(a: &str, b: &str) -> f64 {
 /// Normalisation and tokenisation of the left-hand title happen once at
 /// construction; [`PreparedTitle::similarity`] then produces exactly the
 /// same bits as [`title_similarity`] for every right-hand title, and
-/// [`PreparedTitle::similarity_batch`] additionally routes the
-/// character-level comparisons through the active SIMD kernel.
+/// [`PreparedTitle::similarity_batch`] additionally preprocesses the
+/// left-hand title once for the character-level comparisons.
 #[derive(Debug, Clone)]
 pub struct PreparedTitle {
     norm: String,
@@ -88,7 +94,7 @@ impl PreparedTitle {
     }
 
     /// One-vs-many [`PreparedTitle::similarity`], batching the edit
-    /// distances through the active kernel. Bit-identical per element.
+    /// distances ([`similarity_batch`]). Bit-identical per element.
     pub fn similarity_batch(&self, bs: &[&str]) -> Vec<f64> {
         let nbs: Vec<String> = bs.iter().map(|b| normalize_title(b)).collect();
         let refs: Vec<&str> = nbs.iter().map(String::as_str).collect();
@@ -131,7 +137,7 @@ impl PreparedPersonName {
     }
 
     /// One-vs-many [`PreparedPersonName::similarity`]. Jaro-Winkler has no
-    /// vector kernel; this amortises the left-hand normalisation only.
+    /// batch kernel; this amortises the left-hand normalisation only.
     pub fn similarity_batch(&self, bs: &[&str]) -> Vec<f64> {
         bs.iter().map(|b| self.similarity(b)).collect()
     }

@@ -4,29 +4,8 @@
 //! words (`pv`/`mv`: positions where the column increases/decreases), so a
 //! pattern of up to 64 characters advances one text character per constant
 //! number of word operations. The recurrence is exact — it computes the
-//! same integers as the classic two-row DP — which is what allows the
-//! vectorised kernels to share this module's pattern preprocessing and
-//! still be bit-identical.
-
-use super::EditKernel;
-
-/// The always-available scalar implementation.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GenericKernel;
-
-impl EditKernel for GenericKernel {
-    fn name(&self) -> &'static str {
-        "generic"
-    }
-
-    fn levenshtein_ascii_batch(&self, a: &[u8], bs: &[&[u8]], out: &mut Vec<usize>) {
-        let pre = MyersPattern::new(a);
-        out.reserve(bs.len());
-        for b in bs {
-            out.push(pre.distance(b));
-        }
-    }
-}
+//! same integers as the classic two-row DP — so every `f64` similarity
+//! derived from it is bit-identical to the pairwise path.
 
 /// Preprocessed Myers state for one ASCII pattern of 1..=64 bytes: the
 /// per-character match masks plus the score bit of the last pattern row.
@@ -52,29 +31,13 @@ impl MyersPattern {
         }
     }
 
-    /// Number of pattern characters (the distance against an empty text).
-    pub(crate) fn len(&self) -> usize {
-        self.m
-    }
-
-    /// Match mask of one text byte against the pattern.
-    #[inline]
-    pub(crate) fn eq_mask(&self, c: u8) -> u64 {
-        self.peq[(c & 0x7f) as usize]
-    }
-
-    /// Score bit: bit `m - 1`, where the running distance lives.
-    pub(crate) fn high_bit(&self) -> u64 {
-        self.high
-    }
-
     /// Exact Levenshtein distance of the pattern against `text` (ASCII).
     pub(crate) fn distance(&self, text: &[u8]) -> usize {
         let mut pv = !0u64;
         let mut mv = 0u64;
         let mut score = self.m;
         for &c in text {
-            let eq = self.eq_mask(c);
+            let eq = self.peq[(c & 0x7f) as usize];
             let xv = eq | mv;
             let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
             let ph = mv | !(xh | pv);
@@ -159,8 +122,7 @@ mod tests {
 
     #[test]
     fn batch_appends_in_order() {
-        let mut out = vec![99];
-        GenericKernel.levenshtein_ascii_batch(b"flaw", &[b"lawn", b"flaw"], &mut out);
-        assert_eq!(out, vec![99, 2, 0]);
+        let bs = ["lawn", "flaw", "fläw"];
+        assert_eq!(crate::levenshtein_batch("flaw", &bs), vec![2, 0, 1]);
     }
 }

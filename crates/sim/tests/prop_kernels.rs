@@ -1,15 +1,9 @@
-//! Property tests for the SIMD kernel contract: every kernel computes the
-//! same integers as the scalar reference, on arbitrary ASCII and Unicode
-//! input, so every derived `f64` similarity is bit-identical.
-//!
-//! `IMPRECISE_SIM_FORCE` selects the *process-wide* kernel (CI runs this
-//! suite once per value); these tests additionally compare the explicit
-//! `generic_kernel()` and `detected_kernel()` instances directly, so a
-//! single run on an AVX2 machine still exercises both implementations
-//! against each other.
+//! Property tests for the edit-distance kernel: the one-vs-many batch
+//! kernel (Myers' bit-parallel recurrence) and the per-pair tiers
+//! compute the same integers as an independent reference DP, on
+//! arbitrary ASCII and Unicode input and on patterns on both sides of
+//! the 64-byte word, so every derived `f64` similarity is bit-identical.
 
-use imprecise_sim::edit::levenshtein_batch_with;
-use imprecise_sim::simd::{active, detected_kernel, generic_kernel};
 use imprecise_sim::{
     levenshtein, levenshtein_batch, levenshtein_similarity, similarity_batch, PreparedTitle,
 };
@@ -39,6 +33,14 @@ fn ascii_string(max_len: usize) -> impl Strategy<Value = String> {
         .prop_map(|bytes| bytes.into_iter().map(|b| b as char).collect())
 }
 
+/// ASCII over a four-letter alphabet, `min_len..=max_len` bytes: long
+/// strings that still share many characters, so distances stay well
+/// below the lengths and the recurrence's carries are exercised.
+fn dense_ascii_string(min_len: usize, max_len: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u8..4, min_len..=max_len)
+        .prop_map(|bytes| bytes.into_iter().map(|b| (b'a' + b) as char).collect())
+}
+
 fn unicode_string(max_len: usize) -> impl Strategy<Value = String> {
     proptest::collection::vec(0u32..0x2FFF, 0..=max_len).prop_map(|codes| {
         codes
@@ -46,6 +48,14 @@ fn unicode_string(max_len: usize) -> impl Strategy<Value = String> {
             .filter_map(char::from_u32)
             .collect::<String>()
     })
+}
+
+/// The batch kernel against the reference DP, element by element.
+fn batch_matches_reference(a: &str, bs: &[String]) -> Result<(), TestCaseError> {
+    let refs: Vec<&str> = bs.iter().map(String::as_str).collect();
+    let reference: Vec<usize> = refs.iter().map(|b| reference_levenshtein(a, b)).collect();
+    prop_assert_eq!(levenshtein_batch(a, &refs), reference);
+    Ok(())
 }
 
 proptest! {
@@ -64,43 +74,44 @@ proptest! {
         prop_assert_eq!(levenshtein(&a, &b), reference_levenshtein(&a, &b));
     }
 
-    /// Forced-generic, detected, and process-active kernels produce the
-    /// same integers as each other and as the per-pair path, on batches of
-    /// mixed ASCII texts.
+    /// The batch kernel agrees with the reference DP on batches of ASCII
+    /// texts of any length against a word-sized pattern.
     #[test]
     fn kernels_are_bit_identical_on_ascii_batches(
         a in ascii_string(64),
         bs in proptest::collection::vec(ascii_string(120), 0..24),
     ) {
-        let refs: Vec<&str> = bs.iter().map(String::as_str).collect();
-        let mut generic_out = Vec::new();
-        levenshtein_batch_with(generic_kernel(), &a, &refs, &mut generic_out);
-        let mut detected_out = Vec::new();
-        levenshtein_batch_with(detected_kernel(), &a, &refs, &mut detected_out);
-        let mut active_out = Vec::new();
-        levenshtein_batch_with(active(), &a, &refs, &mut active_out);
-        let pairwise: Vec<usize> = refs.iter().map(|b| reference_levenshtein(&a, b)).collect();
-        prop_assert_eq!(&generic_out, &pairwise);
-        prop_assert_eq!(&detected_out, &pairwise);
-        prop_assert_eq!(&active_out, &pairwise);
-        prop_assert_eq!(levenshtein_batch(&a, &refs), pairwise);
+        batch_matches_reference(&a, &bs)?;
     }
 
-    /// Batches containing Unicode take the scalar fallback per element but
-    /// must still agree with the per-pair path exactly.
+    /// Batches mixing ASCII and Unicode texts: non-ASCII texts (and
+    /// non-ASCII patterns) take the per-pair fallback inside the batch,
+    /// and must still agree with the reference DP exactly.
     #[test]
     fn kernels_are_bit_identical_on_mixed_batches(
-        a in unicode_string(30),
-        bs in proptest::collection::vec(unicode_string(50), 0..12),
+        ascii_pattern in ascii_string(30),
+        unicode_pattern in unicode_string(30),
+        ascii_texts in proptest::collection::vec(ascii_string(50), 0..6),
+        unicode_texts in proptest::collection::vec(unicode_string(50), 0..6),
     ) {
-        let refs: Vec<&str> = bs.iter().map(String::as_str).collect();
-        let mut generic_out = Vec::new();
-        levenshtein_batch_with(generic_kernel(), &a, &refs, &mut generic_out);
-        let mut detected_out = Vec::new();
-        levenshtein_batch_with(detected_kernel(), &a, &refs, &mut detected_out);
-        let pairwise: Vec<usize> = refs.iter().map(|b| reference_levenshtein(&a, b)).collect();
-        prop_assert_eq!(&generic_out, &pairwise);
-        prop_assert_eq!(&detected_out, &pairwise);
+        let mut bs = Vec::new();
+        for (x, u) in ascii_texts.iter().zip(&unicode_texts) {
+            bs.push(x.clone());
+            bs.push(u.clone());
+        }
+        batch_matches_reference(&ascii_pattern, &bs)?;
+        batch_matches_reference(&unicode_pattern, &bs)?;
+    }
+
+    /// Patterns around the 64-byte word (56–90 bytes) against long texts:
+    /// the kernel's full-width score bit below the boundary and the
+    /// per-pair DP fallback above it.
+    #[test]
+    fn long_patterns_match_reference(
+        a in dense_ascii_string(56, 90),
+        bs in proptest::collection::vec(dense_ascii_string(0, 200), 0..12),
+    ) {
+        batch_matches_reference(&a, &bs)?;
     }
 
     /// Derived f64 similarities are bit-identical between the batched and

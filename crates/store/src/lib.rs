@@ -64,6 +64,8 @@
 //! honest default the engine uses), [`Durability::OnClose`] defers to
 //! [`Store::sync`]/drop for bulk loads.
 
+#![forbid(unsafe_code)]
+
 mod segment;
 
 use imprecise_integrate::codec::{

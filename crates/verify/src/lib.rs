@@ -24,6 +24,8 @@
 //! next code line. Unused or reason-less allows are findings
 //! themselves (`unused-allow`), so the allowlist can only shrink.
 
+#![forbid(unsafe_code)]
+
 pub mod rules;
 pub mod scrub;
 

@@ -133,23 +133,6 @@ pub const RULES: &[RuleDoc] = &[
                     nondeterministic and corrupts machine-read pipelines.",
     },
     RuleDoc {
-        id: "sim-unsafe",
-        summary: "unsafe code in the similarity kernels",
-        scope: "crates/sim, lib code",
-        rationale: "SIMD kernels are the only sanctioned unsafe in the workspace; every \
-                    unsafe block must carry a lint:allow naming the safety proof (the \
-                    target-feature gate) so new unsafe cannot land unreviewed.",
-    },
-    RuleDoc {
-        id: "sim-isa-dispatch",
-        summary: "runtime ISA detection / kernel-selection env read in sim",
-        scope: "crates/sim, lib code",
-        rationale: "Kernel dispatch decides which machine code computes similarities; \
-                    every detection site must be annotated with why its choice cannot \
-                    change results (all kernels are bit-identical) and must stay cached \
-                    so published bytes never depend on mid-run environment changes.",
-    },
-    RuleDoc {
         id: "unused-allow",
         summary: "lint:allow directive that suppresses nothing",
         scope: "everywhere the lint runs",
@@ -244,24 +227,6 @@ pub fn check_file(role: &FileRole, scrubbed: &Scrubbed) -> Vec<Finding> {
     {
         float_accumulation(&mut ctx);
     }
-    if !role.is_bin && role.crate_name == "sim" {
-        simple_needles(
-            &mut ctx,
-            &[
-                (
-                    "sim-unsafe",
-                    &["unsafe "][..],
-                    "unsafe in similarity kernel code",
-                ),
-                (
-                    "sim-isa-dispatch",
-                    &["is_x86_feature_detected", "env::var", "env::vars"],
-                    "runtime ISA/kernel dispatch",
-                ),
-            ],
-        );
-    }
-
     let mut findings = ctx.findings;
     apply_allows(role, scrubbed, &mut findings);
     findings.sort_by(|a, b| (a.line, a.rule.as_str()).cmp(&(b.line, b.rule.as_str())));

@@ -33,6 +33,8 @@
 //! assert_eq!(to_string(&doc), "<addressbook><person><nm>John</nm></person></addressbook>");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod doc;
 pub mod eq;
 pub mod error;

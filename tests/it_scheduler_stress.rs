@@ -34,15 +34,22 @@ impl Lcg {
     }
 }
 
-/// Two n-John address books: one all-undecided n×n matching component —
-/// dozens of distinct refinement schedules under small budgets. `n = 3`
-/// gives 34 matchings; `n = 4` gives 209 *and* crosses the
-/// intra-component parallel threshold (16 live pairs), so refine steps
-/// actually engage the in-search worker pool when threads are granted.
-fn engine_with_sized_sources(budget: usize, n: usize) -> (Engine, DocHandle, DocHandle) {
+/// Two address books with `n` people of each name in `names`: one
+/// all-undecided n×n matching component per name (people of different
+/// names never match) — dozens of distinct refinement schedules under
+/// small budgets. `n = 3` gives 34 matchings per component; several
+/// names give several components, which refine steps fan out over
+/// when threads are granted.
+fn engine_with_books(budget: usize, names: &[&str], n: usize) -> (Engine, DocHandle, DocHandle) {
     let book = |prefix: usize| {
-        let persons: String = (0..n)
-            .map(|i| format!("<person><nm>John</nm><tel>{prefix}{i:03}</tel></person>"))
+        let persons: String = names
+            .iter()
+            .enumerate()
+            .flat_map(|(k, name)| {
+                (0..n).map(move |i| {
+                    format!("<person><nm>{name}</nm><tel>{prefix}{k}{i:02}</tel></person>")
+                })
+            })
             .collect();
         format!("<addressbook>{persons}</addressbook>")
     };
@@ -64,20 +71,24 @@ fn engine_with_sized_sources(budget: usize, n: usize) -> (Engine, DocHandle, Doc
 }
 
 fn engine_with_sources(budget: usize) -> (Engine, DocHandle, DocHandle) {
-    engine_with_sized_sources(budget, 3)
+    engine_with_books(budget, &["John"], 3)
 }
 
 /// The one-shot exhaustive fingerprint every schedule must converge to.
-fn sized_exhaustive_fingerprint(n: usize) -> u64 {
-    let (engine, a, b) = engine_with_sized_sources(usize::MAX, n);
+fn books_exhaustive_fingerprint(names: &[&str], n: usize) -> u64 {
+    let (engine, a, b) = engine_with_books(usize::MAX, names, n);
     let (db, stats) = engine.integrate(&a, &b, "db").expect("integrates");
     assert!(stats.is_exact(), "unbudgeted run is exact");
     engine.snapshot(&db).expect("db exists").doc().fingerprint()
 }
 
 fn exhaustive_fingerprint() -> u64 {
-    sized_exhaustive_fingerprint(3)
+    books_exhaustive_fingerprint(&["John"], 3)
 }
+
+/// Seven names: seven 3×3 components, so a refine step's component
+/// fan-out has work for every worker count the tests below grant.
+const SEVEN_NAMES: [&str; 7] = ["John", "Mary", "Pete", "Anna", "Bill", "Kate", "Omar"];
 
 #[test]
 fn seeded_schedules_converge_to_the_exhaustive_fingerprint() {
@@ -186,16 +197,19 @@ fn racing_refiners_and_readers_converge_to_the_exhaustive_fingerprint() {
 }
 
 /// Engine-level half of the serial ≡ parallel contract: the *same*
-/// staged refinement schedule, re-run with 2/4/7 intra-component
-/// workers, publishes a bit-identical document after every installment
-/// — not just at convergence.
+/// staged refinement schedule over seven components, re-run with 2/4/7
+/// component workers, publishes a bit-identical document after every
+/// installment — not just at convergence.
 #[test]
-fn intra_component_thread_counts_are_bitwise_identical() {
+fn component_worker_counts_are_bitwise_identical() {
     let run = |threads: usize| {
-        // 4×4 book: one 16-live-pair component, past the parallel gate.
-        let (engine, a, b) = engine_with_sized_sources(3, 4);
+        let (engine, a, b) = engine_with_books(3, &SEVEN_NAMES, 3);
         let (db, stats) = engine.integrate(&a, &b, "db").expect("integrates");
-        assert!(!stats.is_exact(), "budget of 3 truncates the 4×4 book");
+        assert_eq!(
+            stats.components_truncated(),
+            SEVEN_NAMES.len(),
+            "budget of 3 truncates every 3×3 component"
+        );
         let options = RefineOptions {
             extra_matchings: 7,
             threads: Some(Parallelism::new(threads)),
@@ -208,6 +222,10 @@ fn intra_component_thread_counts_are_bitwise_identical() {
             if step.remaining == 0 && step.refined.is_empty() {
                 break;
             }
+            assert!(
+                step.refined.is_empty() || step.refined.len() == SEVEN_NAMES.len(),
+                "every open component is refined, so the step fans out"
+            );
             assert!(fingerprints.len() < 1000, "failed to converge");
         }
         fingerprints
@@ -215,7 +233,7 @@ fn intra_component_thread_counts_are_bitwise_identical() {
     let serial = run(1);
     assert_eq!(
         *serial.last().expect("at least one step"),
-        sized_exhaustive_fingerprint(4),
+        books_exhaustive_fingerprint(&SEVEN_NAMES, 3),
         "staged refinement converges to the one-shot document"
     );
     for threads in [2, 4, 7] {
@@ -227,14 +245,14 @@ fn intra_component_thread_counts_are_bitwise_identical() {
     }
 }
 
-/// Racing refiners that each bring their *own* intra-component worker
-/// pool: optimistic engine rounds interleave parallel searches over the
-/// same component, and the result must still converge to the exhaustive
-/// fingerprint.
+/// Racing refiners that each bring their *own* component fan-out:
+/// optimistic engine rounds interleave parallel refine steps over the
+/// same components, and the result must still converge to the
+/// exhaustive fingerprint.
 #[test]
-fn racing_intra_component_workers_converge_to_the_exhaustive_fingerprint() {
-    let expected = sized_exhaustive_fingerprint(4);
-    let (engine, a, b) = engine_with_sized_sources(3, 4);
+fn racing_fan_outs_converge_to_the_exhaustive_fingerprint() {
+    let expected = books_exhaustive_fingerprint(&SEVEN_NAMES, 3);
+    let (engine, a, b) = engine_with_books(3, &SEVEN_NAMES, 3);
     let (db, _) = engine.integrate(&a, &b, "db").expect("integrates");
     std::thread::scope(|scope| {
         for threads in [2, 4, 7] {
@@ -259,5 +277,5 @@ fn racing_intra_component_workers_converge_to_the_exhaustive_fingerprint() {
     });
     engine.check_invariants(&db).expect("invariants hold");
     let got = engine.snapshot(&db).expect("db exists").doc().fingerprint();
-    assert_eq!(got, expected, "racing parallel searches diverged");
+    assert_eq!(got, expected, "racing parallel refine steps diverged");
 }
