@@ -19,19 +19,26 @@
 //! * `blocked/n=…` — `block_candidates` (recall-safe mode) first, then
 //!   `judge_row` over each surviving per-row run.
 //!
-//! Under `--bench` the harness ends with two regression gates measured
+//! Each blocked size also prints the blocker's work counts: in-bucket
+//! value pairs scanned, count-bound survivors, exact edit checks and
+//! kept pairs (`BlockingWork`).
+//!
+//! Under `--bench` the harness ends with three regression gates measured
 //! by `imprecise_bench::measure_candidate_scaling`: the blocked
 //! time ratio t(10 000)/t(1 000) must stay under
 //! [`CANDIDATE_GATE_CEILING`]× (a quadratic strategy grows 100× across
-//! that decade), and the scored fraction of the 10 000² cross product
-//! must stay under [`CANDIDATE_COVERAGE_CEILING`]. Set
+//! that decade), the scored fraction of the 10 000² cross product
+//! must stay under [`CANDIDATE_COVERAGE_CEILING`], and the n = 10 000
+//! run may make at most [`CANDIDATE_EXACT_CHECK_CEILING`] exact edit
+//! checks — a count, so that gate is free of timing noise. Set
 //! `IMPRECISE_BENCH_GATE=off` to skip the gates on noisy machines.
 
 use criterion::{criterion_group, Criterion};
 use imprecise::integrate::BlockingMode;
 use imprecise_bench::{
     blocking_oracle, candidate_workload, generate_batched, generate_blocked, generate_pairwise,
-    measure_candidate_scaling, CANDIDATE_COVERAGE_CEILING, CANDIDATE_GATE_CEILING,
+    measure_candidate_scaling, CANDIDATE_COVERAGE_CEILING, CANDIDATE_EXACT_CHECK_CEILING,
+    CANDIDATE_GATE_CEILING,
 };
 use std::hint::black_box;
 
@@ -66,6 +73,11 @@ fn bench_candidate_generation(c: &mut Criterion) {
 
     for n in ladder {
         let w = candidate_workload(n);
+        let work = generate_blocked(&w, &oracle, BlockingMode::RecallSafe).work;
+        println!(
+            "blocked/n={n} work: scanned {} bound survivors {} exact checks {} kept {}",
+            work.scanned, work.bound_survivors, work.exact_checks, work.kept
+        );
         group.bench_function(format!("blocked/n={n}"), |b| {
             b.iter(|| {
                 black_box(generate_blocked(
@@ -96,8 +108,9 @@ fn candidate_scaling_gate() {
     println!(
         "gate: blocked n=10000 {:?} / n=1000 {:?} = {ratio:.2}x \
          (ceiling {CANDIDATE_GATE_CEILING}x); scored {} of 10000^2 pairs \
-         = {coverage:.5} (ceiling {CANDIDATE_COVERAGE_CEILING})",
-        m.large, m.small, m.large_scored
+         = {coverage:.5} (ceiling {CANDIDATE_COVERAGE_CEILING}); {} exact \
+         checks (ceiling {CANDIDATE_EXACT_CHECK_CEILING})",
+        m.large, m.small, m.large_scored, m.large_work.exact_checks
     );
     assert!(
         m.holds(),
@@ -110,6 +123,13 @@ fn candidate_scaling_gate() {
         "blocked candidate generation scored {coverage:.5} of the n=10000 \
          cross product (ceiling {CANDIDATE_COVERAGE_CEILING}): the \
          prefilter stopped pruning"
+    );
+    assert!(
+        m.exact_checks_hold(),
+        "blocked candidate generation ran {} exact edit checks at n=10000 \
+         (ceiling {CANDIDATE_EXACT_CHECK_CEILING}): the count bounds stopped \
+         filtering before the edit-distance check",
+        m.large_work.exact_checks
     );
 }
 

@@ -10,7 +10,7 @@ use imprecise::integrate::{
     block_candidates, integrate_xml, BlockingMode, IntegrationOptions, IntegrationOutcome,
 };
 use imprecise::oracle::presets::{movie_oracle, MovieOracleConfig, TableIRuleSet};
-use imprecise::oracle::{Decision, ElemRef, Oracle};
+use imprecise::oracle::{BlockingWork, Decision, ElemRef, Oracle};
 use imprecise::pxml::{from_xml, PxDoc, PxNodeId};
 use imprecise::quality::{evaluate, QualityReport};
 use imprecise::query::RankedAnswers;
@@ -631,6 +631,8 @@ pub struct CandidateGeneration {
     pub pruned: usize,
     /// Pairs never examined at all (heuristic windowing only).
     pub windowed_out: usize,
+    /// What the blocker's gram index did (blocked generation only).
+    pub work: BlockingWork,
 }
 
 /// Baseline: every cross pair scored with one Oracle call at a time.
@@ -696,6 +698,7 @@ pub fn generate_blocked(
     let mut gen = CandidateGeneration {
         pruned: blocked.pruned,
         windowed_out: blocked.windowed_out,
+        work: blocked.work,
         ..CandidateGeneration::default()
     };
     let pairs = &blocked.pairs;
@@ -741,6 +744,12 @@ pub const CANDIDATE_GATE_CEILING: f64 = 50.0;
 /// Fraction of the 10k² cross product the blocked generator may score.
 pub const CANDIDATE_COVERAGE_CEILING: f64 = 0.10;
 
+/// Exact edit checks the blocked generator may run at n = 10 000. The
+/// count is deterministic, so this gate has no noise to absorb: the
+/// q-gram bound alone let 309 628 pairs through to the check, the
+/// character-frequency bound with it lets 55 616 through.
+pub const CANDIDATE_EXACT_CHECK_CEILING: usize = 60_000;
+
 /// Paired wall-clock comparison of blocked candidate generation at
 /// n=1 000 vs n=10 000 (see [`measure_candidate_scaling`]).
 #[derive(Debug, Clone, Copy)]
@@ -751,6 +760,8 @@ pub struct CandidateGateMeasurement {
     pub large: std::time::Duration,
     /// Pairs the n=10 000 run scored (out of 10 000² cross pairs).
     pub large_scored: usize,
+    /// What the n=10 000 run's gram index did.
+    pub large_work: BlockingWork,
 }
 
 impl CandidateGateMeasurement {
@@ -772,6 +783,12 @@ impl CandidateGateMeasurement {
     /// Whether blocking kept scoring under [`CANDIDATE_COVERAGE_CEILING`].
     pub fn coverage_holds(&self) -> bool {
         self.coverage() < CANDIDATE_COVERAGE_CEILING
+    }
+
+    /// Whether the n=10 000 run kept its exact edit checks within
+    /// [`CANDIDATE_EXACT_CHECK_CEILING`].
+    pub fn exact_checks_hold(&self) -> bool {
+        self.large_work.exact_checks <= CANDIDATE_EXACT_CHECK_CEILING
     }
 }
 
@@ -807,6 +824,7 @@ pub fn measure_candidate_scaling() -> CandidateGateMeasurement {
             small,
             large,
             large_scored: gen.scored,
+            large_work: gen.work,
         };
         if best.is_none_or(|b| pair.ratio() < b.ratio()) {
             best = Some(pair);

@@ -140,7 +140,10 @@ fn encode_options(o: &IntegrationOptions, out: &mut Vec<u8>) {
         }
     }
     put_bool(out, o.strict_matchings);
-    put_len(out, o.parallelism.raw());
+    // The worker count schedules whoever runs the state; it is not part
+    // of it. The slot keeps format v3's layout but always holds the
+    // serial value, so stored bytes do not depend on the worker count.
+    put_len(out, crate::Parallelism::SERIAL.raw());
     put_len(out, o.max_local_worlds);
     put_len(out, o.max_output_nodes);
     put_bool(out, o.simplify);
@@ -171,7 +174,11 @@ fn decode_options(r: &mut Reader<'_>) -> Result<IntegrationOptions, CodecError> 
         _ => return Err(r.err("min retained mass tag")),
     };
     let strict_matchings = take_bool(r, "strict matchings flag")?;
-    let parallelism = crate::Parallelism::new(r.take_len("parallelism")?);
+    // Written as a fixed value (see `encode_options`): a decoded state
+    // runs serially unless the refine call's `RefineOptions::threads`
+    // asks for workers.
+    r.take_len("parallelism")?;
+    let parallelism = crate::Parallelism::SERIAL;
     let max_local_worlds = r.take_len("max local worlds")?;
     let max_output_nodes = r.take_len("max output nodes")?;
     let simplify = take_bool(r, "simplify flag")?;

@@ -165,9 +165,9 @@ pub struct BudgetedMatchings {
 ///
 /// The worker count is a pure *scheduling* hint: the fan-out
 /// reassembles results in component order, so documents, stats and
-/// frontiers are identical at every value. (The refine-state codec
-/// stores the raw value with the options, so persisted state records
-/// which one was asked for.)
+/// frontiers are identical at every value. It is not part of stored
+/// state: the refine-state codec writes a fixed value in its slot, and a
+/// decoded state runs serially unless its refine call asks for workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism(usize);
 

@@ -15,10 +15,12 @@ use crate::pipeline::{self, CandidateSet, ComponentOutcome, DocFrontier};
 use crate::{
     BlockingMode, IntegrateError, IntegrationOptions, IntegrationStats, TruncatedComponent,
 };
-use imprecise_oracle::{Decision, ElemRef, Judgment, Oracle};
+use imprecise_oracle::{BlockingPlan, Decision, ElemRef, Judgment, Oracle};
 use imprecise_pxml::{px_deep_equal, PxDoc, PxNodeId, TooManyWorlds};
 use imprecise_xmlkit::{Attr, Schema};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A tag group's identity for the blocking cache: the two sides'
 /// element lists in document order.
@@ -49,7 +51,10 @@ pub(crate) struct Builder<'a> {
     /// `integrate_group` re-runs for it per enumerated local world, so
     /// the pruned/windowed counters tally unique pairs exactly like
     /// `pairs_judged` tallies unique judgments.
-    blocked_groups: HashMap<GroupKey, Vec<(usize, usize)>>,
+    blocked_groups: HashMap<GroupKey, Rc<Vec<(usize, usize)>>>,
+    /// Blocking plans, derived once per element tag (a handful of tags,
+    /// so a list).
+    plans: Vec<BlockingPlan>,
     /// Element-tag stack from the root to the pair currently being
     /// merged; tag groups report their position as
     /// `/<stack>/<group tag>` in errors and truncation records.
@@ -87,6 +92,7 @@ impl<'a> Builder<'a> {
             w_b,
             judgments: HashMap::new(),
             blocked_groups: HashMap::new(),
+            plans: Vec::new(),
             path: Vec::new(),
             stats: IntegrationStats::default(),
             frontiers: Vec::new(),
@@ -231,24 +237,22 @@ impl<'a> Builder<'a> {
         ga: &[PxNodeId],
         gb: &[PxNodeId],
         tag: &str,
-    ) -> Vec<(usize, usize)> {
-        let key = (ga.to_vec(), gb.to_vec());
-        if let Some(pairs) = self.blocked_groups.get(&key) {
-            return pairs.clone();
-        }
-        let blocked = pipeline::block_candidates(
-            self.a,
-            ga,
-            self.b,
-            gb,
-            self.oracle,
-            tag,
-            self.opts.blocking,
-        );
+    ) -> Rc<Vec<(usize, usize)>> {
+        let group = match self.blocked_groups.entry((ga.to_vec(), gb.to_vec())) {
+            Entry::Occupied(pairs) => return Rc::clone(pairs.get()),
+            Entry::Vacant(group) => group,
+        };
+        let plan = match self.plans.iter().position(|p| p.tag() == tag) {
+            Some(i) => &self.plans[i],
+            None => {
+                self.plans.push(self.oracle.blocking_plan(tag));
+                &self.plans[self.plans.len() - 1]
+            }
+        };
+        let blocked = pipeline::block_with_plan(self.a, ga, self.b, gb, plan, self.opts.blocking);
         self.stats.pairs_pruned += blocked.pruned;
         self.stats.pairs_windowed_out += blocked.windowed_out;
-        self.blocked_groups.insert(key, blocked.pairs.clone());
-        blocked.pairs
+        Rc::clone(group.insert(Rc::new(blocked.pairs)))
     }
 
     /// The Oracle's decisions about one left element against many right
@@ -507,7 +511,7 @@ impl<'a> Builder<'a> {
         // make the forced set injective.
         let survivors =
             (self.opts.blocking != BlockingMode::Off).then(|| self.blocked_pairs(ga, gb, tag));
-        let mut rest: &[(usize, usize)] = survivors.as_deref().unwrap_or_default();
+        let mut rest: &[(usize, usize)] = survivors.as_deref().map_or(&[], Vec::as_slice);
         let mut forced_raw: Vec<(usize, usize)> = Vec::new();
         let mut possible: Vec<Candidate> = Vec::new();
         // Judge row by row — all of `gb`, or blocking's survivors

@@ -30,7 +30,9 @@ use crate::matching::{
 };
 use crate::{BlockingMode, BudgetPlan, IntegrationOptions};
 use imprecise_oracle::value::PossibleValues;
-use imprecise_oracle::{BlockingPlan, ElemRef, ElementFeatures, Oracle, PruneFilter};
+use imprecise_oracle::{
+    BlockingPlan, BlockingWork, Candidates, ElemRef, ElementFeatures, Oracle, PruneFilter,
+};
 use imprecise_pxml::{PxDoc, PxNodeId};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,6 +101,9 @@ pub struct BlockedPairs {
     pub pruned: usize,
     /// Pairs dropped unexamined by heuristic windowing (recall risk).
     pub windowed_out: usize,
+    /// What recall-safe candidate generation did to find `pairs`
+    /// ([`BlockingPlan::candidates`]); zero in the other modes.
+    pub work: BlockingWork,
 }
 
 /// Stage 0 (optional): generate the candidate pairs of one tag group
@@ -125,15 +130,25 @@ pub fn block_candidates(
     tag: &str,
     mode: BlockingMode,
 ) -> BlockedPairs {
-    let total = ga.len() * gb.len();
     if mode == BlockingMode::Off {
-        return BlockedPairs {
-            pairs: cross_product(ga.len(), gb.len()),
-            pruned: 0,
-            windowed_out: 0,
-        };
+        return unblocked(ga.len(), gb.len());
     }
-    let plan = oracle.blocking_plan(tag);
+    block_with_plan(a, ga, b, gb, &oracle.blocking_plan(tag), mode)
+}
+
+/// [`block_candidates`] under a plan the caller derived once for its tag.
+pub(crate) fn block_with_plan(
+    a: &PxDoc,
+    ga: &[PxNodeId],
+    b: &PxDoc,
+    gb: &[PxNodeId],
+    plan: &BlockingPlan,
+    mode: BlockingMode,
+) -> BlockedPairs {
+    if mode == BlockingMode::Off {
+        return unblocked(ga.len(), gb.len());
+    }
+    let total = ga.len() * gb.len();
     let fa: Vec<ElementFeatures> = ga
         .iter()
         .map(|&n| plan.features(&ElemRef { doc: a, node: n }))
@@ -143,7 +158,7 @@ pub fn block_candidates(
         .map(|&n| plan.features(&ElemRef { doc: b, node: n }))
         .collect();
     if let BlockingMode::Heuristic { window } = mode {
-        let considered = window_pairs(&plan, a, ga, b, gb, window);
+        let considered = window_pairs(plan, a, ga, b, gb, window);
         let windowed_out = total - considered.len();
         let mut pairs = Vec::with_capacity(considered.len());
         let mut pruned = 0;
@@ -158,14 +173,24 @@ pub fn block_candidates(
             pairs,
             pruned,
             windowed_out,
+            work: BlockingWork::default(),
         }
     } else {
-        let pairs = plan.candidates(&fa, &fb);
+        let Candidates { pairs, work } = plan.candidates(&fa, &fb);
         BlockedPairs {
             pruned: total - pairs.len(),
             windowed_out: 0,
             pairs,
+            work,
         }
+    }
+}
+
+/// Every pair, nothing pruned: what [`BlockingMode::Off`] yields.
+fn unblocked(n_a: usize, n_b: usize) -> BlockedPairs {
+    BlockedPairs {
+        pairs: cross_product(n_a, n_b),
+        ..BlockedPairs::default()
     }
 }
 

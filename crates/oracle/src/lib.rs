@@ -35,7 +35,9 @@ pub mod value;
 
 pub mod presets;
 
-pub use blocking::{BlockingHint, BlockingPlan, ElementFeatures, PruneFilter};
+pub use blocking::{
+    BlockingHint, BlockingPlan, BlockingWork, Candidates, ElementFeatures, PruneFilter,
+};
 pub use decision::{Decision, Judgment};
 pub use dsl::{parse_rules, DslError};
 pub use prior::{PriorModel, SimilarityPrior, UniformPrior};

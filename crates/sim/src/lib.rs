@@ -25,8 +25,12 @@ pub mod token;
 
 pub use edit::{levenshtein, levenshtein_batch, levenshtein_similarity, similarity_batch};
 pub use jaro::{jaro, jaro_winkler};
-pub use normalize::{normalize_person_name, normalize_title, normalize_token};
-pub use token::{dice_trigram, jaccard_token_sets, jaccard_tokens, token_set, tokenize};
+pub use normalize::{
+    normalize_person_name, normalize_title, normalize_title_into, normalize_token,
+};
+pub use token::{
+    dice_trigram, jaccard_token_sets, jaccard_tokens, token_set, tokenize, tokenize_into,
+};
 
 use std::collections::BTreeSet;
 

@@ -17,21 +17,59 @@ pub fn normalize_token(token: &str) -> String {
 /// Normalise a movie title: lowercase, strip punctuation, convert roman
 /// numerals, collapse whitespace, and drop format qualifiers like `(tv)`.
 pub fn normalize_title(title: &str) -> String {
-    let tokens = imprecise_sim_tokenize(title);
     let mut out = String::with_capacity(title.len());
-    for token in tokens {
-        let n = normalize_token(&token);
-        if n == "tv" || n == "videogame" || n == "video" {
-            // Format qualifiers: "Jaws (TV)" names the same franchise entry
-            // family; the year rule distinguishes them when needed.
-            continue;
-        }
+    normalize_title_into(title, &mut out);
+    out
+}
+
+/// [`normalize_title`] into a caller-owned buffer (cleared first), with
+/// no allocation per token: each token is lowercased in place at the end
+/// of `out` and dropped again if it is a format qualifier. Gives the same
+/// string as [`normalize_title`] for every input.
+pub fn normalize_title_into(title: &str, out: &mut String) {
+    out.clear();
+    let mut rest = title;
+    while let Some(begin) = rest.find(char::is_alphanumeric) {
+        let end = rest[begin..]
+            .find(|c: char| !c.is_alphanumeric())
+            .map_or(rest.len(), |e| begin + e);
+        let mark = out.len();
         if !out.is_empty() {
             out.push(' ');
         }
-        out.push_str(&n);
+        let start = out.len();
+        // `tokenize` lowercases char by char, then `normalize_token`
+        // lowercases the token as a string. The second pass changes
+        // nothing unless some char is not its own lowercase, which no
+        // ASCII char is.
+        let token = &rest[begin..end];
+        if token.is_ascii() {
+            out.extend(token.bytes().map(|b| char::from(b.to_ascii_lowercase())));
+        } else {
+            out.extend(token.chars().flat_map(char::to_lowercase));
+        }
+        if !token.is_ascii() && !out[start..].chars().all(is_lowercase_fixed_point) {
+            let lower = out[start..].to_lowercase();
+            out.truncate(start);
+            out.push_str(&lower);
+        }
+        if let Some(arabic) = roman_to_arabic(&out[start..]) {
+            out.truncate(start);
+            out.push_str(&arabic.to_string());
+        }
+        if matches!(&out[start..], "tv" | "videogame" | "video") {
+            // Format qualifiers: "Jaws (TV)" names the same franchise entry
+            // family; the year rule distinguishes them when needed.
+            out.truncate(mark);
+        }
+        rest = &rest[end..];
     }
-    out
+}
+
+/// Whether `c` lowercases to itself alone.
+fn is_lowercase_fixed_point(c: char) -> bool {
+    let mut lower = c.to_lowercase();
+    lower.next() == Some(c) && lower.next().is_none()
 }
 
 /// Normalise a person name into lowercase `given family` order.
@@ -53,6 +91,9 @@ pub fn normalize_person_name(name: &str) -> String {
 
 /// Parse a roman numeral in `i..=xx`, the range sequels occupy.
 fn roman_to_arabic(s: &str) -> Option<u32> {
+    if s.len() > 5 || !s.bytes().all(|b| matches!(b, b'i' | b'v' | b'x')) {
+        return None;
+    }
     const TABLE: [(&str, u32); 20] = [
         ("i", 1),
         ("ii", 2),

@@ -4,21 +4,46 @@ use std::collections::BTreeSet;
 
 /// Split a string into lowercase alphanumeric tokens.
 pub fn tokenize(s: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut cur = String::new();
+    let mut buf = String::new();
+    let mut spans = Vec::new();
+    tokenize_into(s, &mut buf, &mut spans);
+    spans.into_iter().map(|r| buf[r].to_string()).collect()
+}
+
+/// [`tokenize`] without an allocation per token: the lowercased tokens
+/// are written back to back into `buf` (cleared first) and their byte
+/// ranges in `buf`, in order, into `spans` (cleared first). Callers that
+/// reuse both buffers tokenize without touching the heap.
+pub fn tokenize_into(s: &str, buf: &mut String, spans: &mut Vec<std::ops::Range<usize>>) {
+    buf.clear();
+    spans.clear();
+    let mut start = 0;
+    if s.is_ascii() {
+        // ASCII: alphanumeric and lowercase are the byte-level tests.
+        for b in s.bytes() {
+            if b.is_ascii_alphanumeric() {
+                buf.push(char::from(b.to_ascii_lowercase()));
+            } else if buf.len() > start {
+                spans.push(start..buf.len());
+                start = buf.len();
+            }
+        }
+        if buf.len() > start {
+            spans.push(start..buf.len());
+        }
+        return;
+    }
     for c in s.chars() {
         if c.is_alphanumeric() {
-            for lc in c.to_lowercase() {
-                cur.push(lc);
-            }
-        } else if !cur.is_empty() {
-            tokens.push(std::mem::take(&mut cur));
+            buf.extend(c.to_lowercase());
+        } else if buf.len() > start {
+            spans.push(start..buf.len());
+            start = buf.len();
         }
     }
-    if !cur.is_empty() {
-        tokens.push(cur);
+    if buf.len() > start {
+        spans.push(start..buf.len());
     }
-    tokens
 }
 
 /// The token *set* of a string: [`tokenize`] deduplicated and ordered.

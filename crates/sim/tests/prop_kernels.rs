@@ -133,3 +133,86 @@ proptest! {
         }
     }
 }
+
+/// The tokenizer as first written — one `String` per token, chars
+/// lowercased one by one — independent of the buffered implementation.
+fn reference_tokenize(s: &str) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let mut cur = String::new();
+    for c in s.chars() {
+        if c.is_alphanumeric() {
+            cur.extend(c.to_lowercase());
+        } else if !cur.is_empty() {
+            tokens.push(std::mem::take(&mut cur));
+        }
+    }
+    if !cur.is_empty() {
+        tokens.push(cur);
+    }
+    tokens
+}
+
+/// Title normalisation as first written: token by token, each
+/// lowercased as a string, roman numerals converted and format
+/// qualifiers dropped.
+fn reference_normalize_title(title: &str) -> String {
+    let mut out = String::new();
+    for token in reference_tokenize(title) {
+        let n = imprecise_sim::normalize_token(&token);
+        if n == "tv" || n == "videogame" || n == "video" {
+            continue;
+        }
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(&n);
+    }
+    out
+}
+
+/// Title-like text: words, numerals, qualifiers and punctuation, with
+/// non-ASCII letters whose lowercase is special.
+fn title_string() -> impl Strategy<Value = String> {
+    const PARTS: [&str; 16] = [
+        "Mission",
+        " ",
+        ": ",
+        "II",
+        "xviii",
+        "(TV)",
+        "Video",
+        "İstanbul",
+        "ΣΑΣ",
+        "Straße",
+        "2",
+        "-",
+        "ǅ",
+        "ﬁ",
+        "Amélie",
+        "★",
+    ];
+    proptest::collection::vec(0usize..PARTS.len(), 0..10)
+        .prop_map(|ix| ix.into_iter().map(|i| PARTS[i]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The buffered tokenizer and title normaliser give the strings the
+    /// per-token versions give, on ASCII, Unicode and title-like text.
+    #[test]
+    fn buffered_normalisation_matches_the_reference(
+        ascii in ascii_string(40),
+        unicode in unicode_string(24),
+        title in title_string(),
+    ) {
+        let (mut buf, mut spans, mut norm) = (String::new(), Vec::new(), String::new());
+        for s in [&ascii, &unicode, &title] {
+            imprecise_sim::tokenize_into(s, &mut buf, &mut spans);
+            let tokens: Vec<String> = spans.iter().map(|r| buf[r.clone()].to_string()).collect();
+            prop_assert_eq!(&tokens, &reference_tokenize(s));
+            imprecise_sim::normalize_title_into(s, &mut norm);
+            prop_assert_eq!(&norm, &reference_normalize_title(s));
+        }
+    }
+}

@@ -402,7 +402,29 @@ proptest! {
         let (db, ib) = items_doc(&specs_b);
         let fa = features(&plan, &da, &ia);
         let fb = features(&plan, &db, &ib);
-        prop_assert_eq!(plan.candidates(&fa, &fb), unpruned_pairs(&plan, &fa, &fb));
+        prop_assert_eq!(plan.candidates(&fa, &fb).pairs, unpruned_pairs(&plan, &fa, &fb));
+    }
+
+    /// A group with one element on either side skips the index and runs
+    /// `prunes` pair by pair: still exactly the unpruned pairs.
+    #[test]
+    fn one_row_groups_equal_the_pairwise_predicate(
+        one in item_strategy(),
+        many in proptest::collection::vec(item_strategy(), 0..12),
+        measure in 0usize..MEASURES.len(),
+        threshold in 0usize..THRESHOLDS.len(),
+        join in 0usize..3,
+    ) {
+        let plan = item_plan(MEASURES[measure], THRESHOLDS[threshold], join);
+        let (d1, i1) = items_doc(std::slice::from_ref(&one));
+        let (dn, i_n) = items_doc(&many);
+        let (f1, fn_) = (features(&plan, &d1, &i1), features(&plan, &dn, &i_n));
+        let one_by_n = plan.candidates(&f1, &fn_);
+        prop_assert_eq!(&one_by_n.pairs, &unpruned_pairs(&plan, &f1, &fn_));
+        prop_assert_eq!(one_by_n.work.scanned, 0);
+        let n_by_one = plan.candidates(&fn_, &f1);
+        prop_assert_eq!(&n_by_one.pairs, &unpruned_pairs(&plan, &fn_, &f1));
+        prop_assert_eq!(n_by_one.work.kept, n_by_one.pairs.len());
     }
 }
 
@@ -422,7 +444,7 @@ fn large_source_candidates_equal_the_pairwise_predicate() {
     let fa = features(&plan, &da, &movies(&da));
     let fb = features(&plan, &db, &movies(&db));
     assert_eq!(fa.len(), 2_000);
-    let pairs = plan.candidates(&fa, &fb);
+    let pairs = plan.candidates(&fa, &fb).pairs;
     assert_eq!(pairs, unpruned_pairs(&plan, &fa, &fb));
     assert!(pairs.len() >= 1_000, "the shared movies survive");
 }

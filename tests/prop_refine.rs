@@ -151,6 +151,72 @@ fn encoded_refine_state_bytes_are_pinned() {
     );
 }
 
+/// The worker count schedules a run; it is not stored. The 4×7 grid
+/// integrated and refined at `Parallelism` 1 and 2 encodes to the same
+/// refine-state bytes after every installment, and a durable store of
+/// each run holds the same segment bytes.
+#[test]
+fn stored_state_bytes_do_not_depend_on_the_worker_count() {
+    use imprecise::datagen::scenarios;
+    use imprecise::integrate::codec::encode_refine_state;
+    use imprecise::integrate::Parallelism;
+    use imprecise::store::{Durability, Store};
+    let grid = scenarios::confusable_grid(4, 7);
+    let oracle = movie_oracle(MovieOracleConfig {
+        title_rule: false,
+        ..MovieOracleConfig::default()
+    });
+    let run = |threads: usize, store: &ScratchStore| -> Vec<Vec<u8>> {
+        let parallelism = Parallelism::new(threads);
+        let mut outcome = integrate_xml(
+            &grid.mpeg7,
+            &grid.imdb,
+            &oracle,
+            Some(&grid.schema),
+            &IntegrationOptions {
+                max_matchings_per_component: 64,
+                parallelism,
+                ..IntegrationOptions::default()
+            },
+        )
+        .expect("budgeted never errors");
+        let installment = RefineOptions {
+            extra_matchings: 64,
+            threads: Some(parallelism),
+            ..RefineOptions::default()
+        };
+        let mut durable = Store::open(&store.0, Durability::OnClose).expect("opens");
+        let mut states = Vec::new();
+        for version in 1..=3u64 {
+            let mut published = outcome.clone();
+            let state = published
+                .detach_refine_state()
+                .expect("the grid stays open");
+            let mut bytes = Vec::new();
+            encode_refine_state(&state, &mut bytes);
+            states.push(bytes);
+            durable
+                .append_publish("grid", version, &published.doc, Some(&state))
+                .expect("appends");
+            outcome
+                .refine(&oracle, Some(&grid.schema), &installment)
+                .expect("refine succeeds");
+        }
+        states
+    };
+    let (serial_store, parallel_store) = (ScratchStore::new(), ScratchStore::new());
+    let serial = run(1, &serial_store);
+    let parallel = run(2, &parallel_store);
+    for (k, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+        assert!(s == p, "installment {k}: refine-state bytes differ");
+    }
+    let read = |s: &ScratchStore| std::fs::read(&s.0).expect("segment written");
+    assert!(
+        read(&serial_store) == read(&parallel_store),
+        "segment bytes differ between 1 and 2 workers"
+    );
+}
+
 /// Reopen the durable store after every installment of the staged
 /// 8 × 64 refinement of the 4×7 grid (budget 64), and refine what was
 /// recovered, one installment per "process". Each recovered version must
