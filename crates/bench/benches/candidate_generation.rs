@@ -29,15 +29,16 @@
 //! [`CANDIDATE_GATE_CEILING`]× (a quadratic strategy grows 100× across
 //! that decade), the scored fraction of the 10 000² cross product
 //! must stay under [`CANDIDATE_COVERAGE_CEILING`], and the n = 10 000
-//! run may make at most [`CANDIDATE_EXACT_CHECK_CEILING`] exact edit
-//! checks — a count, so that gate is free of timing noise. Set
+//! run may send at most [`CANDIDATE_EXACT_CHECK_SHARE`] of the value
+//! pairs it scans to an exact edit check — a ratio of counts, so that
+//! gate is free of timing noise. Set
 //! `IMPRECISE_BENCH_GATE=off` to skip the gates on noisy machines.
 
 use criterion::{criterion_group, Criterion};
 use imprecise::integrate::BlockingMode;
 use imprecise_bench::{
     blocking_oracle, candidate_workload, generate_batched, generate_blocked, generate_pairwise,
-    measure_candidate_scaling, CANDIDATE_COVERAGE_CEILING, CANDIDATE_EXACT_CHECK_CEILING,
+    measure_candidate_scaling, CANDIDATE_COVERAGE_CEILING, CANDIDATE_EXACT_CHECK_SHARE,
     CANDIDATE_GATE_CEILING,
 };
 use std::hint::black_box;
@@ -109,8 +110,13 @@ fn candidate_scaling_gate() {
         "gate: blocked n=10000 {:?} / n=1000 {:?} = {ratio:.2}x \
          (ceiling {CANDIDATE_GATE_CEILING}x); scored {} of 10000^2 pairs \
          = {coverage:.5} (ceiling {CANDIDATE_COVERAGE_CEILING}); {} exact \
-         checks (ceiling {CANDIDATE_EXACT_CHECK_CEILING})",
-        m.large, m.small, m.large_scored, m.large_work.exact_checks
+         checks of {} scanned pairs = {:.4} (ceiling {CANDIDATE_EXACT_CHECK_SHARE})",
+        m.large,
+        m.small,
+        m.large_scored,
+        m.large_work.exact_checks,
+        m.large_work.scanned,
+        m.exact_check_share()
     );
     assert!(
         m.holds(),
@@ -126,10 +132,10 @@ fn candidate_scaling_gate() {
     );
     assert!(
         m.exact_checks_hold(),
-        "blocked candidate generation ran {} exact edit checks at n=10000 \
-         (ceiling {CANDIDATE_EXACT_CHECK_CEILING}): the count bounds stopped \
-         filtering before the edit-distance check",
-        m.large_work.exact_checks
+        "blocked candidate generation sent {:.4} of its scanned pairs to an \
+         exact edit check at n=10000 (ceiling {CANDIDATE_EXACT_CHECK_SHARE}): \
+         the count bounds stopped filtering before the edit-distance check",
+        m.exact_check_share()
     );
 }
 

@@ -744,11 +744,12 @@ pub const CANDIDATE_GATE_CEILING: f64 = 50.0;
 /// Fraction of the 10k² cross product the blocked generator may score.
 pub const CANDIDATE_COVERAGE_CEILING: f64 = 0.10;
 
-/// Exact edit checks the blocked generator may run at n = 10 000. The
-/// count is deterministic, so this gate has no noise to absorb: the
-/// q-gram bound alone let 309 628 pairs through to the check, the
-/// character-frequency bound with it lets 55 616 through.
-pub const CANDIDATE_EXACT_CHECK_CEILING: usize = 60_000;
+/// Share of the in-bucket value pairs the blocked generator scans at
+/// n = 10 000 that may go on to an exact edit check. Both counts are
+/// deterministic, so this gate has no noise to absorb. The q-gram bound
+/// alone sends 37% of the scanned pairs to the check; the gate fails if
+/// the count bounds ever let through more than a quarter of them again.
+pub const CANDIDATE_EXACT_CHECK_SHARE: f64 = 0.25;
 
 /// Paired wall-clock comparison of blocked candidate generation at
 /// n=1 000 vs n=10 000 (see [`measure_candidate_scaling`]).
@@ -785,10 +786,14 @@ impl CandidateGateMeasurement {
         self.coverage() < CANDIDATE_COVERAGE_CEILING
     }
 
-    /// Whether the n=10 000 run kept its exact edit checks within
-    /// [`CANDIDATE_EXACT_CHECK_CEILING`].
+    /// Share of the n=10 000 run's scanned pairs it checked exactly.
+    pub fn exact_check_share(&self) -> f64 {
+        self.large_work.exact_checks as f64 / self.large_work.scanned.max(1) as f64
+    }
+
+    /// Whether that share stayed within [`CANDIDATE_EXACT_CHECK_SHARE`].
     pub fn exact_checks_hold(&self) -> bool {
-        self.large_work.exact_checks <= CANDIDATE_EXACT_CHECK_CEILING
+        self.exact_check_share() <= CANDIDATE_EXACT_CHECK_SHARE
     }
 }
 

@@ -1159,6 +1159,11 @@ impl Engine {
     /// [`feedback`](Self::feedback) protects against lost updates, and a
     /// refinement computed against a stale version is discarded and
     /// recomputed rather than published.
+    ///
+    /// A step runs on `options.threads` workers if set, else on the
+    /// engine's [`IntegrationOptions::parallelism`], for a state recovered
+    /// from a store exactly as for one integrated in this process: the
+    /// worker count is not part of stored state.
     pub fn refine(
         &self,
         handle: &DocHandle,
@@ -1189,8 +1194,12 @@ impl Engine {
         options: &RefineOptions,
     ) -> Result<(Option<Publish>, RefineStep), ImpreciseError> {
         let shared = &self.shared;
+        let options = RefineOptions {
+            threads: options.threads.or(Some(shared.options.parallelism)),
+            ..*options
+        };
         let mut outcome = IntegrationOutcome::with_refine_state((**doc).clone(), (**state).clone());
-        let mut step = outcome.refine(&shared.oracle, shared.schema.as_ref(), options)?;
+        let mut step = outcome.refine(&shared.oracle, shared.schema.as_ref(), &options)?;
         if step.arena_total >= COMPACT_MIN_SLOTS
             && (step.arena_total - step.arena_live) as f64
                 >= COMPACT_DETACHED_FRACTION * step.arena_total as f64

@@ -174,9 +174,9 @@ fn decode_options(r: &mut Reader<'_>) -> Result<IntegrationOptions, CodecError> 
         _ => return Err(r.err("min retained mass tag")),
     };
     let strict_matchings = take_bool(r, "strict matchings flag")?;
-    // Written as a fixed value (see `encode_options`): a decoded state
-    // runs serially unless the refine call's `RefineOptions::threads`
-    // asks for workers.
+    // Written as a fixed value (see `encode_options`). Whoever refines
+    // the decoded state supplies the worker count: the engine fills
+    // `RefineOptions::threads` from its own options.
     r.take_len("parallelism")?;
     let parallelism = crate::Parallelism::SERIAL;
     let max_local_worlds = r.take_len("max local worlds")?;

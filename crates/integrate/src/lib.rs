@@ -463,7 +463,10 @@ pub struct RefineOptions {
     /// [`IntegrationOptions::parallelism`] when set. The selected
     /// components fan out across workers, one component per worker at a
     /// time; a step that refines one component runs on one thread.
-    /// Results are bit-identical at every value.
+    /// Results are bit-identical at every value. The worker count is not
+    /// stored with a refine state: a state decoded from its bytes carries
+    /// [`Parallelism::SERIAL`], and the engine fills this field from its
+    /// own options when the call leaves it unset.
     pub threads: Option<Parallelism>,
 }
 

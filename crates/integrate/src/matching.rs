@@ -166,8 +166,8 @@ pub struct BudgetedMatchings {
 /// The worker count is a pure *scheduling* hint: the fan-out
 /// reassembles results in component order, so documents, stats and
 /// frontiers are identical at every value. It is not part of stored
-/// state: the refine-state codec writes a fixed value in its slot, and a
-/// decoded state runs serially unless its refine call asks for workers.
+/// state: the refine-state codec writes a fixed value in its slot, and
+/// the engine refines a decoded state on its own worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism(usize);
 

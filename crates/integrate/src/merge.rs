@@ -229,30 +229,40 @@ impl<'a> Builder<'a> {
         Ok((alts_a, alts_b))
     }
 
-    /// Blocking's surviving pairs of a tag group, in row-major order. A
-    /// group is blocked once however many local worlds revisit it, so the
-    /// pruned/windowed counters tally unique pairs.
+    /// Blocking's surviving pairs of a tag group, in row-major order, or
+    /// `None` when every pair survives unexamined: blocking is off, or
+    /// recall-safe blocking has no filter for the tag. A group is blocked
+    /// once however many local worlds revisit it, so the pruned/windowed
+    /// counters tally unique pairs.
     fn blocked_pairs(
         &mut self,
         ga: &[PxNodeId],
         gb: &[PxNodeId],
         tag: &str,
-    ) -> Rc<Vec<(usize, usize)>> {
-        let group = match self.blocked_groups.entry((ga.to_vec(), gb.to_vec())) {
-            Entry::Occupied(pairs) => return Rc::clone(pairs.get()),
-            Entry::Vacant(group) => group,
-        };
+    ) -> Option<Rc<Vec<(usize, usize)>>> {
+        let mode = self.opts.blocking;
+        if mode == BlockingMode::Off {
+            return None;
+        }
         let plan = match self.plans.iter().position(|p| p.tag() == tag) {
-            Some(i) => &self.plans[i],
+            Some(i) => i,
             None => {
                 self.plans.push(self.oracle.blocking_plan(tag));
-                &self.plans[self.plans.len() - 1]
+                self.plans.len() - 1
             }
         };
-        let blocked = pipeline::block_with_plan(self.a, ga, self.b, gb, plan, self.opts.blocking);
+        let plan = &self.plans[plan];
+        if mode == BlockingMode::RecallSafe && plan.is_empty() {
+            return None;
+        }
+        let group = match self.blocked_groups.entry((ga.to_vec(), gb.to_vec())) {
+            Entry::Occupied(pairs) => return Some(Rc::clone(pairs.get())),
+            Entry::Vacant(group) => group,
+        };
+        let blocked = pipeline::block_with_plan(self.a, ga, self.b, gb, plan, mode);
         self.stats.pairs_pruned += blocked.pruned;
         self.stats.pairs_windowed_out += blocked.windowed_out;
-        Rc::clone(group.insert(Rc::new(blocked.pairs)))
+        Some(Rc::clone(group.insert(Rc::new(blocked.pairs))))
     }
 
     /// The Oracle's decisions about one left element against many right
@@ -509,8 +519,7 @@ impl<'a> Builder<'a> {
         // prefilters — recall-safe pruning drops provable `NonMatch`es, so
         // it cannot change what lands in `forced_raw`/`possible`), then
         // make the forced set injective.
-        let survivors =
-            (self.opts.blocking != BlockingMode::Off).then(|| self.blocked_pairs(ga, gb, tag));
+        let survivors = self.blocked_pairs(ga, gb, tag);
         let mut rest: &[(usize, usize)] = survivors.as_deref().map_or(&[], Vec::as_slice);
         let mut forced_raw: Vec<(usize, usize)> = Vec::new();
         let mut possible: Vec<Candidate> = Vec::new();

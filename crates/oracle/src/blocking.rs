@@ -66,10 +66,11 @@
 //!    Singh (VLDB 2001). Rather than evaluate it per value, each row
 //!    looks up, per distinct b shape (characters and tokens), the least
 //!    shared counts at which `count_bound` reaches the threshold, found by
-//!    searching `count_bound` itself once per pair of shapes; the
-//!    per-value test is then integer compares with the float
-//!    comparison's answer. A value that passes on shared tokens alone is
-//!    certain and skips the exact check.
+//!    searching `count_bound` itself the first time the call meets that
+//!    pair of shapes and remembered for the rest of it; the per-value
+//!    test is then integer compares with the float comparison's answer.
+//!    A value that passes on shared tokens alone is certain and skips the
+//!    exact check.
 //! 4. **Row-batched exact check.** The edit measures' other bound
 //!    survivors of one a value are checked in one
 //!    [`sim::levenshtein_batch`] call, so the pattern is preprocessed
@@ -101,7 +102,6 @@
 
 use crate::rules::{Rule, SimMeasure};
 use crate::value::{ElemRef, PossibleValues};
-use imprecise_pxml::PxDoc;
 use imprecise_sim as sim;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -254,11 +254,6 @@ impl BlockingPlan {
 
     /// Extract this plan's per-element features. Cheap for elements of
     /// another tag (every filter becomes inapplicable and never prunes).
-    ///
-    /// Values are read borrowed from the document wherever one text node
-    /// holds them, and the similarity profiles are built in per-thread
-    /// scratch buffers, so an element costs one allocation per stored
-    /// part, not one per token or gram.
     pub fn features(&self, e: &ElemRef<'_>) -> ElementFeatures {
         if e.tag() != self.tag {
             return ElementFeatures {
@@ -269,27 +264,29 @@ impl BlockingPlan {
             .filters
             .iter()
             .map(|f| match f {
-                PruneFilter::KeyDiffers { value_path } => match values_at(e, value_path) {
-                    Some(vs) => {
-                        FilterFeatures::Equality(vs.iter().map(|v| v.trim().to_string()).collect())
+                PruneFilter::KeyDiffers { value_path } => {
+                    match e.possible_values_at(value_path, VALUE_VARIANT_CAP) {
+                        PossibleValues::Values(vs) if !vs.is_empty() => FilterFeatures::Equality(
+                            vs.iter().map(|v| v.trim().to_string()).collect(),
+                        ),
+                        _ => FilterFeatures::Inapplicable,
                     }
-                    None => FilterFeatures::Inapplicable,
-                },
-                PruneFilter::TextDiffers => match own_texts(e) {
-                    Some(ts) => {
+                }
+                PruneFilter::TextDiffers => match e.possible_own_texts(VALUE_VARIANT_CAP) {
+                    Some(ts) if !ts.is_empty() => {
                         FilterFeatures::Equality(ts.into_iter().map(Cow::into_owned).collect())
                     }
-                    None => FilterFeatures::Inapplicable,
+                    _ => FilterFeatures::Inapplicable,
                 },
                 PruneFilter::SimilarityBelow {
                     value_path,
                     measure,
                     ..
-                } => match values_at(e, value_path) {
-                    Some(vs) => FilterFeatures::Similarity(
+                } => match e.possible_values_at(value_path, VALUE_VARIANT_CAP) {
+                    PossibleValues::Values(vs) if !vs.is_empty() => FilterFeatures::Similarity(
                         vs.iter().map(|v| SimFeature::new(*measure, v)).collect(),
                     ),
-                    None => FilterFeatures::Inapplicable,
+                    _ => FilterFeatures::Inapplicable,
                 },
             })
             .collect();
@@ -358,7 +355,7 @@ impl BlockingPlan {
         }
         keyed.sort_unstable();
         keyed.dedup();
-        let mut index = Index::new(filter, fa, fb);
+        let mut index = Index::new(filter);
         let mut keys: Vec<&str> = Vec::new();
         let mut buckets: Vec<Bucket<'_>> = Vec::new();
         for run in keyed.chunk_by(|x, y| x.0 == y.0) {
@@ -386,16 +383,6 @@ impl BlockingPlan {
             buckets.push(Bucket::new(wild, fb, &mut index));
             rows.push((0..fa.len()).collect());
         }
-        let scan_size = buckets
-            .iter()
-            .zip(&rows)
-            .map(|(bucket, rows)| {
-                let values: usize = rows.iter().map(|&ai| index.values(&fa[ai]).len()).sum();
-                values.saturating_mul(bucket.slots.len())
-            })
-            .fold(0, usize::saturating_add);
-        index.needs.tabulate_within(scan_size);
-
         // The join and the index decide their own filters exactly: a row
         // meets a member only where the join filter cannot fire, and the
         // index keeps a member only where the indexed filter does not.
@@ -450,69 +437,6 @@ impl BlockingPlan {
                 }),
                 _ => None,
             })
-    }
-}
-
-/// The possible values at `path` below `e`, as
-/// [`ElemRef::possible_values_at`] with the rules' variant cap: `None`
-/// where a filter must abstain (missing, unknown or no values).
-///
-/// A one-step path over children that hold no choice point is read in
-/// one pass over the children, borrowing each value from the document
-/// when its element holds one text node (or none); any other shape takes
-/// the general lookup, which owns its values.
-fn values_at<'d>(e: &ElemRef<'d>, path: &str) -> Option<Vec<Cow<'d, str>>> {
-    let doc = e.doc;
-    let children = doc.children(e.node);
-    if !path.is_empty() && !path.contains('/') && !children.iter().any(|&c| doc.is_prob(c)) {
-        let mut values: Vec<Cow<'d, str>> = Vec::new();
-        for &c in children {
-            if doc.tag(c) != Some(path) {
-                continue;
-            }
-            let Some(v) = simple_text(doc, c) else {
-                return general_values(e, path);
-            };
-            if !values.iter().any(|x| x == v) {
-                values.push(Cow::Borrowed(v));
-            }
-            if values.len() > VALUE_VARIANT_CAP {
-                return None;
-            }
-        }
-        return (!values.is_empty()).then_some(values);
-    }
-    general_values(e, path)
-}
-
-fn general_values<'d>(e: &ElemRef<'d>, path: &str) -> Option<Vec<Cow<'d, str>>> {
-    match e.possible_values_at(path, VALUE_VARIANT_CAP) {
-        PossibleValues::Values(vs) if !vs.is_empty() => {
-            Some(vs.into_iter().map(Cow::Owned).collect())
-        }
-        _ => None,
-    }
-}
-
-/// The element's own possible texts (`None` where a filter must
-/// abstain), borrowed when the element holds one text node or none.
-fn own_texts<'d>(e: &ElemRef<'d>) -> Option<Vec<Cow<'d, str>>> {
-    if let Some(v) = simple_text(e.doc, e.node) {
-        return Some(vec![Cow::Borrowed(v)]);
-    }
-    match e.possible_own_texts(VALUE_VARIANT_CAP) {
-        Some(ts) if !ts.is_empty() => Some(ts.into_iter().map(Cow::Owned).collect()),
-        _ => None,
-    }
-}
-
-/// The text of an element with one text child (or `""` with no child):
-/// the one value `possible_texts` gives such an element.
-fn simple_text(doc: &PxDoc, node: imprecise_pxml::PxNodeId) -> Option<&str> {
-    match doc.children(node) {
-        [] => Some(""),
-        [t] => doc.text(*t),
-        _ => None,
     }
 }
 
@@ -694,7 +618,7 @@ struct GramProfile {
 }
 
 /// The sizes the count-based bounds read: characters and distinct tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct Shape {
     chars: usize,
     tokens: usize,
@@ -721,13 +645,15 @@ impl Common {
     }
 }
 
-/// Reused buffers of profile construction.
+/// Reused buffers of profile construction, one set per thread, so a
+/// profile allocates only the parts it keeps.
 #[derive(Default)]
 struct ProfileScratch {
     tokens: String,
     spans: Vec<std::ops::Range<usize>>,
     codes: Vec<u64>,
-    bins: Vec<u8>,
+    /// Characters per bin, all zero between calls.
+    bins: Vec<u32>,
 }
 
 thread_local! {
@@ -758,18 +684,26 @@ impl GramProfile {
             let (mut chars, mut bigrams, mut bins) = (0, Box::default(), Box::default());
             if grams {
                 s.codes.clear();
-                s.bins.clear();
+                s.bins.resize(CHAR_BINS, 0);
                 let mut prev = None;
                 for c in text.chars() {
                     if let Some(p) = prev {
                         s.codes.push(bigram_code(p, c));
                     }
-                    s.bins.push(char_bin(c));
+                    s.bins[usize::from(char_bin(c))] += 1;
+                    chars += 1;
                     prev = Some(c);
                 }
-                chars = s.bins.len();
                 bigrams = sorted_counts(&mut s.codes);
-                bins = sorted_counts(&mut s.bins);
+                // The bins are counted in place, so their runs come out
+                // sorted without a sort.
+                let mut runs = Vec::with_capacity(s.bins.iter().filter(|&&n| n > 0).count());
+                for (bin, n) in s.bins.iter_mut().enumerate() {
+                    if *n > 0 {
+                        runs.push((bin as u8, std::mem::take(n)));
+                    }
+                }
+                bins = runs.into_boxed_slice();
             }
             GramProfile {
                 shape: Shape {
@@ -1137,51 +1071,22 @@ struct IndexedFilter {
 
 /// What every bucket of one [`BlockingPlan::candidates`] call shares:
 /// the indexed filter, a dense id per token of the b side, and the
-/// [`Need`]s of value shape pairs.
+/// [`Need`] of each (a shape, b shape) pair met so far. A row looks up
+/// one need per distinct shape of the bucket it scans, so the memo holds
+/// no more entries than the scan has pairs.
 struct Index<'f> {
     filter: Option<IndexedFilter>,
     token_ids: HashMap<&'f str, u32>,
-    needs: Needs,
+    needs: HashMap<(Shape, Shape), Need>,
 }
 
 impl<'f> Index<'f> {
-    fn new(
-        filter: Option<IndexedFilter>,
-        fa: &'f [ElementFeatures],
-        fb: &'f [ElementFeatures],
-    ) -> Self {
-        let mut index = Index {
+    fn new(filter: Option<IndexedFilter>) -> Self {
+        Index {
             filter,
             token_ids: HashMap::new(),
-            needs: Needs {
-                measure: SimMeasure::Title,
-                threshold: f64::INFINITY,
-                a_shapes: Vec::new(),
-                b_shapes: Vec::new(),
-                table: None,
-            },
-        };
-        if let Some(f) = filter {
-            let shapes = |fs: &'f [ElementFeatures]| -> Vec<Shape> {
-                let mut shapes: Vec<Shape> = fs
-                    .iter()
-                    .flat_map(|e| index.values(e))
-                    .filter_map(SimFeature::profile)
-                    .map(|p| p.shape)
-                    .collect();
-                shapes.sort_unstable();
-                shapes.dedup();
-                shapes
-            };
-            index.needs = Needs {
-                measure: f.measure,
-                threshold: f.threshold,
-                a_shapes: shapes(fa),
-                b_shapes: shapes(fb),
-                table: None,
-            };
+            needs: HashMap::new(),
         }
-        index
     }
 
     /// The indexed filter's values of one element; empty when the filter
@@ -1193,52 +1098,19 @@ impl<'f> Index<'f> {
         }
     }
 
+    /// The need of an a value of shape `a` against a b value of shape
+    /// `b`, derived on first sight.
+    fn need(&mut self, f: IndexedFilter, a: Shape, b: Shape) -> Need {
+        *self
+            .needs
+            .entry((a, b))
+            .or_insert_with(|| Need::derive(f.measure, f.threshold, a, b))
+    }
+
     /// The dense id of a b-side token, assigned on first sight.
     fn intern(&mut self, token: &'f str) -> u32 {
         let next = self.token_ids.len() as u32;
         *self.token_ids.entry(token).or_insert(next)
-    }
-}
-
-/// The [`Need`] of every (a shape, b shape) pair one call meets. Each is
-/// derived once and kept in a table where the table has no more entries
-/// than the in-bucket pairs it serves; otherwise each row derives the
-/// needs of its bucket's shapes afresh, which costs no more than the
-/// scan itself.
-struct Needs {
-    measure: SimMeasure,
-    threshold: f64,
-    a_shapes: Vec<Shape>,
-    b_shapes: Vec<Shape>,
-    /// `a_shapes × b_shapes`, a-major; `None` until derived.
-    table: Option<Vec<Option<Need>>>,
-}
-
-impl Needs {
-    /// Keep a table if it has no more entries than `scan_size`.
-    fn tabulate_within(&mut self, scan_size: usize) {
-        let entries = self.a_shapes.len().saturating_mul(self.b_shapes.len());
-        if entries <= scan_size {
-            self.table = Some(vec![None; entries]);
-        }
-    }
-
-    fn a_shape(&self, shape: Shape) -> usize {
-        self.a_shapes.binary_search(&shape).unwrap_or_default()
-    }
-
-    fn b_shape(&self, shape: Shape) -> usize {
-        self.b_shapes.binary_search(&shape).unwrap_or_default()
-    }
-
-    /// The need of a shapes `a` and b shapes `b` (indices).
-    fn need(&mut self, a: usize, b: usize) -> Need {
-        let (shape_a, shape_b, width) = (self.a_shapes[a], self.b_shapes[b], self.b_shapes.len());
-        let derive = || Need::derive(self.measure, self.threshold, shape_a, shape_b);
-        match &mut self.table {
-            Some(table) => *table[a * width + b].get_or_insert_with(derive),
-            None => derive(),
-        }
     }
 }
 
@@ -1307,8 +1179,8 @@ struct Bucket<'f> {
     /// for every bigram survivor, so they sit together.
     chars: Vec<(u8, u32)>,
     char_starts: Vec<usize>,
-    /// The slots' distinct shapes, as indices into `Needs::b_shapes`.
-    shapes: Vec<usize>,
+    /// The slots' distinct shapes, ascending.
+    shapes: Vec<Shape>,
     tokens: Postings<u32>,
     bigrams: Postings<u64>,
 }
@@ -1373,19 +1245,19 @@ impl<'f> Bucket<'f> {
                     char_starts.push(chars.len());
                     slots.push(Slot {
                         member: member as u32,
-                        shape: index.needs.b_shape(profile.shape) as u32,
+                        shape: 0,
                         text,
                         profile,
                     });
                 }
             }
         }
-        let mut shapes: Vec<usize> = slots.iter().map(|s| s.shape as usize).collect();
+        let mut shapes: Vec<Shape> = slots.iter().map(|s| s.profile.shape).collect();
         shapes.sort_unstable();
         shapes.dedup();
         for slot in &mut slots {
             slot.shape = shapes
-                .binary_search(&(slot.shape as usize))
+                .binary_search(&slot.profile.shape)
                 .unwrap_or_default() as u32;
         }
         Bucket {
@@ -1485,10 +1357,9 @@ impl<'f> Bucket<'f> {
                 return;
             };
             self.count(index, profile, scan);
-            let a_shape = index.needs.a_shape(profile.shape);
             scan.needs.clear();
             for &b_shape in &self.shapes {
-                scan.needs.push(index.needs.need(a_shape, b_shape));
+                scan.needs.push(index.need(f, profile.shape, b_shape));
             }
             scan.pending.clear();
             work.scanned += self.slots.len();
@@ -1763,47 +1634,6 @@ mod tests {
         assert_eq!(fm.join_keys(1), None, "missing year must stay wild");
     }
 
-    /// The borrowed one-pass lookup gives the values the general lookup
-    /// gives: repeated, empty and element-valued children, a choice
-    /// point among the children, and multi-step and empty paths.
-    #[test]
-    fn borrowed_values_equal_the_general_lookup() {
-        let docs = [
-            "<movie><title>Jaws</title><year>1975</year></movie>",
-            "<movie><genre>Horror</genre><genre>Drama</genre><genre>Horror</genre></movie>",
-            "<movie><title/><title>Jaws</title></movie>",
-            "<movie><title>Jaws <b>2</b></title></movie>",
-            "<movie><info><year>1975</year></info></movie>",
-            "<movie>Jaws</movie>",
-        ];
-        let mut uncertain = px("<movie><title>Jaws</title></movie>");
-        let movie = root_elem(&uncertain).node;
-        let choice = uncertain.add_prob(movie);
-        for year in ["1975", "1976"] {
-            let poss = uncertain.add_poss(choice, 0.5);
-            uncertain.add_text_elem(poss, "year", year);
-        }
-        let mut all: Vec<PxDoc> = docs.iter().map(|x| px(x)).collect();
-        all.push(uncertain);
-        for doc in &all {
-            let e = root_elem(doc);
-            for path in ["title", "year", "genre", "info/year", "", "b"] {
-                let general = match e.possible_values_at(path, VALUE_VARIANT_CAP) {
-                    PossibleValues::Values(vs) if !vs.is_empty() => Some(vs),
-                    _ => None,
-                };
-                let borrowed =
-                    values_at(&e, path).map(|vs| vs.into_iter().map(Cow::into_owned).collect());
-                assert_eq!(borrowed, general, "path {path:?}");
-            }
-            let own = own_texts(&e).map(|vs| vs.into_iter().map(Cow::into_owned).collect());
-            let general = e
-                .possible_own_texts(VALUE_VARIANT_CAP)
-                .filter(|ts| !ts.is_empty());
-            assert_eq!(own, general);
-        }
-    }
-
     #[test]
     fn other_tag_features_never_prune() {
         let plan = movie_oracle_like().blocking_plan("movie");
@@ -1838,7 +1668,7 @@ mod tests {
                     measure,
                     threshold,
                 };
-                let mut index = Index::new(Some(filter), &fb, &fb);
+                let mut index = Index::new(Some(filter));
                 let bucket = Bucket::new((0..fb.len()).collect(), &fb, &mut index);
                 assert_eq!(bucket.slots.len(), VALUES.len());
                 let mut scan = Scan::default();
@@ -1846,7 +1676,6 @@ mod tests {
                     let x = &index.values(fa)[0];
                     let profile = x.profile().expect("count-bounded");
                     bucket.count(&index, profile, &mut scan);
-                    let a_shape = index.needs.a_shape(profile.shape);
                     for (s, slot) in bucket.slots.iter().enumerate() {
                         let b = VALUES[bucket.members[slot.member as usize]];
                         let common = bucket.common(s, &scan);
@@ -1860,9 +1689,7 @@ mod tests {
                             upper.to_bits(),
                             "{measure:?} {a:?} vs {b:?}"
                         );
-                        let need = index
-                            .needs
-                            .need(a_shape, bucket.shapes[slot.shape as usize]);
+                        let need = index.need(filter, profile.shape, slot.profile.shape);
                         let passes = need.by_tokens(scan.tokens[s])
                             || need.by_edits(scan.bigrams[s], |n| common.chars as u32 >= n);
                         let early = need.by_tokens(scan.tokens[s])

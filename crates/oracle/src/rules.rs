@@ -128,9 +128,9 @@ impl Rule for ExactTextRule {
 /// The uniform verdict over every cross pair of possible values: `Match`
 /// when `same` holds for all pairs, `NonMatch` when it holds for none,
 /// abstention when the pairs disagree (or either side is empty).
-fn decide_over_pairs(
-    a: &[String],
-    b: &[String],
+fn decide_over_pairs<T: AsRef<str>>(
+    a: &[T],
+    b: &[T],
     same: impl Fn(&str, &str) -> bool,
 ) -> Option<Decision> {
     if a.is_empty() || b.is_empty() {
@@ -140,7 +140,7 @@ fn decide_over_pairs(
     let mut any_diff = false;
     for x in a {
         for y in b {
-            if same(x, y) {
+            if same(x.as_ref(), y.as_ref()) {
                 any_same = true;
             } else {
                 any_diff = true;

@@ -9,6 +9,7 @@
 //! over.
 
 use imprecise_pxml::{PxDoc, PxNodeId};
+use std::borrow::Cow;
 
 /// A borrowed reference to one element inside a probabilistic document.
 #[derive(Clone, Copy)]
@@ -124,7 +125,10 @@ impl<'a> ElemRef<'a> {
     /// in *every* world (else a rule deciding "non-match in all worlds"
     /// would be unsound); [`PossibleValues::Unknown`] when presence cannot
     /// be guaranteed or more than `cap` variants exist.
-    pub fn possible_values_at(&self, path: &str, cap: usize) -> PossibleValues {
+    ///
+    /// A value held by one text node is borrowed from the document; only
+    /// values assembled from several nodes are owned.
+    pub fn possible_values_at(&self, path: &str, cap: usize) -> PossibleValues<'a> {
         let mut frontier: Vec<PxNodeId> = vec![self.node];
         let mut covered = true;
         for step in path.split('/').filter(|s| !s.is_empty()) {
@@ -163,7 +167,7 @@ impl<'a> ElemRef<'a> {
             }
             frontier = next;
         }
-        let mut values: Vec<String> = Vec::new();
+        let mut values: Vec<Cow<'a, str>> = Vec::new();
         for node in frontier {
             match possible_texts(self.doc, node, cap) {
                 Some(texts) => {
@@ -187,45 +191,51 @@ impl<'a> ElemRef<'a> {
     }
 
     /// The set of text values this element itself can take across worlds,
-    /// or `None` when more than `cap` variants exist.
-    pub fn possible_own_texts(&self, cap: usize) -> Option<Vec<String>> {
+    /// or `None` when more than `cap` variants exist. Borrowed as in
+    /// [`ElemRef::possible_values_at`].
+    pub fn possible_own_texts(&self, cap: usize) -> Option<Vec<Cow<'a, str>>> {
         possible_texts(self.doc, self.node, cap)
     }
 }
 
 /// Result of a choice-aware value lookup ([`ElemRef::possible_values_at`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PossibleValues {
+pub enum PossibleValues<'a> {
     /// The element certainly does not exist (in any world).
     Missing,
     /// Presence or value set could not be bounded — rules must abstain.
     Unknown,
     /// The element exists in every world; its value is always one of
     /// these (deduplicated, in discovery order).
-    Values(Vec<String>),
+    Values(Vec<Cow<'a, str>>),
 }
 
 /// All possible string values of `node`'s subtree: the cross product of
 /// its children's variants, with choice points contributing one variant
 /// per possibility. `None` when more than `cap` variants accumulate.
-fn possible_texts(doc: &PxDoc, node: PxNodeId, cap: usize) -> Option<Vec<String>> {
+/// A variant that one text node spells out is borrowed from `doc`.
+fn possible_texts(doc: &PxDoc, node: PxNodeId, cap: usize) -> Option<Vec<Cow<'_, str>>> {
     use imprecise_pxml::PxNodeKind;
     match doc.kind(node) {
-        PxNodeKind::Text(t) => Some(vec![t.clone()]),
+        PxNodeKind::Text(t) => Some(vec![Cow::Borrowed(t.as_str())]),
         PxNodeKind::Elem { .. } | PxNodeKind::Poss => {
-            let mut acc: Vec<String> = vec![String::new()];
+            let mut acc: Vec<Cow<'_, str>> = vec![Cow::Borrowed("")];
             for &c in doc.children(node) {
                 let parts = possible_texts(doc, c, cap)?;
-                if parts.len() == 1 {
+                if let [part] = parts.as_slice() {
                     for a in &mut acc {
-                        a.push_str(&parts[0]);
+                        if a.is_empty() {
+                            *a = part.clone();
+                        } else {
+                            a.to_mut().push_str(part);
+                        }
                     }
                     continue;
                 }
                 let mut next = Vec::with_capacity(acc.len() * parts.len());
                 for a in &acc {
                     for p in &parts {
-                        next.push(format!("{a}{p}"));
+                        next.push(Cow::Owned(format!("{a}{p}")));
                     }
                 }
                 if next.len() > cap {
@@ -236,7 +246,7 @@ fn possible_texts(doc: &PxDoc, node: PxNodeId, cap: usize) -> Option<Vec<String>
             Some(acc)
         }
         PxNodeKind::Prob => {
-            let mut out: Vec<String> = Vec::new();
+            let mut out: Vec<Cow<'_, str>> = Vec::new();
             for &poss in doc.children(node) {
                 for v in possible_texts(doc, poss, cap)? {
                     if !out.contains(&v) {
@@ -346,5 +356,24 @@ mod tests {
         let px = from_xml(&parse("<g>Horror</g>").unwrap());
         let m = movie_ref(&px);
         assert_eq!(m.own_text(), ValueLookup::Value("Horror".into()));
+    }
+
+    #[test]
+    fn possible_values_borrow_single_text_nodes() {
+        let px = from_xml(
+            &parse("<movie><title>Jaws</title><title/><genre>Jaws<b>2</b></genre></movie>")
+                .unwrap(),
+        );
+        let m = movie_ref(&px);
+        let PossibleValues::Values(titles) = m.possible_values_at("title", 8) else {
+            panic!("titles are certain");
+        };
+        assert_eq!(titles, ["Jaws", ""]);
+        assert!(titles.iter().all(|t| matches!(t, Cow::Borrowed(_))));
+        let PossibleValues::Values(genres) = m.possible_values_at("genre", 8) else {
+            panic!("the genre is certain");
+        };
+        assert_eq!(genres, ["Jaws2"]);
+        assert!(matches!(genres[0], Cow::Owned(_)), "assembled from two nodes");
     }
 }
